@@ -332,7 +332,7 @@ let e11 () =
         if (not printed) && oracle then bump "4.8 necessity violated";
         if printed = oracle then bump "4.8 agrees"
       end;
-      if fst (Theorems.decide ~mu t) <> oracle then bump "decide WRONG"
+      if Family.decide ~mu t <> oracle then bump "decide WRONG"
     end
   done;
   let tbl = Table.create [ "event"; "count"; "trials" ] in
@@ -575,11 +575,11 @@ let micro_bench () =
       Test.make ~name:"conflict/box-oracle-matmul (ablation-conflict-check)"
         (Staged.stage (fun () -> Conflict.is_conflict_free ~mu:mu3 t_mm));
       Test.make ~name:"conflict/closed-form-matmul (ablation-conflict-check)"
-        (Staged.stage (fun () -> Theorems.decide ~mu:mu3 t_mm));
+        (Staged.stage (fun () -> Family.decide ~mu:mu3 t_mm));
       Test.make ~name:"conflict/box-oracle-5d"
         (Staged.stage (fun () -> Conflict.is_conflict_free ~mu:mu5 t5bit));
       Test.make ~name:"conflict/decide-5d"
-        (Staged.stage (fun () -> Theorems.decide ~mu:mu5 t5bit));
+        (Staged.stage (fun () -> Family.decide ~mu:mu5 t5bit));
       Test.make ~name:"optimize/procedure51-matmul-mu4 (ablation-optimizer)"
         (Staged.stage (fun () -> Procedure51.optimize alg_mm ~s:Matmul.paper_s));
       Test.make ~name:"optimize/ilp-form-matmul-mu4 (ablation-optimizer)"

@@ -158,14 +158,14 @@ let deadline_arg =
 (* The historical human-readable method names, extended with the
    engine's lattice paths. *)
 let decided_by_pretty = function
-  | Analysis.Theorem Theorems.Full_rank_square -> "square full-rank test"
-  | Analysis.Theorem Theorems.Adjugate_form -> "Theorem 3.1 (adjugate closed form)"
-  | Analysis.Theorem Theorems.Column_infeasible ->
+  | Analysis.Theorem Family.Full_rank_square -> "square full-rank test"
+  | Analysis.Theorem Family.Adjugate_form -> "Theorem 3.1 (adjugate closed form)"
+  | Analysis.Theorem Family.Column_infeasible ->
     "Theorem 4.4 (a kernel column fits in the box)"
-  | Analysis.Theorem Theorems.Hermite_n_minus_2 -> "Theorem 4.7 (sufficient)"
-  | Analysis.Theorem Theorems.Hermite_n_minus_3 -> "corrected Theorem 4.8 (sufficient)"
-  | Analysis.Theorem Theorems.Gcd_sufficient -> "Theorem 4.5 (gcd, sufficient)"
-  | Analysis.Theorem Theorems.Box_oracle -> "exact box oracle"
+  | Analysis.Theorem Family.Hermite_n_minus_2 -> "Theorem 4.7 (sufficient)"
+  | Analysis.Theorem Family.Hermite_n_minus_3 -> "corrected Theorem 4.8 (sufficient)"
+  | Analysis.Theorem Family.Gcd_sufficient -> "Theorem 4.5 (gcd, sufficient)"
+  | Analysis.Box_oracle -> "exact box oracle"
   | Analysis.Lattice_oracle -> "exact lattice oracle (LLL)"
   | Analysis.Lattice_fallback -> "lattice oracle (budget fallback)"
 

@@ -1,5 +1,5 @@
 type path =
-  | Theorems_decide
+  | Family_decide
   | Box_oracle_path
   | Lattice_oracle_path
   | Analysis_path
@@ -9,7 +9,7 @@ type path =
   | Exec_simulate
 
 let path_name = function
-  | Theorems_decide -> "theorems-decide"
+  | Family_decide -> "family-decide"
   | Box_oracle_path -> "box-oracle"
   | Lattice_oracle_path -> "lattice-oracle"
   | Analysis_path -> "analysis"
@@ -57,13 +57,11 @@ let check_instance inst =
   let oracle_free = Oracle.is_conflict_free inst in
   let out = ref [] in
   let add path detail = out := { path; detail } :: !out in
-  (* 1. The uncached sequential reference cascade. *)
-  let decide_free, method_used = Theorems.decide ~mu t in
+  (* 1. The uncached cascade. *)
+  let decide_free = Family.decide ~mu t in
   if decide_free <> oracle_free then
-    add Theorems_decide
-      (Printf.sprintf "decide says %b (method %s) but oracle says %b" decide_free
-         (Analysis.decided_by_name (Analysis.Theorem method_used))
-         oracle_free);
+    add Family_decide
+      (Printf.sprintf "decide says %b but oracle says %b" decide_free oracle_free);
   (* 2. The pruned box enumeration, witness validated. *)
   check_finder inst ~oracle_free ~add Box_oracle_path (Conflict.find_conflict ~mu t);
   (* 3. The LLL coefficient-lattice oracle, witness validated. *)
@@ -108,11 +106,11 @@ let check_instance inst =
   | Some w when not (Oracle.valid_witness inst w) ->
     add Budget_degraded (Printf.sprintf "invalid witness %s" (Intvec.to_string w))
   | _ -> ());
-  (* 6. The symbolic family tier: whenever the family verdict for this
-     T decides the instance, it must byte-match both the oracle and the
-     concrete verdict v1 — boolean, method, full-rank flag and witness
-     (the soundness contract of docs/FAMILIES.md).  Residual instances
-     carry no obligation here; paths 1-5 already cover them. *)
+  (* 6. The memoized family tier: whenever the family verdict for this
+     T decides the instance, it must byte-match both the oracle and
+     the verdict v1 — boolean, method, full-rank flag and witness (the
+     soundness contract of docs/FAMILIES.md).  Residual instances carry
+     no obligation here; paths 1-5 already cover them. *)
   (match Analysis.eval_family (Analysis.family t) ~mu with
   | None -> ()
   | Some fv ->
@@ -129,7 +127,7 @@ let check_instance inst =
       || not (Option.equal Intvec.equal fv.Analysis.witness v1.Analysis.witness)
     then
       add Family_path
-        (Printf.sprintf "family verdict (decided by %s) differs from concrete (%s)"
+        (Printf.sprintf "family verdict (decided by %s) differs from check (%s)"
            (Analysis.decided_by_name fv.Analysis.decided_by)
            (Analysis.decided_by_name v1.Analysis.decided_by));
     if fv.Analysis.exactness <> Analysis.Exact then

@@ -4,7 +4,8 @@
 
     The fast paths checked per instance:
 
-    - [Theorems.decide] — the uncached sequential reference cascade;
+    - {!Family.decide} — the uncached cascade (family closed forms,
+      exact oracle on residual instances);
     - [Conflict.find_conflict] — the pruned box enumeration (its
       witness, when produced, is also validated against Theorem 2.2);
     - [Conflict.find_conflict_lattice] — the LLL coefficient-lattice
@@ -18,10 +19,10 @@
       oracle;
     - [Analysis.eval_family] on [Analysis.family] — whenever the
       symbolic family verdict for the instance's [T] decides at its
-      [mu], the result must byte-match both the oracle and the concrete
+      [mu], the result must byte-match both the oracle and the
       [Analysis.check] verdict (boolean, method, full-rank flag and
       witness — the soundness contract of [docs/FAMILIES.md]); residual
-      instances carry no obligation beyond the concrete paths;
+      instances carry no obligation beyond the other paths;
     - [Exec.run] — the cycle-accurate simulator executes the instance
       under a synthesized causal dependence (the sign vector of the Pi
       row), and the verdict is cross-checked end to end: conflict-free
@@ -38,7 +39,7 @@
     [jobs] (tested in [test_check.ml]). *)
 
 type path =
-  | Theorems_decide
+  | Family_decide
   | Box_oracle_path
   | Lattice_oracle_path
   | Analysis_path

@@ -1,7 +1,8 @@
 type exactness = Exact | Bounded
 
 type decided_by =
-  | Theorem of Theorems.method_used
+  | Theorem of Family.meth
+  | Box_oracle
   | Lattice_oracle
   | Lattice_fallback
 
@@ -15,19 +16,10 @@ type verdict = {
 }
 
 let decided_by_name = function
-  | Theorem Theorems.Full_rank_square -> "full-rank-square"
-  | Theorem Theorems.Adjugate_form -> "adjugate-form"
-  | Theorem Theorems.Column_infeasible -> "kernel-column-infeasible"
-  | Theorem Theorems.Hermite_n_minus_2 -> "hermite-n-minus-2"
-  | Theorem Theorems.Hermite_n_minus_3 -> "hermite-n-minus-3"
-  | Theorem Theorems.Gcd_sufficient -> "gcd-sufficient"
-  | Theorem Theorems.Box_oracle -> "box-oracle"
+  | Theorem m -> Family.method_name m
+  | Box_oracle -> "box-oracle"
   | Lattice_oracle -> "lattice-oracle"
   | Lattice_fallback -> "lattice-fallback"
-
-(* Same threshold as Conflict.is_conflict_free: beyond this box volume
-   the lattice oracle is the affordable exact method. *)
-let box_volume_limit = 2_000_000
 
 let m_queries = Obs.Metrics.counter "analysis.queries"
 let m_closed_form = Obs.Metrics.counter "analysis.closed_form"
@@ -46,108 +38,24 @@ let note_rank_deficient () =
         paying exact-oracle cost (counted in \
         analysis.rank_deficient_fallthrough)")
 
-let box_is_small mu =
-  let v =
-    Array.fold_left
-      (fun acc m -> if acc > box_volume_limit then acc else acc * ((2 * m) + 1))
-      1 mu
-  in
-  v <= box_volume_limit
-
-(* The un-timed decision core: (free, decided_by, witness, full_rank).
-   Mirrors Theorems.decide branch for branch, but reads the Hermite
-   factorization through Engine.Cache and produces a witness on the
-   conflicting side whenever one is cheap. *)
-let core ~budget ~mu t =
-  let n = Intmat.cols t and k = Intmat.rows t in
-  if k >= n then begin
-    let r = Intmat.rank t in
-    if r = n then begin
-      Obs.Metrics.incr m_closed_form;
-      (true, Theorem Theorems.Full_rank_square, None, r = k)
-    end
-    else begin
-      (* Rank-deficient: the kernel is nontrivial but its vectors can
-         still all escape the box, so conflict-freedom needs an exact
-         oracle (found by differential fuzzing; the old code reported
-         a conflict from the rank alone). *)
-      note_rank_deficient ();
-      Engine.Budget.charge_oracle budget;
-      if box_is_small mu then begin
-        Obs.Metrics.incr m_box_oracle;
-        let w = Obs.Trace.with_span "oracle.box" (fun () -> Conflict.find_conflict ~mu t) in
-        (Option.is_none w, Theorem Theorems.Box_oracle, w, r = k)
-      end
-      else
-        let w = Engine.Cache.find_conflict_lattice ~mu t in
-        (Option.is_none w, Lattice_oracle, w, r = k)
-    end
+(* The exact decision for an instance no closed form settles: the box
+   oracle while the box is small, else the cached lattice oracle. *)
+let oracle ~budget ~mu t =
+  Engine.Budget.charge_oracle budget;
+  if Conflict.box_is_small mu then begin
+    Obs.Metrics.incr m_box_oracle;
+    (Box_oracle, Obs.Trace.with_span "oracle.box" (fun () -> Conflict.find_conflict ~mu t))
   end
-  else if k = n - 1 && Intmat.rank t = n - 1 then begin
-    Obs.Metrics.incr m_closed_form;
-    match Conflict.single_conflict_vector t with
-    | Some gamma ->
-      let free = Conflict.is_feasible ~mu gamma in
-      (free, Theorem Theorems.Adjugate_form, (if free then None else Some gamma), true)
-    | None -> assert false (* full rank guarantees a nonzero minor *)
-  end
-  else begin
-    let hnf = Engine.Cache.hnf t in
-    let rank = hnf.Hnf.rank in
-    let rank_ok = rank = k in
-    let oracle () =
-      Engine.Budget.charge_oracle budget;
-      if box_is_small mu then begin
-        Obs.Metrics.incr m_box_oracle;
-        let w = Obs.Trace.with_span "oracle.box" (fun () -> Conflict.find_conflict ~mu t) in
-        (Option.is_none w, Theorem Theorems.Box_oracle, w, rank_ok)
-      end
-      else
-        let w = Engine.Cache.find_conflict_lattice ~mu t in
-        (Option.is_none w, Lattice_oracle, w, rank_ok)
-    in
-    if not rank_ok then begin
-      note_rank_deficient ();
-      oracle ()
-    end
-    else begin
-      let kernel_cols = List.init (n - rank) (fun c -> Intmat.col hnf.Hnf.u (rank + c)) in
-      match List.find_opt (fun c -> not (Conflict.is_feasible ~mu c)) kernel_cols with
-      | Some bad ->
-        (* Theorem 4.4 rejected: the kernel column itself is a conflict
-           vector inside the box. *)
-        Obs.Metrics.incr m_closed_form;
-        (false, Theorem Theorems.Column_infeasible, Some (Intvec.normalize_sign bad), rank_ok)
-      | None ->
-        let inp = { Theorems.hnf; mu } in
-        let codim = n - rank in
-        if codim = 2 && Theorems.nec_suff_n_minus_2 inp then begin
-          Obs.Metrics.incr m_closed_form;
-          (true, Theorem Theorems.Hermite_n_minus_2, None, rank_ok)
-        end
-        else if codim = 3 && Theorems.corrected_sufficient_n_minus_3 inp then begin
-          Obs.Metrics.incr m_closed_form;
-          (true, Theorem Theorems.Hermite_n_minus_3, None, rank_ok)
-        end
-        else if codim > 3 && Theorems.sufficient_cond4 inp then begin
-          Obs.Metrics.incr m_closed_form;
-          (true, Theorem Theorems.Gcd_sufficient, None, rank_ok)
-        end
-        else oracle ()
-    end
-  end
+  else (Lattice_oracle, Engine.Cache.find_conflict_lattice ~mu t)
 
 let verdict_table : (bool * decided_by * Intvec.t option * bool) Engine.Cache.table =
   Engine.Cache.create_table "analysis-verdict"
 
 (* ------------------------- family verdicts ------------------------- *)
 
-(* The symbolic tier: one Family.build per distinct T, then every
-   instance in the family costs an O(atoms) condition evaluation
-   instead of the cascade above.  Soundness rests on Family.eval being
-   byte-identical to [core] whenever it answers Decided (checked by
-   Check.Diff and test_family.ml); Residual instances fall through to
-   [core] unchanged. *)
+(* The closed-form tier: one Family.build per distinct T, then every
+   instance in the family costs an O(atoms) condition evaluation.
+   Residual instances go to [oracle]. *)
 
 let family_table : Family.t Engine.Cache.table = Engine.Cache.create_table "family"
 let m_family_hits = Obs.Metrics.counter "family.hits"
@@ -157,21 +65,7 @@ let m_family_residual = Obs.Metrics.counter "family.residual"
 let family t =
   Engine.Cache.memo family_table t (fun () ->
       Obs.Metrics.incr m_family_misses;
-      let n = Intmat.cols t and k = Intmat.rows t in
-      (* Only thread the memoized factorization through on the branch
-         that reads it; the others would charge an hnf-cache miss for a
-         factorization [Family.build] never looks at. *)
-      if k < n && not (k = n - 1 && Intmat.rank t = n - 1) then
-        Family.build ~hnf:(Engine.Cache.hnf t) t
-      else Family.build t)
-
-let method_of_family = function
-  | Family.Full_rank_square -> Theorems.Full_rank_square
-  | Family.Adjugate_form -> Theorems.Adjugate_form
-  | Family.Column_infeasible -> Theorems.Column_infeasible
-  | Family.Hermite_n_minus_2 -> Theorems.Hermite_n_minus_2
-  | Family.Hermite_n_minus_3 -> Theorems.Hermite_n_minus_3
-  | Family.Gcd_sufficient -> Theorems.Gcd_sufficient
+      Family.build t)
 
 let eval_family fam ~mu =
   match Family.eval fam ~mu with
@@ -180,19 +74,12 @@ let eval_family fam ~mu =
       {
         conflict_free;
         full_rank = fam.Family.full_rank;
-        decided_by = Theorem (method_of_family method_);
+        decided_by = Theorem method_;
         witness;
         timing = 0.;
         exactness = Exact;
       }
   | Family.Residual -> None
-
-let probe_family ~mu t =
-  if Array.length mu <> Intmat.cols t then
-    invalid_arg "Analysis.probe_family: arity mismatch";
-  match Engine.Cache.find_opt family_table t with
-  | None -> None
-  | Some fam -> eval_family fam ~mu
 
 let check ?(budget = Engine.Budget.unlimited) ~mu t =
   if Array.length mu <> Intmat.cols t then invalid_arg "Analysis.check: arity mismatch";
@@ -212,32 +99,32 @@ let check ?(budget = Engine.Budget.unlimited) ~mu t =
     }
   in
   if Engine.Budget.pressed budget then begin
-    (* Graceful degradation: skip the closed-form cascade and the box
+    (* Graceful degradation: skip the family cascade and the box
        oracle entirely; one lattice-oracle call (itself cached) settles
        the query, reported as bounded.  Bounded verdicts are never
        written to the verdict cache. *)
     Obs.Metrics.incr m_budget_degraded;
     Engine.Budget.charge_oracle budget;
     let w = Engine.Cache.find_conflict_lattice ~mu t in
-    let rank_ok = (Engine.Cache.hnf t).Hnf.rank = Intmat.rows t in
-    finish (Option.is_none w, Lattice_fallback, w, rank_ok) Bounded
+    finish (Option.is_none w, Lattice_fallback, w, Intmat.rank t = Intmat.rows t) Bounded
   end
   else
     let key = Intmat.append_row t (Intvec.of_int_array mu) in
     finish
       (Engine.Cache.memo verdict_table key (fun () ->
-           (* Family tier first: a Decided evaluation replays the
-              concrete cascade's verdict without re-running it. *)
            let fam = family t in
            match Family.eval fam ~mu with
            | Family.Decided { conflict_free; method_; witness } ->
              Obs.Metrics.incr m_family_hits;
              Obs.Metrics.incr m_closed_form;
-             (conflict_free, Theorem (method_of_family method_), witness,
-              fam.Family.full_rank)
+             (conflict_free, Theorem method_, witness, fam.Family.full_rank)
            | Family.Residual ->
              Obs.Metrics.incr m_family_residual;
-             core ~budget ~mu t))
+             (match fam.Family.shape with
+             | Family.Always_residual -> note_rank_deficient ()
+             | _ -> ());
+             let how, w = oracle ~budget ~mu t in
+             (Option.is_none w, how, w, fam.Family.full_rank)))
       Exact
 
 let is_conflict_free ?budget ~mu t = (check ?budget ~mu t).conflict_free

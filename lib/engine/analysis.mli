@@ -1,19 +1,19 @@
 (** The single front door for conflict-freedom queries.
 
-    [check ~mu t] subsumes the ad-hoc trio callers used to stitch
-    together by hand — {!Theorems.decide} for the verdict,
-    {!Conflict.find_conflict} for a witness, and a manual
-    [Intmat.rank] test for condition 4 of Definition 2.2 — behind one
-    call returning one record.  On top of the unification it adds what
-    the old trio could not offer:
+    [check ~mu t] answers whether [t] is conflict-free on the box, and
+    also returns rank, witness and timing in one record.  It runs the
+    repository's one conflict-freedom cascade: the verdict cache, then
+    the memoized {!Family} verdict for [t] evaluated at [mu], then — on
+    a {!Family.Residual} evaluation — the exact oracle.  On top of the
+    cascade it adds:
 
-    - {e caching}: the Hermite factorization, the lattice oracle and
-      the final verdict are memoized in {!Engine.Cache}, keyed on the
-      matrix content, so repeated queries (ubiquitous in enumeration
-      scans) cost a hash lookup;
-    - {e budgets}: under an expired {!Engine.Budget} the exact box
-      oracle is replaced by the lattice oracle and the verdict is
-      reported with [exactness = Bounded] instead of blocking;
+    - {e caching}: the family verdict, the lattice oracle and the final
+      verdict are memoized in {!Engine.Cache}, keyed on the matrix
+      content, so repeated queries (ubiquitous in enumeration scans)
+      cost a hash lookup;
+    - {e budgets}: under an expired {!Engine.Budget} the cascade is
+      replaced by the lattice oracle and the verdict is reported with
+      [exactness = Bounded] instead of blocking;
     - {e observability}: every call bumps the [analysis.*] counters of
       {!Obs.Metrics}, feeds the [analysis.check_ms] histogram and opens
       an [analysis.check] trace span (see [docs/SCHEMA.md] for the
@@ -27,8 +27,11 @@ type exactness =
   | Bounded  (** Budget-degraded path; see {!Engine.Budget}. *)
 
 type decided_by =
-  | Theorem of Theorems.method_used
-      (** A paper condition (or the exact box oracle) settled it. *)
+  | Theorem of Family.meth
+      (** A closed form of the family cascade settled it. *)
+  | Box_oracle
+      (** The exact box oracle {!Conflict.find_conflict}, on a residual
+          instance whose box {!Conflict.box_is_small}. *)
   | Lattice_oracle
       (** The LLL-lattice oracle, chosen because the box was too large
           to enumerate (still exact). *)
@@ -49,10 +52,13 @@ type verdict = {
 }
 
 val check : ?budget:Engine.Budget.t -> mu:int array -> Intmat.t -> verdict
-(** Decide conflict-freedom of [t] on the box [0 <= j_i <= mu_i] with
-    the cheapest applicable method.  Agrees with {!Theorems.decide}
-    (property-tested); verdicts computed without budget pressure are
-    cached and replayed on structurally equal queries.
+(** Decide conflict-freedom of [t] on the box [0 <= j_i <= mu_i]:
+    verdict cache, then {!family} evaluated at [mu], then on a residual
+    evaluation the box oracle when the box {!Conflict.box_is_small},
+    else the cached lattice oracle.  Agrees with {!Family.decide} and
+    the exact oracles (property-tested); verdicts computed without
+    budget pressure are cached and replayed on structurally equal
+    queries.
     @raise Invalid_argument when [mu] and [t] disagree on arity. *)
 
 val is_conflict_free : ?budget:Engine.Budget.t -> mu:int array -> Intmat.t -> bool
@@ -63,13 +69,13 @@ val decided_by_name : decided_by -> string
 
 (** {1 Family tier}
 
-    The symbolic layer in front of the cascade: {!Family.build} runs
-    once per distinct mapping matrix (memoized in the ["family"] cache
-    table) and {!check} evaluates the stored piecewise condition at
-    each instance's [mu] before falling back to the concrete cascade.
-    Counters: [family.hits] (instance decided symbolically),
+    The closed-form tier of {!check}: {!Family.build} runs once per
+    distinct mapping matrix (memoized in the ["family"] cache table)
+    and {!check} evaluates the stored piecewise condition at each
+    instance's [mu] before handing residual instances to the oracle.
+    Counters: [family.hits] (instance decided by a closed form),
     [family.misses] (a family built), [family.residual] (family known
-    but this [mu] needs concrete analysis).  See [docs/FAMILIES.md]. *)
+    but this [mu] needs the oracle).  See [docs/FAMILIES.md]. *)
 
 val family : Intmat.t -> Family.t
 (** The memoized family verdict for [t] (built on first use). *)
@@ -80,9 +86,3 @@ val eval_family : Family.t -> mu:int array -> verdict option
     with [timing = 0.] and [exactness = Exact] — when the family
     decides, [None] when the instance is residual.
     @raise Invalid_argument on arity mismatch. *)
-
-val probe_family : mu:int array -> Intmat.t -> verdict option
-(** {!eval_family} against the in-process family cache without
-    building anything: [None] when no family is cached for [t] or the
-    instance is residual.
-    @raise Invalid_argument when [mu] and [t] disagree on arity. *)

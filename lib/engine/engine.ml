@@ -128,14 +128,6 @@ module Cache = struct
       Mutex.unlock t.lock;
       v
 
-  (* Probe without counting: callers that fall back to [memo] on [None]
-     would otherwise double-count the miss. *)
-  let find_opt t key =
-    Mutex.lock t.lock;
-    let v = H.find_opt t.tbl key in
-    Mutex.unlock t.lock;
-    v
-
   let stats () =
     Mutex.lock registry_lock;
     let fns = !registry in
@@ -155,16 +147,7 @@ module Cache = struct
 
   let key_hash = Key.hash
 
-  let hnf_table : Hnf.result table = create_table "hnf"
-  let lll_table : Intvec.t list table = create_table "lll"
   let lattice_table : Intvec.t option table = create_table "conflict-lattice"
-
-  let hnf t = memo hnf_table t (fun () -> Hnf.compute t)
-
-  let lll_reduce basis =
-    match basis with
-    | [] -> Lll.reduce basis (* delegate the Invalid_argument *)
-    | _ -> memo lll_table (Intmat.of_rows basis) (fun () -> Lll.reduce basis)
 
   let find_conflict_lattice ~mu t =
     if Array.length mu <> Intmat.cols t then

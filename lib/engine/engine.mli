@@ -46,13 +46,13 @@ module Budget : sig
       the budget was {!cancel}led. *)
 end
 
-(** Content-addressed memo tables in front of the expensive kernels
-    ({!Hnf.compute}, {!Lll.reduce}, {!Conflict.find_conflict_lattice}).
-    Keys are full matrices compared with {!Intmat.equal} and hashed
-    entry-by-entry, so structurally equal matrices built by different
-    scans share one entry.  Tables are domain-safe (mutex-protected);
-    hit/miss counts feed the [cache.<name>.hits] / [cache.<name>.misses]
-    counters of {!Obs.Metrics}. *)
+(** Content-addressed memo tables in front of the expensive kernels:
+    the lattice oracle here, and the verdict and family tables of
+    {!Analysis}.  Keys are full matrices compared with {!Intmat.equal}
+    and hashed entry-by-entry, so structurally equal matrices built by
+    different scans share one entry.  Tables are domain-safe
+    (mutex-protected); hit/miss counts feed the [cache.<name>.hits] /
+    [cache.<name>.misses] counters of {!Obs.Metrics}. *)
 module Cache : sig
   type 'v table
 
@@ -64,22 +64,11 @@ module Cache : sig
   (** [memo tbl key compute] returns the cached value for [key] or runs
       [compute] once and stores the result. *)
 
-  val find_opt : 'v table -> Intmat.t -> 'v option
-  (** Probe without computing — and without touching the hit/miss
-      counters, so callers that fall back to {!memo} on [None] don't
-      double-count. *)
-
   val key_hash : Intmat.t -> int
   (** The content hash the memo tables key on (entry-by-entry over the
       full matrix, in [0 .. max_int]).  Exposed so the persistent
       result store of [lib/server] can address records by the same
       hash the in-memory caches use. *)
-
-  val hnf : Intmat.t -> Hnf.result
-  (** Memoized {!Hnf.compute} (default strategy and reduction). *)
-
-  val lll_reduce : Intvec.t list -> Intvec.t list
-  (** Memoized {!Lll.reduce} (default delta), keyed on the basis rows. *)
 
   val find_conflict_lattice : mu:int array -> Intmat.t -> Intvec.t option
   (** Memoized {!Conflict.find_conflict_lattice}, keyed on [(T, mu)]. *)

@@ -181,13 +181,16 @@ let find_conflict_lattice ~mu t =
 (* Box volume threshold above which the lattice oracle takes over. *)
 let box_volume_limit = 2_000_000
 
-let is_conflict_free ~mu t =
+let box_is_small mu =
   let volume =
     Array.fold_left
       (fun acc m -> if acc > box_volume_limit then acc else acc * ((2 * m) + 1))
       1 mu
   in
-  if volume <= box_volume_limit then find_conflict ~mu t = None
+  volume <= box_volume_limit
+
+let is_conflict_free ~mu t =
+  if box_is_small mu then find_conflict ~mu t = None
   else find_conflict_lattice ~mu t = None
 
 let all_in_box ~mu t =

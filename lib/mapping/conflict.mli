@@ -7,7 +7,9 @@
     integral vector of its kernel fits inside the box
     [|gamma_i| <= mu_i] (Theorem 2.2) — the {e box oracle} here decides
     exactly that by pruned enumeration and serves as ground truth for
-    every closed-form condition in {!Theorems}. *)
+    every closed-form condition in {!Theorems}.  The box and lattice
+    oracles also decide every instance that {!Family.eval} leaves
+    residual. *)
 
 val is_feasible : mu:int array -> Intvec.t -> bool
 (** Theorem 2.2, per-vector: [gamma] is a feasible conflict vector iff
@@ -22,15 +24,17 @@ val find_conflict : mu:int array -> Intmat.t -> Intvec.t option
 (** Exact oracle: a nonzero kernel vector inside the box
     [|gamma_i| <= mu_i], primitive and sign-normalized, or [None] when
     the mapping is conflict-free.  Backtracking enumeration with
-    interval pruning on the partial products [T gamma].
+    interval pruning on the partial products [T gamma].  This is the
+    box oracle [Analysis.check] (library [engine]) runs on residual
+    instances whose box {!box_is_small}. *)
 
-    @deprecated Callers wanting a verdict-plus-witness should use
-    [Analysis.check] (library [engine]); it picks the cheapest sound
-    method, caches the result and degrades under budgets.  This
-    function remains the ground-truth box enumeration it builds on. *)
+val box_is_small : int array -> bool
+(** Whether the box [|gamma_i| <= mu_i] has at most 2,000,000 points,
+    the volume up to which {!find_conflict} is the affordable exact
+    oracle; past it, {!find_conflict_lattice} is. *)
 
 val is_conflict_free : mu:int array -> Intmat.t -> bool
-(** Decides with {!find_conflict} when the box is small and with
+(** Decides with {!find_conflict} when the box {!box_is_small} and with
     {!find_conflict_lattice} otherwise, so it stays exact {e and}
     affordable at large [mu]. *)
 

@@ -11,7 +11,7 @@ let all_optimal_schedules ?max_objective (alg : Algorithm.t) ~s =
         Schedule.respects pi d
         &&
         let t = Intmat.append_row s pi in
-        Intmat.rank t = k && fst (Theorems.decide ~mu t))
+        Intmat.rank t = k && Family.decide ~mu t)
       (Procedure51.candidates_at_cost ~mu cost)
 
 let best_by_buffers ?max_objective (alg : Algorithm.t) ~s =

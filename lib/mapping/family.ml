@@ -155,7 +155,7 @@ let corrected_cond_n_minus_3 h =
    (mu-independent) nonsingular subsets.  C(n, d) can blow up for wide
    kernels, so the builder refuses past [cond4_max_subsets] — the
    caller then leaves the family's sufficient arm empty and those
-   instances fall through to concrete analysis (sound, never wrong). *)
+   instances are residual, decided by the exact oracle. *)
 let cond4_max_subsets = 20_000
 
 let cond4 h =
@@ -233,7 +233,7 @@ let shape_name fam =
   | Adjugate _ -> "adjugate"
   | Cascade _ -> "cascade"
 
-let build ?hnf t =
+let build t =
   let n = Intmat.cols t and k = Intmat.rows t in
   if k >= n then begin
     let r = Intmat.rank t in
@@ -245,13 +245,13 @@ let build ?hnf t =
     | Some gamma -> { k; n; full_rank = true; shape = Adjugate gamma }
     | None -> assert false (* full rank guarantees a nonzero minor *)
   else begin
-    let h = match hnf with Some h -> h | None -> Hnf.compute t in
+    let h = Hnf.compute t in
     let rank = h.Hnf.rank in
     if rank <> k then { k; n; full_rank = false; shape = Always_residual }
     else begin
-      (* Witnesses are stored pre-normalized, in the same column order
-         the concrete cascade scans, so an infeasible column yields the
-         byte-identical verdict. *)
+      (* Witnesses are stored pre-normalized, in the Hermite
+         multiplier's column order; the first one trapped in the box is
+         the verdict's witness. *)
       let kernel =
         List.init (n - rank) (fun c ->
             Intvec.normalize_sign (Intmat.col h.Hnf.u (rank + c)))
@@ -296,6 +296,11 @@ let eval fam ~mu =
       | Some (m, c) when eval_cond c ~mu ->
         Decided { conflict_free = true; method_ = m; witness = None }
       | _ -> Residual))
+
+let decide ~mu t =
+  match eval (build t) ~mu with
+  | Decided { conflict_free; _ } -> conflict_free
+  | Residual -> Conflict.is_conflict_free ~mu t
 
 (* ------------------------------- codec ------------------------------ *)
 

@@ -9,14 +9,19 @@
     [T] once into a {e family verdict}: a piecewise predicate over mu
     that {!eval} decides per instance in a handful of integer
     comparisons, plus an explicit {!Residual} arm for the mu where no
-    closed form applies (those fall back to concrete analysis).
+    closed form applies (the exact oracles of {!Conflict} decide
+    those).  This is the repository's only closed-form cascade: the
+    rank test for [k >= n], Theorem 3.1 for [k = n-1], and the Hermite
+    conditions of Theorems 4.4-4.8 for [k < n-1].  {!decide} runs it
+    uncached; [Analysis.check] memoizes the family per matrix.
 
     Soundness contract (property-tested in [Check.Diff] and
-    [test_family.ml]): whenever [eval] answers {!Decided}, the verdict
-    — boolean, deciding method {e and} witness — is byte-identical to
-    what the concrete cascade of [Analysis.check] computes at the same
-    [mu], and it is always exact, never budget-bounded.  See
-    [docs/FAMILIES.md] for the derivations and the grammar. *)
+    [test_family.ml]): whenever [eval] answers {!Decided}, the boolean
+    agrees with the exact box oracle, a witness is a genuine conflict
+    vector inside the box, and [Analysis.check] returns this verdict —
+    boolean, deciding method {e and} witness — byte for byte, always
+    exact, never budget-bounded.  See [docs/FAMILIES.md] for the
+    derivations and the grammar. *)
 
 (** {1 The piecewise-condition language} *)
 
@@ -49,9 +54,9 @@ val cond3 : Hnf.result -> cond
 val cond4 : Hnf.result -> cond option
 (** Theorem 4.5, subsets made mu-free: a disjunction over the
     nonsingular size-(n-k) row subsets of the conjunction of their row
-    gcd bounds.  [None] when the subset count exceeds an internal cap
-    (the family then keeps no sufficient arm — sound, those mu are
-    residual). *)
+    gcd bounds.  [None] when the subset count exceeds 20,000 (the
+    family then keeps no sufficient arm — sound, those mu are
+    residual and the exact oracle decides them). *)
 
 val cond5 : Hnf.result -> cond
 (** Theorem 4.6 (k = n-2). *)
@@ -84,8 +89,8 @@ type shape =
   | Const_free
       (** [k >= n], full rank: conflict-free for every mu. *)
   | Always_residual
-      (** Rank-deficient: no closed form, every instance pays for a
-          concrete oracle. *)
+      (** Rank-deficient: no closed form, every instance pays for an
+          exact oracle. *)
   | Adjugate of Intvec.t
       (** [k = n-1], full rank: the unique conflict vector (Theorem
           3.1); free iff it escapes the box — exact in both
@@ -109,10 +114,8 @@ type t = {
 val shape_name : t -> string
 (** ["const-free" | "residual" | "adjugate" | "cascade"]. *)
 
-val build : ?hnf:Hnf.result -> Intmat.t -> t
-(** Compile the family verdict for [T].  [hnf] lets callers with a
-    memoized factorization (see [Engine.Cache.hnf]) avoid recomputing
-    it; it is only consulted on the branches that need it. *)
+val build : Intmat.t -> t
+(** Compile the family verdict for [T]. *)
 
 type evaluation =
   | Decided of {
@@ -126,6 +129,14 @@ val eval : t -> mu:int array -> evaluation
 (** Evaluate the family at concrete bounds.
     @raise Invalid_argument when [mu] and the family disagree on
     arity. *)
+
+val decide : mu:int array -> Intmat.t -> bool
+(** Conflict-freedom of [T] on the box [0 <= j_i <= mu_i], uncached:
+    {!build}, {!eval}, and {!Conflict.is_conflict_free} when the
+    instance is {!Residual}.  Always agrees with
+    {!Conflict.is_conflict_free}; this is the default screen of
+    [Procedure51], [Space_opt] and [Enumerate].
+    @raise Invalid_argument when [mu] and [T] disagree on arity. *)
 
 (** {1 Codec}
 

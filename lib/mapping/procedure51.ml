@@ -1,5 +1,3 @@
-type conflict_check = Exact | Theorem
-
 type result = {
   pi : Intvec.t;
   total_time : int;
@@ -58,7 +56,7 @@ let minimal_schedule ?max_objective (alg : Algorithm.t) =
   in
   by_cost 1
 
-let optimize ?(check = Theorem) ?valid ?p ?(require_routing = false) ?max_objective
+let optimize ?valid ?p ?(require_routing = false) ?max_objective
     (alg : Algorithm.t) ~s =
   Obs.Trace.with_span "p51.optimize" @@ fun () ->
   let mu = Index_set.bounds alg.Algorithm.index_set in
@@ -73,11 +71,7 @@ let optimize ?(check = Theorem) ?valid ?p ?(require_routing = false) ?max_object
     | None ->
       fun t ->
         Obs.Trace.with_span "p51.screen" @@ fun () ->
-        Intmat.rank t = k
-        &&
-        (match check with
-        | Exact -> Conflict.is_conflict_free ~mu t
-        | Theorem -> fst (Theorems.decide ~mu t))
+        Intmat.rank t = k && Family.decide ~mu t
   in
   let tried = ref 0 in
   let candidates_metric = Obs.Metrics.counter "p51.candidates" in

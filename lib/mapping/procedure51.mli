@@ -9,11 +9,6 @@
     interconnection matrix is supplied — the routing condition
     [SD = PK]. *)
 
-type conflict_check =
-  | Exact    (** The box oracle of {!Conflict} — always correct. *)
-  | Theorem  (** The cheapest applicable closed-form condition via
-                 {!Theorems.decide}. *)
-
 type result = {
   pi : Intvec.t;
   total_time : int;        (** Equation 2.7. *)
@@ -22,7 +17,6 @@ type result = {
 }
 
 val optimize :
-  ?check:conflict_check ->
   ?valid:(Intmat.t -> bool) ->
   ?p:Intmat.t ->
   ?require_routing:bool ->
@@ -38,10 +32,9 @@ val optimize :
     (default nearest-neighbor links) are rejected — condition 2 of
     Definition 2.2.
 
-    [valid] replaces the default mapping-matrix screen
-    ([rank T = k] and conflict-freedom per [check]) — the hook the
-    cached engine ([Analysis.check]) plugs into; overriding it makes
-    [check] irrelevant. *)
+    [valid] replaces the default mapping-matrix screen ([rank T = k]
+    and {!Family.decide}) — the hook the cached engine
+    ([Analysis.check]) plugs into. *)
 
 val default_max_objective : int array -> int
 (** The default search bound [Σ mu_i * (mu_i + 1)] — exposed so engine

@@ -52,7 +52,7 @@ let optimize ?(entry_bound = 1) ?(objective = Processors_plus_wire) ?valid
   let valid =
     match valid with
     | Some f -> f
-    | None -> fun t -> Intmat.rank t = k && fst (Theorems.decide ~mu t)
+    | None -> fun t -> Intmat.rank t = k && Family.decide ~mu t
   in
   let slack = Array.init m (fun i -> Zint.to_int (Intvec.dot pi (Intmat.col d i))) in
   let tried = ref 0 in

@@ -37,7 +37,7 @@ val optimize :
     searched family.
 
     [valid] replaces the default mapping-matrix screen ([rank T = k]
-    plus [Theorems.decide]) on each candidate [T = [S; Pi]] — the hook
+    plus {!Family.decide}) on each candidate [T = [S; Pi]] — the hook
     the cached engine ([Analysis.check]) plugs into.
     @raise Invalid_argument when [Pi] does not respect the dependences
     or [k] is out of range (needs [2 <= k <= n]). *)

@@ -52,9 +52,10 @@ let sufficient_cond4 inp =
     match Family.cond4 inp.hnf with
     | Some c -> Family.eval_cond c ~mu:inp.mu
     | None ->
-      (* Too many subsets for the symbolic form: fall back to the
-         concrete search, where the mu-filter prunes the candidate
-         rows before enumeration. *)
+      (* Too many subsets for the symbolic form: search concretely,
+         where the mu-filter prunes the candidate rows before
+         enumeration.  No decision path runs this search; past the cap
+         the family is residual and the exact oracle decides. *)
       let row_gcd i =
         let g = ref Zint.zero in
         for c = k to n - 1 do
@@ -108,54 +109,3 @@ let nec_suff_n_minus_3 inp =
 let corrected_sufficient_n_minus_3 inp =
   require_codim inp 3 "Theorems.corrected_sufficient_n_minus_3";
   Family.eval_cond (Family.corrected_cond_n_minus_3 inp.hnf) ~mu:inp.mu
-
-type method_used =
-  | Full_rank_square
-  | Adjugate_form
-  | Column_infeasible
-  | Hermite_n_minus_2
-  | Hermite_n_minus_3
-  | Gcd_sufficient
-  | Box_oracle
-
-(* Rank-deficient inputs skip the whole closed-form cascade and pay
-   for an exact oracle; count them and say so once on stderr. *)
-let note_rank_deficient () =
-  Obs.Metrics.incr (Obs.Metrics.counter "theorems.rank_deficient_fallthrough");
-  ignore
-    (Obs.Warn.once "theorems.rank-deficient-oracle"
-       "rank-deficient mapping matrix in Theorems.decide: no closed-form \
-        theorem applies, paying exact-oracle cost (counted in \
-        theorems.rank_deficient_fallthrough)")
-
-let decide ~mu t =
-  Obs.Trace.with_span "theorems.decide" @@ fun () ->
-  let n = Intmat.cols t and k = Intmat.rows t in
-  if k >= n then
-    if Intmat.rank t = n then (true, Full_rank_square)
-    else begin
-      (* Rank deficiency only makes the kernel nontrivial; its vectors
-         can still all escape the box [|gamma_i| <= mu_i], so the
-         bounded verdict needs the oracle (found by differential
-         fuzzing, see test/corpus/square-rank-deficient-free.case). *)
-      note_rank_deficient ();
-      (Conflict.is_conflict_free ~mu t, Box_oracle)
-    end
-  else if k = n - 1 && Intmat.rank t = n - 1 then
-    match Conflict.single_conflict_vector t with
-    | Some gamma -> (Conflict.is_feasible ~mu gamma, Adjugate_form)
-    | None -> assert false (* full rank guarantees a nonzero minor *)
-  else begin
-    let inp = make_input ~mu t in
-    let _, rank = dims inp in
-    if rank <> Intmat.rows t then begin
-      note_rank_deficient ();
-      (Conflict.is_conflict_free ~mu t, Box_oracle)
-    end
-    else if not (necessary_cond3 inp) then (false, Column_infeasible)
-    else if n - rank = 2 && nec_suff_n_minus_2 inp then (true, Hermite_n_minus_2)
-    else if n - rank = 3 && corrected_sufficient_n_minus_3 inp then
-      (true, Hermite_n_minus_3)
-    else if n - rank > 3 && sufficient_cond4 inp then (true, Gcd_sufficient)
-    else (Conflict.is_conflict_free ~mu t, Box_oracle)
-  end

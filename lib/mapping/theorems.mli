@@ -6,7 +6,9 @@
     the normal form once) together with the index-set bounds [mu].
     Their agreement with the exact box oracle of {!Conflict} is
     property-tested; see EXPERIMENTS.md for the observed status of each
-    condition. *)
+    condition.  These predicates reproduce the paper; the decision
+    cascade built from them is {!Family} ({!Family.decide} uncached,
+    [Analysis.check] memoized). *)
 
 type input = {
   hnf : Hnf.result;
@@ -26,7 +28,10 @@ val necessary_cond3 : input -> bool
 val sufficient_cond4 : input -> bool
 (** Theorem 4.5: there are rows [i_1 .. i_{n-k}] of [U] whose
     restriction to the kernel columns is nonsingular while the gcd of
-    each such row is at least [mu_i + 1].  Sufficient. *)
+    each such row is at least [mu_i + 1].  Sufficient.  Evaluates
+    {!Family.cond4} when it exists and otherwise searches the row
+    subsets concretely; the concrete search can take seconds on wide
+    kernels and no decision path runs it. *)
 
 val sufficient_cond5 : input -> bool
 (** Theorem 4.6, [k = n-2] only: a gcd row plus a second row covering
@@ -62,28 +67,3 @@ val corrected_sufficient_n_minus_3 : input -> bool
     the single columns.  Sufficient by the same magnitude argument as
     Theorem 4.7, now covering every partition of [beta]'s support.
     @raise Invalid_argument when [n - k <> 3]. *)
-
-(** {1 Unified decision procedure} *)
-
-type method_used =
-  | Full_rank_square   (** k = n: rank alone decides. *)
-  | Adjugate_form      (** k = n-1: Theorem 3.1 (exact). *)
-  | Column_infeasible  (** Theorem 4.4 rejected: a kernel column sits
-                           inside the box, an immediate conflict. *)
-  | Hermite_n_minus_2  (** Theorem 4.7 accepted (sufficient). *)
-  | Hermite_n_minus_3  (** Corrected Theorem 4.8 accepted (sufficient). *)
-  | Gcd_sufficient     (** Theorem 4.5 accepted (sufficient). *)
-  | Box_oracle         (** Exact enumeration fallback. *)
-
-val decide : mu:int array -> Intmat.t -> bool * method_used
-(** Conflict-freedom decided soundly with the cheapest applicable paper
-    condition: exact closed forms where they exist (k >= n-1), fast
-    necessary/sufficient screens otherwise, and the exact box oracle
-    when the screens do not settle the answer.  Always agrees with
-    {!Conflict.is_conflict_free}.
-
-    @deprecated New code should call [Analysis.check] (library
-    [engine]), which returns the same decision together with rank,
-    witness and timing in one record, memoizes it, and honors query
-    budgets.  [decide] remains as the uncached sequential reference
-    that [Analysis.check] is property-tested against. *)

@@ -50,8 +50,8 @@ let test_boundary_directions () =
   let sq = inst ~mu:[| 1; 1 |] [ [ 4; 3 ]; [ -4; -3 ] ] in
   Alcotest.(check bool) "rank-deficient square is free here" true
     (Check.Oracle.is_conflict_free sq);
-  Alcotest.(check bool) "Theorems.decide agrees" true
-    (fst (Theorems.decide ~mu:[| 1; 1 |] (im [ [ 4; 3 ]; [ -4; -3 ] ])));
+  Alcotest.(check bool) "Family.decide agrees" true
+    (Family.decide ~mu:[| 1; 1 |] (im [ [ 4; 3 ]; [ -4; -3 ] ]));
   Alcotest.(check bool) "Analysis.check agrees" true
     (Analysis.is_conflict_free ~mu:[| 1; 1 |] (im [ [ 4; 3 ]; [ -4; -3 ] ]))
 

@@ -123,9 +123,8 @@ let test_mu_1_box () =
 let test_k_equals_n_mapping () =
   (* Square T: conflict-freedom is exactly nonsingularity. *)
   let mu = [| 3; 3 |] in
-  Alcotest.(check bool) "identity free" true (fst (Theorems.decide ~mu (Intmat.identity 2)));
-  Alcotest.(check bool) "singular not" false
-    (fst (Theorems.decide ~mu (im [ [ 1; 1 ]; [ 2; 2 ] ])))
+  Alcotest.(check bool) "identity free" true (Family.decide ~mu (Intmat.identity 2));
+  Alcotest.(check bool) "singular not" false (Family.decide ~mu (im [ [ 1; 1 ]; [ 2; 2 ] ]))
 
 let test_routing_zero_displacement () =
   (* A dependence that stays on the same PE needs no hops. *)

@@ -1,9 +1,9 @@
 (* Tests of the mu-parametric family layer (lib/mapping/family.ml):
-   the soundness contract says a [Decided] evaluation must agree
-   byte-for-byte with the concrete cascade at the same mu, so most of
-   these are differential properties against the box oracle and
-   [Analysis.check], plus explicit boundary cases at |gamma_i| = mu_i
-   where the piecewise condition switches arms. *)
+   the soundness contract says a [Decided] evaluation must agree with
+   the exact oracle and byte-for-byte with [Analysis.check] at the
+   same mu, so most of these are differential properties against the
+   box oracle and [Analysis.check], plus explicit boundary cases at
+   |gamma_i| = mu_i where the piecewise condition switches arms. *)
 
 let mat = Intmat.of_ints
 
@@ -139,17 +139,42 @@ let test_cascade_boundary_both_arms () =
 
 (* Codimension > 3 with C(n, n-k) past the subset cap: the family must
    drop its sufficient arm (None) rather than spend forever in
-   Theorem 4.5 subsets. *)
+   Theorem 4.5 subsets, and its residual instances go straight to the
+   exact oracle — no concrete subset search on the decision path. *)
 let test_cond4_cap_drops_sufficient () =
-  let k = 15 and n = 30 in
-  let t = Intmat.make k n (fun i j -> Zint.of_int (if i = j then 1 else 0)) in
-  let fam = Family.build t in
-  match fam.Family.shape with
-  | Family.Cascade { sufficient = None; kernel } ->
-    Alcotest.(check int) "kernel columns" (n - k) (List.length kernel)
-  | Family.Cascade { sufficient = Some _; _ } ->
-    Alcotest.fail "expected the subset cap to drop the sufficient arm"
-  | _ -> Alcotest.fail "expected a cascade shape"
+  let no_sufficient_arm name t =
+    match (Family.build t).Family.shape with
+    | Family.Cascade { sufficient = None; kernel } ->
+      Alcotest.(check int) (name ^ ": kernel columns")
+        (Intmat.cols t - Intmat.rows t) (List.length kernel)
+    | Family.Cascade { sufficient = Some _; _ } ->
+      Alcotest.failf "%s: expected the subset cap to drop the sufficient arm" name
+    | _ -> Alcotest.failf "%s: expected a cascade shape" name
+  in
+  no_sufficient_arm "[I_15 | 0]"
+    (Intmat.make 15 30 (fun i j -> Zint.of_int (if i = j then 1 else 0)));
+  (* Both kernels escape the unit box in every nonzero combination, so
+     the instances are conflict-free, and only the oracle may say so. *)
+  let residual_to_oracle name t =
+    no_sufficient_arm name t;
+    let mu = Array.make (Intmat.cols t) 1 in
+    (match Family.eval (Family.build t) ~mu with
+    | Family.Residual -> ()
+    | Family.Decided _ -> Alcotest.failf "%s: expected a residual evaluation" name);
+    let v = Analysis.check ~mu t in
+    Alcotest.(check bool) (name ^ ": conflict-free") true v.Analysis.conflict_free;
+    Alcotest.(check string) (name ^ ": decided by") "lattice-oracle"
+      (Analysis.decided_by_name v.Analysis.decided_by);
+    Alcotest.(check bool) (name ^ ": exact") true (v.Analysis.exactness = Analysis.Exact);
+    Alcotest.(check bool) (name ^ ": Family.decide agrees") true (Family.decide ~mu t)
+  in
+  (* Twelve [3 -2] blocks on the diagonal: C(24, 12) row subsets. *)
+  residual_to_oracle "12x24 block diagonal"
+    (Intmat.make 12 24 (fun i j ->
+         Zint.of_int (if j = 2 * i then 3 else if j = (2 * i) + 1 then -2 else 0)));
+  residual_to_oracle "[I_9 | -2 I_9]"
+    (Intmat.make 9 18 (fun i j ->
+         Zint.of_int (if j = i then 1 else if j = i + 9 then -2 else 0)))
 
 (* Codec: to_string/of_string round-trip on generated families, and
    rejection of malformed strings. *)
@@ -228,25 +253,6 @@ let prop_family_matches_check =
         && Option.equal Intvec.equal fv.Analysis.witness v.Analysis.witness
         && fv.Analysis.exactness = Analysis.Exact)
 
-(* probe_family only answers from the in-process cache, and when it
-   does it must replay the cached verdict exactly. *)
-let test_probe_family () =
-  Engine.Cache.clear ();
-  let t = mat [ [ 1; 1; -1 ]; [ 1; 4; 1 ] ] in
-  let mu = [| 5; 2; 3 |] in
-  let v = Analysis.check ~mu t in
-  (match Analysis.probe_family ~mu t with
-  | None -> Alcotest.fail "family must be cached after check"
-  | Some fv ->
-    Alcotest.(check bool) "conflict_free" v.Analysis.conflict_free
-      fv.Analysis.conflict_free;
-    Alcotest.(check string) "decided_by"
-      (Analysis.decided_by_name v.Analysis.decided_by)
-      (Analysis.decided_by_name fv.Analysis.decided_by));
-  Alcotest.(check bool) "exactness is exact"
-    true
-    (v.Analysis.exactness = Analysis.Exact)
-
 let suite =
   [
     Alcotest.test_case "adjugate boundary |gamma_i| = mu_i" `Quick
@@ -264,8 +270,6 @@ let suite =
       test_cond4_cap_drops_sufficient;
     Alcotest.test_case "codec rejects malformed strings" `Quick
       test_codec_rejects_malformed;
-    Alcotest.test_case "probe_family replays the cached verdict" `Quick
-      test_probe_family;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     QCheck_alcotest.to_alcotest prop_family_sound_vs_oracle;
     QCheck_alcotest.to_alcotest prop_family_matches_check;

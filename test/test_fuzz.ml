@@ -56,9 +56,11 @@ let prop_optimizers_agree_on_fuzzed =
         let n = Algorithm.dim alg in
         (* Project out the last dimension as a simple space mapping. *)
         let s = Intmat.make 1 n (fun _ j -> if j = n - 1 then Zint.one else Zint.zero) in
+        let mu = Index_set.bounds alg.Algorithm.index_set in
+        let exact t = Intmat.rank t = Intmat.rows s + 1 && Conflict.is_conflict_free ~mu t in
         let time r = Option.map (fun x -> x.Procedure51.total_time) r in
-        time (Procedure51.optimize ~check:Procedure51.Exact ~max_objective:40 alg ~s)
-        = time (Procedure51.optimize ~check:Procedure51.Theorem ~max_objective:40 alg ~s))
+        time (Procedure51.optimize ~valid:exact ~max_objective:40 alg ~s)
+        = time (Procedure51.optimize ~max_objective:40 alg ~s))
 
 let prop_multi_statement_pipeline_clean =
   QCheck.Test.make ~name:"multi-statement fuzz: aligned programs simulate cleanly" ~count:40

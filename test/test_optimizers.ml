@@ -58,13 +58,19 @@ let test_tc_paper_pi_is_valid () =
   Alcotest.(check bool) "conflict-free" true
     (Conflict.is_conflict_free ~mu:(Index_set.bounds alg.Algorithm.index_set) t)
 
+(* The default screen (rank test and the family cascade) against the
+   rank test and the exact oracle alone. *)
 let test_exact_and_theorem_checks_agree () =
   let alg = Matmul.algorithm ~mu:3 in
-  let r1 = Procedure51.optimize ~check:Procedure51.Exact alg ~s:Matmul.paper_s in
-  let r2 = Procedure51.optimize ~check:Procedure51.Theorem alg ~s:Matmul.paper_s in
+  let mu = Index_set.bounds alg.Algorithm.index_set in
+  let k = Intmat.rows Matmul.paper_s + 1 in
+  let exact t = Intmat.rank t = k && Conflict.is_conflict_free ~mu t in
+  let r1 = Procedure51.optimize ~valid:exact alg ~s:Matmul.paper_s in
+  let r2 = Procedure51.optimize alg ~s:Matmul.paper_s in
   match (r1, r2) with
   | Some a, Some b ->
-    Alcotest.(check int) "same optimum" a.Procedure51.total_time b.Procedure51.total_time
+    Alcotest.(check int) "same optimum" a.Procedure51.total_time b.Procedure51.total_time;
+    Alcotest.(check bool) "same schedule" true (Intvec.equal a.Procedure51.pi b.Procedure51.pi)
   | _ -> Alcotest.fail "expected schedules"
 
 let test_optimize_with_routing () =

@@ -88,19 +88,21 @@ let prop_decide_is_exact =
       let k = 1 + Random.State.int rng (min (n - 1) 4) in
       let t = Intmat.make k n (fun _ _ -> Zint.of_int (Random.State.int rng 15 - 7)) in
       let mu = Array.init n (fun _ -> 1 + Random.State.int rng 4) in
-      fst (Theorems.decide ~mu t) = Conflict.is_conflict_free ~mu t)
+      Family.decide ~mu t = Conflict.is_conflict_free ~mu t)
 
 let test_decide_methods () =
-  (* The dispatcher picks the method the paper prescribes per shape. *)
+  (* The family cascade picks the method the paper prescribes per shape. *)
   let check t mu expect =
-    let _, m = Theorems.decide ~mu t in
-    Alcotest.(check bool) "method" true (m = expect)
+    match Family.eval (Family.build t) ~mu with
+    | Family.Decided { method_; _ } ->
+      Alcotest.(check string) "method" (Family.method_name expect) (Family.method_name method_)
+    | Family.Residual -> Alcotest.fail "expected a closed form"
   in
-  check (Intmat.identity 3) [| 2; 2; 2 |] Theorems.Full_rank_square;
-  check (Intmat.of_ints [ [ 1; 1; -1 ]; [ 1; 4; 1 ] ]) [| 4; 4; 4 |] Theorems.Adjugate_form;
+  check (Intmat.identity 3) [| 2; 2; 2 |] Family.Full_rank_square;
+  check (Intmat.of_ints [ [ 1; 1; -1 ]; [ 1; 4; 1 ] ]) [| 4; 4; 4 |] Family.Adjugate_form;
   (* kernel column inside the box -> immediate rejection *)
   let t = Intmat.of_ints [ [ 1; 0; 0; 0 ]; [ 0; 1; 0; 0 ] ] in
-  check t [| 3; 3; 3; 3 |] Theorems.Column_infeasible
+  check t [| 3; 3; 3; 3 |] Family.Column_infeasible
 
 let test_wrong_codimension_raises () =
   let t = Intmat.of_ints [ [ 1; 0; 0 ]; [ 0; 1; 0 ] ] in
