@@ -11,8 +11,8 @@
    timing-dependent order; with those classes disabled a consult never
    bumps a site counter ({!Fault}), so the armed sites —
    [shard.kill], consulted once per request by the single driver
-   thread, and [route.forward], consulted once per forward on the
-   driver's synchronous request path — see a seed-reproducible
+   thread, and [route.forward], consulted on the router's loop once
+   per request the driver sends through it — see a seed-reproducible
    sequence, and two same-seed runs produce byte-identical fault
    logs.  The [latency] class is also safe to arm: its sites are
    ambient — a fired consult stalls the caller but is never logged

@@ -21,8 +21,8 @@
       disables the breaker entirely.
 
     Mutation is single-writer (the monitor thread); {!state} /
-    {!ewma_ms} are single-word reads, safe for the router's forwarding
-    threads to poll. *)
+    {!ewma_ms} are single-word reads, safe for the router's event
+    loop to poll. *)
 
 type breaker = Closed | Open | Half_open
 

@@ -1,54 +1,28 @@
-(* The cluster router: one process that makes N daemon shards look
-   like one daemon (docs/CLUSTER.md).
+(* The cluster router (contract in router.mli, docs/CLUSTER.md).
 
-   Downstream it speaks the same versioned wire protocol as the
-   daemon — v1 JSON lines by default, v2 binary after a [hello] — one
-   thread per accepted client.  Upstream it keeps a small pool of
-   pipelined connections per shard; requests are restamped with a
-   router-unique integer id, the original id parked in the pool
-   connection's pending table, and a per-connection reader thread
-   matches replies back and restamps them on the way out.  [analyze]
-   routes by the matrix-only family hash through the consistent-hash
-   {!Ring} (so the content key and its mu-parametric family stay on
-   one shard); the stateless ops round-robin over live shards;
-   [ping]/[stats]/[drain]/[hello] answer inline; [ship] is rejected —
-   it is the replication channel, shard-direct by contract.
+   Two threads.  The event loop owns every socket — listener, clients,
+   pooled upstream connections — on the daemon's connection code
+   ({!Server.Conn}), and with them all per-request state: the pending
+   tables, the hedge queues, the latency rings, the hedge token
+   bucket.  The monitor runs beside it because probes, journal pumps
+   and promotion catch-up block.  They share the fields marked "under
+   [t.lock]" below, and nobody holds the lock across a blocking call;
+   the monitor's breaker state ({!Health}) is single-writer and read
+   lock-free.
 
-   Gray-failure machinery (docs/RESILIENCE.md):
+   Every in-flight request is one [reqstate] shared by however many
+   upstream copies exist: [r_done] is the first-wins latch and
+   [r_outstanding] counts copies still parked, so a lost connection
+   errors the client only when the last copy dies.  Hedgeable analyze
+   requests queue per shard in send order, so the oldest one's due
+   time is the loop's poll timeout.
 
-   - every in-flight request is one [reqstate] shared by however many
-     upstream copies exist; [r_done] is the first-wins latch (atomic
-     exchange), [r_outstanding] counts copies still parked so a lost
-     connection only errors the client when the *last* copy dies;
-   - a hedge thread ticks every millisecond over the table of
-     hedgeable analyze requests; once a request has been in flight
-     longer than the hedge delay (fixed, or adaptive: 2x the shard's
-     observed p99), it re-issues the request on the shard's follower
-     with the *remaining* deadline restamped, guarded by a token
-     bucket so a melting shard cannot double the fleet's load;
-   - the monitor times its pings and feeds latency into {!Health}'s
-     EWMA circuit breaker; while a shard's breaker is [Open] its
-     analyze traffic diverts to the follower, and [pick_rr] prefers
-     shards whose breaker is closed.
+   [route.forward] (class [cluster]) is consulted once per forwarded
+   request, on the loop thread; hedge re-issues never consult it. *)
 
-   Hedging is byte-safe because verdicts are deterministic: primary
-   and follower produce identical bytes for the same analyze, so
-   taking the first reply never changes an answer.
-
-   Failover: a monitor thread pings every shard each health interval
-   and pumps its journal {!Shipper}; when {!Health} reports the
-   threshold crossing, the shard's follower is caught up from the
-   primary's journal and promoted in place.  {!promote_shard} exposes
-   the same transition synchronously for the chaos harness, which
-   needs the kill -> promote sequence at a deterministic point in its
-   request stream.
-
-   Lock order: shard [s_lock] > pool connection [u_plock] > client
-   [c_olock].  Fault sites: [route.forward] (class [cluster]) is
-   consulted once per forwarded request, on the client's thread, so a
-   single-driver chaos run consults it at a seed-reproducible
-   sequence; hedge re-issues never consult it (they are not part of
-   the seeded request stream). *)
+module Conn = Server.Conn
+module Protocol = Server.Protocol
+module Wire = Server.Wire
 
 type shard_spec = {
   primary : Server.Client.addr;
@@ -62,8 +36,8 @@ type config = {
   listen : Server.Daemon.listen;
   shards : shard_spec list;
   pool_size : int;
-  shard_transport : Server.Wire.version;
-  max_transport : Server.Wire.version;
+  shard_transport : Wire.version;
+  max_transport : Wire.version;
   health_interval_ms : int;
   health_threshold : int;
   vnodes : int;
@@ -77,8 +51,8 @@ let default_config listen shards =
     listen;
     shards;
     pool_size = 2;
-    shard_transport = Server.Wire.V2;
-    max_transport = Server.Wire.V2;
+    shard_transport = Wire.V2;
+    max_transport = Wire.V2;
     health_interval_ms = 1000;
     health_threshold = 3;
     vnodes = 64;
@@ -87,60 +61,57 @@ let default_config listen shards =
     latency_limit_ms = 500.;
   }
 
-type client = {
-  c_fd : Unix.file_descr;
-  c_dec : Server.Wire.decoder;
-  c_olock : Mutex.t;
-  mutable c_version : Server.Wire.version;
-  mutable c_closed : bool;
-}
-
-(* One forwarded request; shared by every upstream copy (primary send
-   plus any hedge).  [r_done] is the first-reply-wins latch;
-   [r_outstanding] counts copies still parked in pending tables so a
-   dead connection errors the client only when no copy is left. *)
+(* One forwarded request, shared by every upstream copy of it (the
+   primary send plus any hedge).  Loop thread only. *)
 type reqstate = {
-  r_client : client;
+  r_client : Conn.t;
   r_id : Json.t;
-  r_req : Server.Protocol.request;
+  r_bin : bool;  (* asked with an ['A'] frame *)
+  r_req : Protocol.request;
+  r_shard : shard;
   r_deadline : float;  (* absolute seconds; nan = no deadline *)
   r_sent_at : float;
-  r_done : bool Atomic.t;
-  r_hedged : bool Atomic.t;
-  r_outstanding : int Atomic.t;
-  r_shard : shard;
+  mutable r_done : bool;
+  mutable r_outstanding : int;
 }
 
 and pending = { p_state : reqstate; p_hedge : bool }
 
+(* A pooled upstream connection.  Loop thread only. *)
 and uconn = {
-  u : Server.Client.conn;
-  u_send : Mutex.t;
+  u : Conn.t;
+  u_shard : shard;
+  u_epoch : int;  (* the shard's epoch when it was opened *)
   u_pending : (int, pending) Hashtbl.t;
-  u_plock : Mutex.t;
-  mutable u_dead : bool;
-  mutable u_reader : Thread.t option;
+  mutable u_connecting : bool;  (* TCP connect still in progress *)
+  mutable u_hello : bool;  (* the v2 hello ack has not arrived *)
 }
 
 and shard = {
   idx : int;
   spec : shard_spec;
-  s_lock : Mutex.t;
+  follower_sa : Unix.sockaddr option;
+  health : Health.t;
+  shipper : Shipper.t option;
+  (* Under [t.lock]. *)
   mutable target : Server.Client.addr;
+  mutable target_sa : Unix.sockaddr option;
   mutable alive : bool;
   mutable promoted : bool;
-  mutable pool : uconn list;
-  mutable f_pool : uconn list;  (* follower pool: hedges + breaker diverts *)
-  mutable next_conn : int;
-  mutable f_next : int;
+  mutable epoch : int;  (* bumped by promotion: older connections are failed *)
   mutable forwarded : int;
   mutable shed : int;
   mutable hedges : int;
   mutable hedge_wins : int;
+  (* Written by the loop under [t.lock]; the loop reads them freely. *)
+  mutable pool : uconn list;
+  mutable f_pool : uconn list;  (* follower pool: hedges + breaker diverts *)
+  (* Loop thread only. *)
+  mutable next_conn : int;
+  mutable f_next : int;
   lat : float array;  (* ring of recent first-reply latencies, ms *)
   mutable lat_n : int;
-  health : Health.t;
-  shipper : Shipper.t option;
+  hedgeq : reqstate Queue.t;  (* hedgeable requests, in send order *)
 }
 
 type t = {
@@ -148,20 +119,19 @@ type t = {
   ring : Ring.t;
   shards : shard array;
   listen_fd : Unix.file_descr;
-  sock_path : string option;
+  bound_port : int option;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
-  next_rid : int Atomic.t;
   stopping : bool Atomic.t;
-  rr : int Atomic.t;  (* round-robin cursor for the stateless ops *)
-  lock : Mutex.t;     (* clients list + global counters *)
-  mutable clients : (client * Thread.t) list;
+  lock : Mutex.t;
+  (* Under [lock]. *)
   mutable accepted : int;
   mutable promotions : int;
-  inflight : (int, reqstate) Hashtbl.t;  (* hedgeable requests, by primary rid *)
-  i_lock : Mutex.t;
-  h_lock : Mutex.t;   (* hedge token bucket *)
-  mutable h_tokens : float;
+  (* Loop thread only. *)
+  mutable clients : Conn.t list;
+  mutable next_rid : int;
+  mutable rr : int;  (* round-robin cursor for the stateless ops *)
+  mutable h_tokens : float;  (* hedge token bucket *)
   mutable h_refill_at : float;
 }
 
@@ -178,49 +148,24 @@ let locked m f =
 
 let hedging_active t = t.cfg.hedge <> No_hedge && t.cfg.hedge_budget > 0
 
-(* ----------------------------- listening --------------------------- *)
-
-let bind_unix path =
-  if Sys.file_exists path then begin
-    (* Same stale-socket policy as the daemon: probe; unlink only a
-       dead socket; never unlink a non-socket. *)
-    let probe = Unix.socket PF_UNIX SOCK_STREAM 0 in
-    (match Unix.connect probe (Unix.ADDR_UNIX path) with
-    | () ->
-      Unix.close probe;
-      failwith (Printf.sprintf "Router.create: %s already has a live listener" path)
-    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
-      Unix.close probe;
-      Unix.unlink path
-    | exception Unix.Unix_error _ -> Unix.close probe (* let bind fail loudly *))
-  end;
-  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  fd
-
-let bind_tcp port =
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Unix.setsockopt fd SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen fd 64;
-  fd
-
 let addr_string : Server.Client.addr -> string = function
   | `Unix path -> "unix:" ^ path
   | `Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
 
 (* ------------------------------ create ----------------------------- *)
 
+(* Shard addresses are resolved once, here, so the loop never waits on
+   a name lookup.  A name that does not resolve makes the address
+   unreachable, as a refused connect would. *)
+let resolve addr =
+  try Some (Server.Client.sockaddr addr) with Not_found | Unix.Unix_error _ -> None
+
 let create (cfg : config) =
   if cfg.shards = [] then invalid_arg "Router.create: no shards";
   if cfg.pool_size < 1 then invalid_arg "Router.create: pool_size must be >= 1";
-  let listen_fd, sock_path =
-    match cfg.listen with
-    | Server.Daemon.Unix_sock path -> (bind_unix path, Some path)
-    | Server.Daemon.Tcp port -> (bind_tcp port, None)
-  in
+  let listen_fd = Conn.bind cfg.listen in
   let pipe_r, pipe_w = Unix.pipe () in
+  Unix.set_nonblock pipe_r;
   let shards =
     Array.of_list
       (List.mapi
@@ -228,28 +173,31 @@ let create (cfg : config) =
            {
              idx;
              spec;
-             s_lock = Mutex.create ();
-             target = spec.primary;
-             alive = true;
-             promoted = false;
-             pool = [];
-             f_pool = [];
-             next_conn = 0;
-             f_next = 0;
-             forwarded = 0;
-             shed = 0;
-             hedges = 0;
-             hedge_wins = 0;
-             lat = Array.make 64 0.;
-             lat_n = 0;
+             follower_sa = Option.bind spec.follower resolve;
              health =
                Health.create ~threshold:cfg.health_threshold
                  ~latency_limit_ms:cfg.latency_limit_ms ();
              shipper =
                (match (spec.journal, spec.follower) with
                | Some journal, Some follower ->
-                 Some (Shipper.create ~journal ~transport:Server.Wire.V1 ~follower ())
+                 Some (Shipper.create ~journal ~transport:Wire.V1 ~follower ())
                | _ -> None);
+             target = spec.primary;
+             target_sa = resolve spec.primary;
+             alive = true;
+             promoted = false;
+             epoch = 0;
+             forwarded = 0;
+             shed = 0;
+             hedges = 0;
+             hedge_wins = 0;
+             pool = [];
+             f_pool = [];
+             next_conn = 0;
+             f_next = 0;
+             lat = Array.make 64 0.;
+             lat_n = 0;
+             hedgeq = Queue.create ();
            })
          cfg.shards)
   in
@@ -258,248 +206,254 @@ let create (cfg : config) =
     ring = Ring.make ~vnodes:cfg.vnodes (Array.length shards);
     shards;
     listen_fd;
-    sock_path;
+    bound_port = Conn.bound_port listen_fd;
     pipe_r;
     pipe_w;
-    next_rid = Atomic.make 1;
     stopping = Atomic.make false;
-    rr = Atomic.make 0;
     lock = Mutex.create ();
-    clients = [];
     accepted = 0;
     promotions = 0;
-    inflight = Hashtbl.create 64;
-    i_lock = Mutex.create ();
-    h_lock = Mutex.create ();
+    clients = [];
+    next_rid = 1;
+    rr = 0;
     h_tokens = float_of_int (max 0 cfg.hedge_budget);
     h_refill_at = Unix.gettimeofday ();
   }
 
 let ring t = t.ring
+let port t = t.bound_port
 
-let port t =
-  match Unix.getsockname t.listen_fd with
-  | Unix.ADDR_INET (_, p) -> Some p
-  | _ -> None
+(* ------------------------------ wakeup ----------------------------- *)
 
-(* --------------------------- client output ------------------------- *)
+(* The self-pipe carries ['d'], a drain request (the async-signal-safe
+   {!wake}), and ['w'], which only makes the loop re-read shared state:
+   promotion sends it so the loop fails the promoted shard's old
+   connections. *)
+let wake t = try ignore (Unix.write t.pipe_w (Bytes.of_string "d") 0 1) with Unix.Unix_error _ -> ()
+let wake_loop t = try ignore (Unix.write t.pipe_w (Bytes.of_string "w") 0 1) with Unix.Unix_error _ -> ()
+let initiate_drain t = if not (Atomic.exchange t.stopping true) then wake t
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write fd b !written (n - !written)
-  done
+(* ------------------------------ replies ---------------------------- *)
 
-let send_client c reply =
-  locked c.c_olock (fun () ->
-      if not c.c_closed then
-        try write_all c.c_fd (Server.Wire.encode c.c_version (Server.Wire.Text (Json.to_string reply)))
-        with Unix.Unix_error _ | Sys_error _ -> c.c_closed <- true)
-
-let close_client t c =
-  let was_open =
-    locked c.c_olock (fun () ->
-        let was = not c.c_closed in
-        c.c_closed <- true;
-        was)
-  in
-  if was_open then (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-  locked t.lock (fun () ->
-      t.clients <- List.filter (fun (cl, _) -> cl != c) t.clients)
-
-(* --------------------------- latency ring -------------------------- *)
-
-let record_latency shard ms =
-  locked shard.s_lock (fun () ->
-      shard.lat.(shard.lat_n mod Array.length shard.lat) <- ms;
-      shard.lat_n <- shard.lat_n + 1)
-
-(* Caller holds [s_lock]. *)
-let ring_p99_locked shard =
-  let n = min shard.lat_n (Array.length shard.lat) in
-  if n = 0 then 0.
-  else begin
-    let a = Array.sub shard.lat 0 n in
-    Array.sort compare a;
-    a.(min (n - 1) (n * 99 / 100))
-  end
-
-let hedge_delay_ms t shard =
-  match t.cfg.hedge with
-  | No_hedge -> infinity
-  | Fixed_ms n -> float_of_int n
-  | Adaptive ->
-    let p99 = locked shard.s_lock (fun () -> ring_p99_locked shard) in
-    if p99 <= 0. then 10. else Float.max 1. (2. *. p99)
-
-(* --------------------------- upstream pool ------------------------- *)
-
-let take_pending uc rid =
-  locked uc.u_plock (fun () ->
-      match Hashtbl.find_opt uc.u_pending rid with
-      | Some p ->
-        Hashtbl.remove uc.u_pending rid;
-        Some p
-      | None -> None)
-
-let drain_pendings uc =
-  locked uc.u_plock (fun () ->
-      let l = Hashtbl.fold (fun _ p acc -> p :: acc) uc.u_pending [] in
-      Hashtbl.reset uc.u_pending;
-      l)
-
-(* Idempotent: the first caller wins; a parked request completes with
-   a retriable [overloaded] only when the dying copy was its *last*
-   outstanding one — a hedged request whose other copy is still parked
-   elsewhere just loses a redundant leg.  The descriptor is only shut
-   down here — the reader thread, the sole blocked reader, closes it
-   on its way out. *)
-let fail_uconn shard uc =
-  let first =
-    locked shard.s_lock (fun () ->
-        let first = not uc.u_dead in
-        uc.u_dead <- true;
-        if first then begin
-          shard.pool <- List.filter (fun x -> x != uc) shard.pool;
-          shard.f_pool <- List.filter (fun x -> x != uc) shard.f_pool
-        end;
-        first)
-  in
-  if first then begin
-    Server.Client.shutdown uc.u;
-    List.iter
-      (fun p ->
-        let left = Atomic.fetch_and_add p.p_state.r_outstanding (-1) - 1 in
-        if left <= 0 && not (Atomic.exchange p.p_state.r_done true) then
-          send_client p.p_state.r_client
-            (Server.Protocol.error_reply ~id:p.p_state.r_id ~code:"overloaded"
-               ~detail:(Printf.sprintf "shard %d connection lost" shard.idx)))
-      (drain_pendings uc)
-  end
+let reply_doc c doc = ignore (Conn.send c (Conn.doc doc))
 
 let restamp id = function
   | Json.Obj fields ->
     Json.Obj (List.map (fun (k, v) -> if k = "id" then (k, id) else (k, v)) fields)
   | j -> j
 
-let upstream_reader shard uc =
-  let rec loop () =
-    let reply = Server.Client.recv uc.u in
-    (match Server.Protocol.reply_id reply with
-    | Json.Int rid -> (
-      match take_pending uc rid with
-      | Some p ->
-        ignore (Atomic.fetch_and_add p.p_state.r_outstanding (-1));
-        (* First reply wins; the loser (if any) is dropped when its
-           copy surfaces here or its connection dies. *)
-        if not (Atomic.exchange p.p_state.r_done true) then begin
-          send_client p.p_state.r_client (restamp p.p_state.r_id reply);
-          record_latency shard
-            ((Unix.gettimeofday () -. p.p_state.r_sent_at) *. 1000.);
-          if p.p_hedge then begin
-            locked shard.s_lock (fun () -> shard.hedge_wins <- shard.hedge_wins + 1);
-            Obs.Metrics.incr m_hedge_wins
-          end
-        end
-      | None -> () (* already failed over; the session re-issued *))
-    | _ -> () (* unroutable reply; drop *));
-    loop ()
-  in
-  (try loop () with Failure _ | Unix.Unix_error _ | Sys_error _ -> ());
-  fail_uconn shard uc;
-  Server.Client.close uc.u
+let shed t shard c ~id detail =
+  locked t.lock (fun () -> shard.shed <- shard.shed + 1);
+  Obs.Metrics.incr m_shed;
+  reply_doc c (Protocol.error_reply ~id ~code:"overloaded" ~detail)
 
-(* [addr_of]/[pool_of] select the primary pool or the follower pool;
-   both share the reader, the pending table and the failure path. *)
+let record_latency shard ms =
+  shard.lat.(shard.lat_n mod Array.length shard.lat) <- ms;
+  shard.lat_n <- shard.lat_n + 1
+
+let hedge_delay_ms t shard =
+  match t.cfg.hedge with
+  | No_hedge -> infinity
+  | Fixed_ms n -> float_of_int n
+  | Adaptive ->
+    let n = min shard.lat_n (Array.length shard.lat) in
+    if n = 0 then 10.
+    else begin
+      let a = Array.sub shard.lat 0 n in
+      Array.sort compare a;
+      Float.max 1. (2. *. a.(min (n - 1) (n * 99 / 100)))
+    end
+
+(* --------------------------- upstream pool ------------------------- *)
+
+(* Idempotent.  A parked request completes with a retriable
+   [overloaded] only when the dying copy was its last outstanding one:
+   a hedged request whose other copy is still parked elsewhere just
+   loses a redundant leg. *)
+let fail_uconn t uc =
+  if not (Conn.closed uc.u) then begin
+    Conn.close uc.u;
+    let shard = uc.u_shard in
+    locked t.lock (fun () ->
+        shard.pool <- List.filter (fun x -> x != uc) shard.pool;
+        shard.f_pool <- List.filter (fun x -> x != uc) shard.f_pool);
+    Hashtbl.iter
+      (fun _ p ->
+        let r = p.p_state in
+        r.r_outstanding <- r.r_outstanding - 1;
+        if r.r_outstanding <= 0 && not r.r_done then begin
+          r.r_done <- true;
+          reply_doc r.r_client
+            (Protocol.error_reply ~id:r.r_id ~code:"overloaded"
+               ~detail:(Printf.sprintf "shard %d connection lost" shard.idx))
+        end)
+      uc.u_pending;
+    Hashtbl.reset uc.u_pending
+  end
+
+(* Connections opened before the shard's last promotion. *)
+let fail_stale t shard epoch =
+  let fail uc = if uc.u_epoch <> epoch then fail_uconn t uc in
+  List.iter fail shard.pool;
+  List.iter fail shard.f_pool
+
+(* A nonblocking connect: a Unix socket connects or fails at once, TCP
+   completes when the socket turns writable.  On v2 the hello goes out
+   first and requests follow it without waiting for the ack. *)
+let open_uconn t shard ~follower ~epoch sa =
+  match
+    let fd = Unix.socket (Unix.domain_of_sockaddr sa) SOCK_STREAM 0 in
+    Unix.set_nonblock fd;
+    match Unix.connect fd sa with
+    | () -> (fd, false)
+    | exception Unix.Unix_error (EINPROGRESS, _, _) -> (fd, true)
+    | exception e ->
+      Unix.close fd;
+      raise e
+  with
+  | exception Unix.Unix_error _ -> None
+  | fd, connecting ->
+    let uc =
+      {
+        u = Conn.create fd;
+        u_shard = shard;
+        u_epoch = epoch;
+        u_pending = Hashtbl.create 16;
+        u_connecting = connecting;
+        u_hello = t.cfg.shard_transport = Wire.V2;
+      }
+    in
+    if uc.u_hello then Conn.upgrade uc.u Wire.V2;
+    locked t.lock (fun () ->
+        if follower then shard.f_pool <- uc :: shard.f_pool
+        else shard.pool <- uc :: shard.pool);
+    Some uc
+
+(* The follower pool serves hedges and breaker diverts; both pools
+   share the pending tables and the failure path. *)
 let get_conn t shard ~follower =
-  locked shard.s_lock (fun () ->
-      let addr =
-        if follower then shard.spec.follower
-        else if shard.alive then Some shard.target
-        else None
-      in
-      match addr with
-      | None -> None
-      | Some addr ->
-        let pool = if follower then shard.f_pool else shard.pool in
-        let live = List.filter (fun uc -> not uc.u_dead) pool in
-        let n = List.length live in
-        let cursor = if follower then shard.f_next else shard.next_conn in
-        let bump () =
-          if follower then shard.f_next <- shard.f_next + 1
-          else shard.next_conn <- shard.next_conn + 1
-        in
-        if n >= t.cfg.pool_size then begin
-          let uc = List.nth live (cursor mod n) in
-          bump ();
-          Some uc
-        end
-        else
-          match Server.Client.connect ~transport:t.cfg.shard_transport addr with
-          | u ->
-            let uc =
-              {
-                u;
-                u_send = Mutex.create ();
-                u_pending = Hashtbl.create 16;
-                u_plock = Mutex.create ();
-                u_dead = false;
-                u_reader = None;
-              }
-            in
-            uc.u_reader <- Some (Thread.create (fun () -> upstream_reader shard uc) ());
-            if follower then shard.f_pool <- uc :: shard.f_pool
-            else shard.pool <- uc :: shard.pool;
-            bump ();
-            Some uc
-          | exception (Unix.Unix_error _ | Failure _ | Sys_error _) -> None)
+  let sa, epoch =
+    locked t.lock (fun () ->
+        ( (if follower then shard.follower_sa
+           else if shard.alive then shard.target_sa
+           else None),
+          shard.epoch ))
+  in
+  fail_stale t shard epoch;
+  match sa with
+  | None -> None
+  | Some sa ->
+    let live = if follower then shard.f_pool else shard.pool in
+    let cursor = if follower then shard.f_next else shard.next_conn in
+    if follower then shard.f_next <- cursor + 1 else shard.next_conn <- cursor + 1;
+    let n = List.length live in
+    if n >= t.cfg.pool_size then Some (List.nth live (cursor mod n))
+    else open_uconn t shard ~follower ~epoch sa
 
-let get_uconn t shard = get_conn t shard ~follower:false
+(* [deadline_override], when given, replaces the request's stamped
+   deadline with the remaining budget: a hedge never tells the follower
+   it has the full original allowance.  An analyze goes as an ['A']
+   frame on v2 unless a value is wider than the frame's fixed fields
+   (a deadline or entry past i32, more than 255 rows or columns): then
+   it goes as the JSON document, which the shard answers as it would a
+   client asking directly. *)
+let send_upstream ?deadline_override uc ~rid (req : Protocol.request) =
+  let dl orig = match deadline_override with Some _ -> deadline_override | None -> orig in
+  let id = Json.Int rid in
+  ignore
+    (Conn.send uc.u (fun version ->
+         match req with
+         | Protocol.Analyze { mu; tmat; deadline_ms } -> (
+           let deadline_ms = dl deadline_ms in
+           let doc () = Conn.doc (Protocol.analyze ~id ?deadline_ms ~mu tmat) version in
+           match version with
+           | Wire.V1 -> doc ()
+           | Wire.V2 -> (
+             try Wire.encode Wire.V2 (Wire.Bin_analyze { id = rid; deadline_ms; mu; tmat })
+             with Invalid_argument _ -> doc ()))
+         | Protocol.Search { algorithm; mu; s; pareto; array_dim; deadline_ms } ->
+           Conn.doc
+             (Protocol.search ~id ?deadline_ms:(dl deadline_ms) ?s ~pareto ~array_dim
+                ~algorithm ~mu ())
+             version
+         | Protocol.Simulate { algorithm; mu; s; pi } ->
+           Conn.doc (Protocol.simulate ~id ?s ~algorithm ~mu ~pi ()) version
+         | Protocol.Replay { instance } -> Conn.doc (Protocol.replay ~id instance) version
+         | Protocol.Ship _ | Protocol.Ping | Protocol.Stats | Protocol.Drain | Protocol.Hello _ ->
+           invalid_arg "Router.send_upstream: inline op"))
+
+(* First reply wins; a losing copy is dropped here or when its
+   connection dies. *)
+let complete t uc rid encode =
+  match Hashtbl.find_opt uc.u_pending rid with
+  | None -> ()
+  | Some p ->
+    Hashtbl.remove uc.u_pending rid;
+    let r = p.p_state in
+    r.r_outstanding <- r.r_outstanding - 1;
+    if not r.r_done then begin
+      r.r_done <- true;
+      ignore (Conn.send r.r_client (encode r));
+      record_latency r.r_shard ((Unix.gettimeofday () -. r.r_sent_at) *. 1000.);
+      if p.p_hedge then begin
+        locked t.lock (fun () -> r.r_shard.hedge_wins <- r.r_shard.hedge_wins + 1);
+        Obs.Metrics.incr m_hedge_wins
+      end
+    end
+
+(* A ['V'] frame goes back re-encoded with the client's id (a ['V']
+   frame again when the client asked with an ['A'] frame); a JSON reply
+   goes back restamped. *)
+let rec pull_replies t uc =
+  if not (Conn.closed uc.u) then
+    match Wire.next (Conn.decoder uc.u) with
+    | Wire.Need_more -> ()
+    | Wire.Frame (Wire.Bin_verdict { id; verdict; store }) ->
+      complete t uc id (fun r -> Conn.analyze_reply ~id:r.r_id ~bin:r.r_bin (verdict, store));
+      pull_replies t uc
+    | Wire.Frame (Wire.Text line) -> (
+      match Json.parse line with
+      | Ok ack when uc.u_hello ->
+        if Protocol.reply_ok ack then begin
+          uc.u_hello <- false;
+          Wire.set_version (Conn.decoder uc.u) Wire.V2;
+          pull_replies t uc
+        end
+        else fail_uconn t uc
+      | Ok reply ->
+        (match Protocol.reply_id reply with
+        | Json.Int rid -> complete t uc rid (fun r -> Conn.doc (restamp r.r_id reply))
+        | _ -> ());
+        pull_replies t uc
+      | Error _ -> fail_uconn t uc)
+    | Wire.Frame (Wire.Bin_analyze _) | Wire.Corrupt _ -> fail_uconn t uc
+
+let service_upstream t uc chunk ~(ev : Server.Poll.event) =
+  if uc.u_connecting then begin
+    match Unix.getsockopt_error (Conn.fd uc.u) with
+    | None -> uc.u_connecting <- false
+    | Some _ -> fail_uconn t uc
+  end
+  else if ev.ready_read || ev.ready_error then
+    match Conn.read uc.u chunk with
+    | `Blocked -> ()
+    | `Eof -> fail_uconn t uc
+    | `Data -> pull_replies t uc
 
 (* ----------------------------- forwarding -------------------------- *)
 
-(* [deadline_override], when given, replaces the request's stamped
-   deadline with the *remaining* budget — the hedge path computes it
-   from the absolute deadline so a re-issued request never tells the
-   follower it has the full original allowance. *)
-let send_upstream ?deadline_override uc ~rid (req : Server.Protocol.request) =
-  let dl orig = match deadline_override with Some _ -> deadline_override | None -> orig in
-  locked uc.u_send (fun () ->
-      match req with
-      | Server.Protocol.Analyze { mu; tmat; deadline_ms } ->
-        Server.Client.send_analyze uc.u ~id:rid ?deadline_ms:(dl deadline_ms) ~mu tmat
-      | Server.Protocol.Search { algorithm; mu; s; pareto; array_dim; deadline_ms } ->
-        Server.Client.send uc.u
-          (Server.Protocol.search ~id:(Json.Int rid) ?deadline_ms:(dl deadline_ms) ?s
-             ~pareto ~array_dim ~algorithm ~mu ())
-      | Server.Protocol.Simulate { algorithm; mu; s; pi } ->
-        Server.Client.send uc.u
-          (Server.Protocol.simulate ~id:(Json.Int rid) ?s ~algorithm ~mu ~pi ())
-      | Server.Protocol.Replay { instance } ->
-        Server.Client.send uc.u (Server.Protocol.replay ~id:(Json.Int rid) instance)
-      | Server.Protocol.Ship _ | Server.Protocol.Ping | Server.Protocol.Stats
-      | Server.Protocol.Drain | Server.Protocol.Hello _ ->
-        invalid_arg "Router.send_upstream: inline op")
+let fresh_rid t =
+  let rid = t.next_rid in
+  t.next_rid <- rid + 1;
+  rid
 
-let shed shard c ~id detail =
-  locked shard.s_lock (fun () -> shard.shed <- shard.shed + 1);
-  Obs.Metrics.incr m_shed;
-  send_client c (Server.Protocol.error_reply ~id ~code:"overloaded" ~detail)
-
-let request_deadline_ms : Server.Protocol.request -> int option = function
-  | Server.Protocol.Analyze { deadline_ms; _ } -> deadline_ms
-  | Server.Protocol.Search { deadline_ms; _ } -> deadline_ms
-  | _ -> None
-
-let forward t c ~id shard req =
-  if Fault.should_fail "route.forward" then
-    shed shard c ~id "fault injected: route.forward"
+let forward t c ~id ~bin shard req =
+  if Fault.should_fail "route.forward" then shed t shard c ~id "fault injected: route.forward"
   else begin
-    let is_analyze = match req with Server.Protocol.Analyze _ -> true | _ -> false in
-    let promoted = locked shard.s_lock (fun () -> shard.promoted) in
-    let has_follower = shard.spec.follower <> None && not promoted in
+    let is_analyze = match req with Protocol.Analyze _ -> true | _ -> false in
+    let has_follower =
+      shard.spec.follower <> None && not (locked t.lock (fun () -> shard.promoted))
+    in
     (* Breaker open: the shard is up but slow — divert its analyze
        traffic to the follower (same bytes, deterministic verdicts)
        while the monitor probes it back in. *)
@@ -508,47 +462,36 @@ let forward t c ~id shard req =
       if divert then
         match get_conn t shard ~follower:true with
         | Some uc -> Some uc
-        | None -> get_uconn t shard
-      else get_uconn t shard
+        | None -> get_conn t shard ~follower:false
+      else get_conn t shard ~follower:false
     in
     match conn with
-    | None -> shed shard c ~id (Printf.sprintf "shard %d unavailable" shard.idx)
-    | Some uc -> (
-      let rid = Atomic.fetch_and_add t.next_rid 1 in
+    | None -> shed t shard c ~id (Printf.sprintf "shard %d unavailable" shard.idx)
+    | Some uc ->
+      let rid = fresh_rid t in
       let now = Unix.gettimeofday () in
       let r =
         {
           r_client = c;
           r_id = id;
+          r_bin = bin;
           r_req = req;
+          r_shard = shard;
           r_deadline =
-            (match request_deadline_ms req with
+            (match Protocol.deadline_ms req with
             | Some d -> now +. (float_of_int d /. 1000.)
             | None -> Float.nan);
           r_sent_at = now;
-          r_done = Atomic.make false;
-          r_hedged = Atomic.make false;
-          r_outstanding = Atomic.make 1;
-          r_shard = shard;
+          r_done = false;
+          r_outstanding = 1;
         }
       in
-      let hedgeable = is_analyze && has_follower && (not divert) && hedging_active t in
-      locked uc.u_plock (fun () ->
-          Hashtbl.replace uc.u_pending rid { p_state = r; p_hedge = false });
-      if hedgeable then
-        locked t.i_lock (fun () -> Hashtbl.replace t.inflight rid r);
-      match send_upstream uc ~rid req with
-      | () ->
-        locked shard.s_lock (fun () -> shard.forwarded <- shard.forwarded + 1);
-        Obs.Metrics.incr m_forwarded
-      | exception (Unix.Unix_error _ | Sys_error _ | Failure _) ->
-        let mine = take_pending uc rid <> None in
-        fail_uconn shard uc;
-        if mine then begin
-          Atomic.set r.r_done true;
-          ignore (Atomic.fetch_and_add r.r_outstanding (-1));
-          shed shard c ~id (Printf.sprintf "shard %d write failed" shard.idx)
-        end)
+      Hashtbl.replace uc.u_pending rid { p_state = r; p_hedge = false };
+      send_upstream uc ~rid req;
+      if is_analyze && has_follower && (not divert) && hedging_active t then
+        Queue.push r shard.hedgeq;
+      locked t.lock (fun () -> shard.forwarded <- shard.forwarded + 1);
+      Obs.Metrics.incr m_forwarded
   end
 
 (* Round-robin over live shards for the ops that carry no key; shards
@@ -559,87 +502,85 @@ let pick_rr t =
   let pick pred =
     let rec go tries =
       if tries = n then None
-      else
-        let s = t.shards.(Atomic.fetch_and_add t.rr 1 mod n) in
+      else begin
+        let s = t.shards.(t.rr mod n) in
+        t.rr <- t.rr + 1;
         if pred s then Some s else go (tries + 1)
+      end
     in
     go 0
   in
-  match pick (fun s -> s.alive && Health.state s.health = Health.Closed) with
-  | Some s -> Some s
-  | None -> pick (fun s -> s.alive)
+  locked t.lock (fun () ->
+      match pick (fun s -> s.alive && Health.state s.health = Health.Closed) with
+      | Some s -> Some s
+      | None -> pick (fun s -> s.alive))
 
 (* ------------------------------ hedging ---------------------------- *)
 
 (* Token bucket: capacity [hedge_budget], refilling a full budget per
-   second — a bound on sustained hedge rate, not a per-request gate.
-   An empty bucket just skips this tick; the entry stays scannable. *)
-let take_hedge_token t =
+   second — a bound on sustained hedge rate, not a per-request gate. *)
+let take_hedge_token t now =
   let cap = float_of_int t.cfg.hedge_budget in
-  locked t.h_lock (fun () ->
-      let now = Unix.gettimeofday () in
-      let dt = Float.max 0. (now -. t.h_refill_at) in
-      t.h_refill_at <- now;
-      t.h_tokens <- Float.min cap (t.h_tokens +. (dt *. cap));
-      if t.h_tokens >= 1. then begin
-        t.h_tokens <- t.h_tokens -. 1.;
-        true
-      end
-      else false)
+  t.h_tokens <- Float.min cap (t.h_tokens +. (Float.max 0. (now -. t.h_refill_at) *. cap));
+  t.h_refill_at <- now;
+  if t.h_tokens >= 1. then begin
+    t.h_tokens <- t.h_tokens -. 1.;
+    true
+  end
+  else false
 
-let hedge_tick t =
-  let now = Unix.gettimeofday () in
-  let entries =
-    locked t.i_lock (fun () ->
-        Hashtbl.fold (fun k r acc -> (k, r) :: acc) t.inflight [])
-  in
-  List.iter
-    (fun (k, r) ->
-      let drop () = locked t.i_lock (fun () -> Hashtbl.remove t.inflight k) in
-      if Atomic.get r.r_done || Atomic.get r.r_hedged then drop ()
+let hedge t r ~remaining =
+  match get_conn t r.r_shard ~follower:true with
+  | None -> () (* follower unreachable: the primary copy stands alone *)
+  | Some uc ->
+    let rid = fresh_rid t in
+    r.r_outstanding <- r.r_outstanding + 1;
+    Hashtbl.replace uc.u_pending rid { p_state = r; p_hedge = true };
+    send_upstream ?deadline_override:remaining uc ~rid r.r_req;
+    locked t.lock (fun () -> r.r_shard.hedges <- r.r_shard.hedges + 1);
+    Obs.Metrics.incr m_hedges
+
+(* Re-issue every hedge that has come due; returns the time the next
+   one will (the loop's poll timeout).  A shard's queue is in send
+   order and its delay is one number, so only the head can be due. *)
+let hedge_tick t now =
+  Array.fold_left
+    (fun next shard ->
+      let q = shard.hedgeq in
+      if Queue.is_empty q then next
       else begin
-        let elapsed_ms = (now -. r.r_sent_at) *. 1000. in
-        if elapsed_ms >= hedge_delay_ms t r.r_shard then begin
-          let shard = r.r_shard in
-          let remaining =
-            if Float.is_nan r.r_deadline then None
-            else Some (int_of_float ((r.r_deadline -. now) *. 1000.))
-          in
-          let eligible =
-            (match remaining with Some ms -> ms > 0 | None -> true)
-            && locked shard.s_lock (fun () -> shard.alive && not shard.promoted)
-            && shard.spec.follower <> None
-          in
-          if not eligible then drop ()
-          else if take_hedge_token t then begin
-            Atomic.set r.r_hedged true;
-            drop ();
-            match get_conn t shard ~follower:true with
-            | None -> () (* follower unreachable: the primary copy stands alone *)
-            | Some uc -> (
-              let rid = Atomic.fetch_and_add t.next_rid 1 in
-              Atomic.incr r.r_outstanding;
-              locked uc.u_plock (fun () ->
-                  Hashtbl.replace uc.u_pending rid { p_state = r; p_hedge = true });
-              match send_upstream ?deadline_override:remaining uc ~rid r.r_req with
-              | () ->
-                locked shard.s_lock (fun () -> shard.hedges <- shard.hedges + 1);
-                Obs.Metrics.incr m_hedges
-              | exception (Unix.Unix_error _ | Sys_error _ | Failure _) ->
-                let mine = take_pending uc rid <> None in
-                fail_uconn shard uc;
-                if mine then ignore (Atomic.fetch_and_add r.r_outstanding (-1)))
-          end
-          (* else: bucket empty — retry next tick *)
-        end
+        let delay_s = hedge_delay_ms t shard /. 1000. in
+        let rec go () =
+          match Queue.peek_opt q with
+          | None -> next
+          | Some r when r.r_done -> ignore (Queue.pop q); go ()
+          | Some r ->
+            let due = r.r_sent_at +. delay_s in
+            let remaining =
+              if Float.is_nan r.r_deadline then None
+              else Some (int_of_float ((r.r_deadline -. now) *. 1000.))
+            in
+            if due > now then Float.min next due
+            else if
+              (match remaining with Some ms -> ms <= 0 | None -> false)
+              || not (locked t.lock (fun () -> shard.alive && not shard.promoted))
+            then begin
+              ignore (Queue.pop q);
+              go ()
+            end
+            else if take_hedge_token t now then begin
+              ignore (Queue.pop q);
+              hedge t r ~remaining;
+              go ()
+            end
+            else
+              (* Bucket empty: come back when the next token is in. *)
+              Float.min next
+                (now +. ((1. -. t.h_tokens) /. float_of_int t.cfg.hedge_budget))
+        in
+        go ()
       end)
-    entries
-
-let hedger t =
-  while not (Atomic.get t.stopping) do
-    Thread.delay 0.001;
-    hedge_tick t
-  done
+    infinity t.shards
 
 (* ---------------------------- promotion ---------------------------- *)
 
@@ -648,17 +589,19 @@ let promote_shard t idx =
     invalid_arg "Router.promote_shard: no such shard";
   let shard = t.shards.(idx) in
   let already =
-    locked shard.s_lock (fun () ->
+    locked t.lock (fun () ->
         if shard.promoted then true
         else begin
           shard.alive <- false;
+          shard.epoch <- shard.epoch + 1;
           false
         end)
   in
-  if already then shard.alive
+  if already then locked t.lock (fun () -> shard.alive)
   else begin
-    let pools = locked shard.s_lock (fun () -> shard.pool @ shard.f_pool) in
-    List.iter (fun uc -> fail_uconn shard uc) pools;
+    (* The loop fails the shard's old connections on this wake-up, so
+       their parked requests complete with a retriable [overloaded]. *)
+    wake_loop t;
     match shard.spec.follower with
     | None -> false (* no replica: the shard stays down *)
     | Some follower ->
@@ -666,14 +609,13 @@ let promote_shard t idx =
          request is redirected: every record the dead primary acked
          (and drain-flushed) must be queryable on the follower first —
          the zero-lost-acked-writes half of the failover contract. *)
-      (match shard.shipper with
-      | Some sh -> ignore (Shipper.catch_up sh)
-      | None -> ());
-      locked shard.s_lock (fun () ->
+      Option.iter (fun sh -> ignore (Shipper.catch_up sh)) shard.shipper;
+      locked t.lock (fun () ->
           shard.target <- follower;
+          shard.target_sa <- shard.follower_sa;
           shard.promoted <- true;
-          shard.alive <- true);
-      locked t.lock (fun () -> t.promotions <- t.promotions + 1);
+          shard.alive <- true;
+          t.promotions <- t.promotions + 1);
       Obs.Metrics.incr m_promotions;
       true
   end
@@ -681,12 +623,12 @@ let promote_shard t idx =
 (* ------------------------------ monitor ---------------------------- *)
 
 let probe addr =
-  match Server.Client.connect ~transport:Server.Wire.V1 addr with
-  | exception (Unix.Unix_error _ | Failure _ | Sys_error _) -> false
+  match Server.Client.connect ~transport:Wire.V1 addr with
+  | exception (Unix.Unix_error _ | Failure _ | Sys_error _ | Not_found) -> false
   | c ->
     let ok =
-      match Server.Client.request c (Server.Protocol.ping ()) with
-      | reply -> Server.Protocol.reply_ok reply
+      match Server.Client.request c (Protocol.ping ()) with
+      | reply -> Protocol.reply_ok reply
       | exception (Unix.Unix_error _ | Failure _ | Sys_error _) -> false
     in
     Server.Client.close c;
@@ -706,12 +648,15 @@ let monitor t =
     if not (Atomic.get t.stopping) then begin
       Array.iter
         (fun shard ->
+          let target, alive, promoted =
+            locked t.lock (fun () -> (shard.target, shard.alive, shard.promoted))
+          in
           (match shard.shipper with
-          | Some sh when not shard.promoted -> ignore (Shipper.pump sh)
+          | Some sh when not promoted -> ignore (Shipper.pump sh)
           | _ -> ());
-          if shard.alive && not shard.promoted then begin
+          if alive && not promoted then begin
             let t0 = Unix.gettimeofday () in
-            let ok = probe shard.target in
+            let ok = probe target in
             let latency_ms = (Unix.gettimeofday () -. t0) *. 1000. in
             match Health.note shard.health ~latency_ms ~ok () with
             | `Failed -> ignore (promote_shard t shard.idx)
@@ -732,20 +677,14 @@ let monitor t =
     end
   done
 
-(* ------------------------- drain and stats ------------------------- *)
-
-let wake t =
-  try ignore (Unix.write t.pipe_w (Bytes.of_string "d") 0 1)
-  with Unix.Unix_error _ -> ()
-
-let initiate_drain t = if not (Atomic.exchange t.stopping true) then wake t
+(* ------------------------------- stats ----------------------------- *)
 
 let stats_fields t =
-  let shards =
-    Array.to_list
-      (Array.map
-         (fun s ->
-           locked s.s_lock (fun () ->
+  locked t.lock (fun () ->
+      let shards =
+        Array.to_list
+          (Array.map
+             (fun s ->
                Json.Obj
                  [
                    ("shard", Json.Int s.idx);
@@ -763,183 +702,155 @@ let stats_fields t =
                    ("health_failures", Json.Int (Health.failures s.health));
                    ( "watermark",
                      Json.Int
-                       (match s.shipper with Some sh -> Shipper.watermark sh | None -> 0)
-                   );
-                 ]))
-         t.shards)
-  in
-  let accepted, promotions = locked t.lock (fun () -> (t.accepted, t.promotions)) in
-  let hedges, hedge_wins =
-    Array.fold_left
-      (fun (h, w) s -> locked s.s_lock (fun () -> (h + s.hedges, w + s.hedge_wins)))
-      (0, 0) t.shards
-  in
-  [
-    ("role", Json.Str "router");
-    ("shards", Json.Arr shards);
-    ("vnodes", Json.Int t.cfg.vnodes);
-    ("accepted", Json.Int accepted);
-    ("promotions", Json.Int promotions);
-    ("hedges", Json.Int hedges);
-    ("hedge_wins", Json.Int hedge_wins);
-    ("draining", Json.Bool (Atomic.get t.stopping));
-    ("max_transport", Json.Str (Server.Wire.version_name t.cfg.max_transport));
-  ]
+                       (match s.shipper with Some sh -> Shipper.watermark sh | None -> 0) );
+                 ])
+             t.shards)
+      in
+      let sum f = Array.fold_left (fun acc s -> acc + f s) 0 t.shards in
+      [
+        ("role", Json.Str "router");
+        ("shards", Json.Arr shards);
+        ("vnodes", Json.Int t.cfg.vnodes);
+        ("accepted", Json.Int t.accepted);
+        ("promotions", Json.Int t.promotions);
+        ("hedges", Json.Int (sum (fun s -> s.hedges)));
+        ("hedge_wins", Json.Int (sum (fun s -> s.hedge_wins)));
+        ("draining", Json.Bool (Atomic.get t.stopping));
+        ("max_transport", Json.Str (Wire.version_name t.cfg.max_transport));
+      ])
 
 (* ----------------------------- requests ---------------------------- *)
 
-let version_rank = function Server.Wire.V1 -> 1 | Server.Wire.V2 -> 2
-
-let handle_request t c ~id (req : Server.Protocol.request) =
-  match req with
-  | Server.Protocol.Ping -> send_client c (Server.Protocol.ok_reply ~id ~op:"ping" [])
-  | Server.Protocol.Stats ->
-    send_client c (Server.Protocol.ok_reply ~id ~op:"stats" (stats_fields t))
-  | Server.Protocol.Drain ->
-    send_client c
-      (Server.Protocol.ok_reply ~id ~op:"drain" [ ("draining", Json.Bool true) ]);
+let handle_request t c ~bin (env : Protocol.envelope) =
+  let id = env.Protocol.id in
+  match env.Protocol.req with
+  | Protocol.Ping -> reply_doc c (Protocol.ok_reply ~id ~op:"ping" [])
+  | Protocol.Stats -> reply_doc c (Protocol.ok_reply ~id ~op:"stats" (stats_fields t))
+  | Protocol.Drain ->
+    reply_doc c (Protocol.ok_reply ~id ~op:"drain" [ ("draining", Json.Bool true) ]);
     initiate_drain t
-  | Server.Protocol.Hello { transport } -> (
-    match Server.Wire.version_of_name transport with
-    | Some v when version_rank v <= version_rank t.cfg.max_transport ->
-      (* Ack in the current dialect, then switch both directions —
-         same switch point as the daemon's. *)
-      locked c.c_olock (fun () ->
-          if not c.c_closed then begin
-            (try
-               write_all c.c_fd
-                 (Server.Wire.encode c.c_version
-                    (Server.Wire.Text
-                       (Json.to_string
-                          (Server.Protocol.ok_reply ~id ~op:"hello"
-                             [ ("transport", Json.Str (Server.Wire.version_name v)) ]))))
-             with Unix.Unix_error _ | Sys_error _ -> c.c_closed <- true);
-            c.c_version <- v
-          end);
-      Server.Wire.set_version c.c_dec v
-    | Some _ | None ->
-      send_client c
-        (Server.Protocol.error_reply ~id ~code:"bad_request"
-           ~detail:(Printf.sprintf "unknown or disabled transport %S" transport)))
-  | Server.Protocol.Ship _ ->
-    send_client c
-      (Server.Protocol.error_reply ~id ~code:"bad_request"
+  | Protocol.Hello { transport } -> (
+    match Conn.hello c ~id ~max:t.cfg.max_transport transport with
+    | Ok _ -> ()
+    | Error reply -> reply_doc c reply)
+  | Protocol.Ship _ ->
+    reply_doc c
+      (Protocol.error_reply ~id ~code:"bad_request"
          ~detail:"ship is shard-direct; the router does not replicate")
-  | Server.Protocol.Analyze { tmat; _ } ->
-    let shard = t.shards.(Ring.shard_of t.ring (Server.Store.family_hash tmat)) in
-    forward t c ~id shard req
-  | Server.Protocol.Search _ | Server.Protocol.Simulate _ | Server.Protocol.Replay _
-    -> (
+  | Protocol.Analyze { tmat; _ } as req ->
+    forward t c ~id ~bin t.shards.(Ring.shard_of t.ring (Server.Store.family_hash tmat)) req
+  | (Protocol.Search _ | Protocol.Simulate _ | Protocol.Replay _) as req -> (
     match pick_rr t with
-    | Some shard -> forward t c ~id shard req
+    | Some shard -> forward t c ~id ~bin shard req
     | None ->
-      send_client c
-        (Server.Protocol.error_reply ~id ~code:"overloaded" ~detail:"no live shards"))
+      reply_doc c (Protocol.error_reply ~id ~code:"overloaded" ~detail:"no live shards"))
 
-(* --------------------------- client serving ------------------------ *)
+let close_client t c =
+  Conn.close c;
+  t.clients <- List.filter (fun x -> x != c) t.clients
 
-let handle_frame t c = function
-  | Server.Wire.Text line -> (
-    match Server.Protocol.request_of_line line with
-    | Ok env -> handle_request t c ~id:env.Server.Protocol.id env.Server.Protocol.req
-    | Error msg ->
-      send_client c (Server.Protocol.error_reply ~id:Json.Null ~code:"bad_request" ~detail:msg))
-  | Server.Wire.Bin_analyze { id; deadline_ms; mu; tmat } ->
-    handle_request t c ~id:(Json.Int id)
-      (Server.Protocol.Analyze { mu; tmat; deadline_ms })
-  | Server.Wire.Bin_verdict _ ->
-    send_client c
-      (Server.Protocol.error_reply ~id:Json.Null ~code:"bad_request"
-         ~detail:"unexpected verdict frame from a client")
-
-let rec pull_frames t c =
-  match Server.Wire.next c.c_dec with
-  | Server.Wire.Need_more -> true
-  | Server.Wire.Corrupt msg ->
-    send_client c (Server.Protocol.error_reply ~id:Json.Null ~code:"parse_error" ~detail:msg);
-    false
-  | Server.Wire.Frame f ->
-    handle_frame t c f;
-    pull_frames t c
-
-let serve_client t c =
-  let buf = Bytes.create 8192 in
-  let rec loop () =
-    match Unix.read c.c_fd buf 0 (Bytes.length buf) with
-    | 0 -> ()
-    | n ->
-      Server.Wire.feed c.c_dec buf 0 n;
-      if pull_frames t c then loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | exception (Unix.Unix_error _ | Sys_error _) -> ()
-  in
-  (try loop () with _ -> ());
-  close_client t c
+let service_client t c chunk =
+  match Conn.read c chunk with
+  | `Blocked -> ()
+  | `Eof -> close_client t c
+  | `Data -> Conn.pull c ~reject:(reply_doc c) (handle_request t c)
 
 (* ------------------------------- run ------------------------------- *)
 
-let run t =
-  let mon = Thread.create monitor t in
-  let hed = if hedging_active t then Some (Thread.create hedger t) else None in
-  let rec accept_loop () =
-    if not (Atomic.get t.stopping) then begin
-      (match Unix.select [ t.listen_fd; t.pipe_r ] [] [] (-1.) with
-      | ready, _, _ ->
-        if List.mem t.pipe_r ready then begin
-          (* A wake-up IS a drain request — signal handlers may only
-             write the pipe (same contract as the daemon's loop). *)
-          (let b = Bytes.create 16 in
-           try ignore (Unix.read t.pipe_r b 0 16) with Unix.Unix_error _ -> ());
-          Atomic.set t.stopping true
-        end;
-        if (not (Atomic.get t.stopping)) && List.mem t.listen_fd ready then (
-          match Unix.accept t.listen_fd with
-          | fd, _ ->
-            let c =
-              {
-                c_fd = fd;
-                c_dec = Server.Wire.decoder Server.Wire.V1;
-                c_olock = Mutex.create ();
-                c_version = Server.Wire.V1;
-                c_closed = false;
-              }
-            in
-            let th = Thread.create (fun () -> serve_client t c) () in
-            locked t.lock (fun () ->
-                t.accepted <- t.accepted + 1;
-                t.clients <- (c, th) :: t.clients)
-          | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
-    end
+type watched = Wakeup | Listener | Client of Conn.t | Upstream of uconn
+
+let read_only = { Server.Poll.want_read = true; want_write = false }
+
+(* Flush what the sockets take, then say what to wait for.  A client
+   whose input turned corrupt goes once its last reply is out. *)
+let watch_list t =
+  let clients =
+    List.filter_map
+      (fun c ->
+        let pending = Conn.flush c in
+        if Conn.closing c && not pending then (close_client t c; None)
+        else
+          Some
+            ( Client c,
+              Conn.fd c,
+              { Server.Poll.want_read = not (Conn.closing c); want_write = pending } ))
+      t.clients
   in
-  accept_loop ();
-  (* Drain: stop listening, hang up on clients (shutdown wakes their
-     blocked reads), push the final journal tail, then dismantle the
-     upstream pools reader-first. *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.sock_path with
-  | Some path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-  | None -> ());
-  let clients = locked t.lock (fun () -> t.clients) in
+  let upstream uc =
+    ( Upstream uc,
+      Conn.fd uc.u,
+      if uc.u_connecting then { Server.Poll.want_read = false; want_write = true }
+      else { Server.Poll.want_read = true; want_write = Conn.flush uc.u } )
+  in
+  ((Wakeup, t.pipe_r, read_only) :: (Listener, t.listen_fd, read_only) :: clients)
+  @ List.concat_map (fun s -> List.map upstream (s.pool @ s.f_pool)) (Array.to_list t.shards)
+
+let run t =
+  let monitor_thread = Thread.create monitor t in
+  let chunk = Bytes.create 65536 in
+  let pipe_buf = Bytes.create 64 in
+  let service (w, _, _) (ev : Server.Poll.event) =
+    match w with
+    | Wakeup -> (
+      match Unix.read t.pipe_r pipe_buf 0 (Bytes.length pipe_buf) with
+      | n ->
+        (* A ['d'] IS a drain request: signal handlers may only write
+           the pipe (same contract as the daemon's loop). *)
+        if Bytes.contains (Bytes.sub pipe_buf 0 n) 'd' then Atomic.set t.stopping true;
+        Array.iter (fun s -> fail_stale t s (locked t.lock (fun () -> s.epoch))) t.shards
+      | exception Unix.Unix_error _ -> ())
+    | Listener ->
+      Conn.accept_burst t.listen_fd (fun fd ->
+          t.clients <- Conn.create fd :: t.clients;
+          locked t.lock (fun () -> t.accepted <- t.accepted + 1))
+    | Client c ->
+      if (not (Conn.closed c)) && (ev.ready_read || ev.ready_error) then
+        if Conn.closing c then (if ev.ready_error then close_client t c)
+        else service_client t c chunk
+    | Upstream uc -> if not (Conn.closed uc.u) then service_upstream t uc chunk ~ev
+  in
+  (* [Poll.wait] reports ready descriptors in input order, so each
+     event pairs with its entry by walking both lists once; a
+     connection closed earlier in the same round is skipped above. *)
+  let rec dispatch watched events =
+    match (watched, events) with
+    | [], _ | _, [] -> ()
+    | ((_, fd, _) as w) :: ws, (efd, ev) :: es ->
+      if fd = efd then begin
+        service w ev;
+        dispatch ws es
+      end
+      else dispatch ws events
+  in
+  while not (Atomic.get t.stopping) do
+    let now = Unix.gettimeofday () in
+    let due = if hedging_active t then hedge_tick t now else infinity in
+    let watched = watch_list t in
+    let timeout_ms =
+      if due = infinity then -1 else max 0 (int_of_float (Float.ceil ((due -. now) *. 1000.)))
+    in
+    dispatch watched
+      (Server.Poll.wait (List.map (fun (_, fd, i) -> (fd, i)) watched) ~timeout_ms)
+  done;
+  (* Drain: stop listening, hang up on clients after one last flush,
+     stop the monitor, dismantle the upstream pools, push the final
+     journal tail. *)
+  Conn.close_listener t.cfg.listen t.listen_fd;
   List.iter
-    (fun (c, _) -> try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    clients;
-  List.iter (fun (_, th) -> Thread.join th) clients;
-  Thread.join mon;
-  Option.iter Thread.join hed;
+    (fun c ->
+      ignore (Conn.flush c);
+      Conn.close c)
+    t.clients;
+  t.clients <- [];
+  Thread.join monitor_thread;
   Array.iter
     (fun shard ->
-      let pools = locked shard.s_lock (fun () -> shard.pool @ shard.f_pool) in
-      List.iter (fun uc -> fail_uconn shard uc) pools;
-      List.iter
-        (fun uc -> match uc.u_reader with Some th -> Thread.join th | None -> ())
-        pools;
+      List.iter (fail_uconn t) (shard.pool @ shard.f_pool);
       match shard.shipper with
       | Some sh ->
-        if not shard.promoted then ignore (Shipper.pump sh);
+        if not (locked t.lock (fun () -> shard.promoted)) then ignore (Shipper.pump sh);
         Shipper.close sh
       | None -> ())
     t.shards;
   (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.pipe_w with Unix.Unix_error _ -> ())
+  try Unix.close t.pipe_w with Unix.Unix_error _ -> ()

@@ -1,13 +1,20 @@
 (** The cluster router: one process that presents N daemon shards as a
     single mapping-query service (docs/CLUSTER.md).
 
-    Downstream it speaks the daemon's versioned wire protocol — v1
-    JSON lines by default, v2 binary after a [hello] — so every
-    existing client works against a router unchanged.  Upstream it
-    keeps a pool of pipelined connections per shard: each forwarded
-    request is restamped with a router-unique integer id, matched back
-    by a per-connection reader thread, and restamped with the client's
-    original id on the way out.
+    One {!Server.Poll} event loop owns every socket — the listener,
+    the clients and a pool of pipelined upstream connections per shard
+    — on the connection plumbing the daemon uses ({!Server.Conn}), so
+    downstream it speaks the daemon's versioned wire protocol and
+    every existing client works against a router unchanged.  Each
+    forwarded request is restamped with a router-unique integer id,
+    matched back by that id, and re-encoded with the client's id: a
+    shard's ['V'] verdict goes back as a ['V'] frame when the client
+    asked with an ['A'] frame (as the equivalent JSON reply
+    otherwise), a shard's JSON reply goes back restamped.  An
+    [analyze] whose values do not fit an ['A'] frame's fixed fields
+    travels upstream as its JSON document.  The loop never waits on a
+    peer; upstream connects and their v2 [hello] are loop steps like
+    any read.
 
     Placement: [analyze] routes by the {e matrix-only}
     {!Server.Store.family_hash} through the consistent-hash {!Ring},
@@ -17,8 +24,9 @@
     shards; [ping]/[stats]/[drain]/[hello] answer inline; [ship] is
     rejected with [bad_request] — replication is shard-direct.
 
-    Failover: a monitor thread pings every shard each
-    [health_interval_ms] and pumps its journal {!Shipper} to the
+    Failover: a monitor thread — the only other thread, since probes,
+    journal pumps and promotion catch-up all block — pings every shard
+    each [health_interval_ms] and pumps its journal {!Shipper} to the
     follower; when {!Health} crosses [health_threshold] consecutive
     failures the shard is promoted — follower caught up from the
     primary's journal, then installed as the target.  Requests that
@@ -30,20 +38,21 @@
     and feeds latency into {!Health}'s EWMA circuit breaker.  While a
     shard's breaker is [Open] — up but slow — its [analyze] traffic
     diverts to the follower, and the stateless round-robin prefers
-    shards whose breaker is closed.  Independently, a hedge thread
-    re-issues any [analyze] still unanswered after the hedge delay
-    ([Fixed_ms], or [Adaptive]: twice the shard's observed p99) on the
-    shard's follower with the {e remaining} deadline restamped; the
-    first reply wins and the loser is dropped — byte-safe because
-    verdicts are deterministic.  Hedging is guarded by a token bucket
-    of [hedge_budget] tokens (refilling one budget per second) so a
+    shards whose breaker is closed.  Independently, the loop re-issues
+    any [analyze] still unanswered after the hedge delay ([Fixed_ms],
+    or [Adaptive]: twice the shard's observed p99) on the shard's
+    follower with the {e remaining} deadline restamped; the oldest
+    pending hedge is the loop's poll timeout.  The first reply wins
+    and the loser is dropped — byte-safe because verdicts are
+    deterministic.  Hedging is guarded by a token bucket of
+    [hedge_budget] tokens (refilling one budget per second) so a
     melting shard cannot double the fleet's load, and skipped for
     promoted shards, expired deadlines and shards without a follower.
 
     Fault sites (class [cluster], docs/RESILIENCE.md): [route.forward]
-    is consulted once per forwarded request on the client-serving
-    thread, so a single-driver chaos run replays deterministically;
-    hedge re-issues never consult it. *)
+    is consulted once per forwarded request on the loop thread, so a
+    single-driver chaos run replays deterministically; hedge
+    re-issues never consult it. *)
 
 type shard_spec = {
   primary : Server.Client.addr;
@@ -90,12 +99,14 @@ type t
 
 val create : config -> t
 (** Bind the listening socket (same stale-socket policy as the
-    daemon); upstream connections are opened lazily on first use.
+    daemon) and resolve the shard addresses, once (a [`Tcp] host that
+    does not resolve is treated as unreachable); upstream connections
+    are opened lazily on first use.
     @raise Invalid_argument on an empty shard list,
     @raise Failure / [Unix.Unix_error] when the socket is unusable. *)
 
 val run : t -> unit
-(** The blocking accept loop; returns once a drain has completed
+(** The blocking event loop; returns once a drain has completed
     (clients hung up, upstream pools dismantled, final journal tail
     shipped). *)
 
@@ -114,6 +125,7 @@ val promote_shard : t -> int -> bool
     with retriable [overloaded]), catch the follower up from the
     primary's journal, then redirect.  Returns whether the shard is
     serving afterwards ([false] without a follower).  Idempotent.  The
+    loop fails the old connections when this call wakes it.  The
     monitor thread uses the same path; the chaos harness calls it
     directly so the kill → promote transition lands at a deterministic
     point in its request stream.

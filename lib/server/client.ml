@@ -9,12 +9,6 @@ type conn = {
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-(* Wakes a thread blocked in [recv] on this connection (the read
-   returns EOF) without invalidating the descriptor under it — the
-   router shuts a pooled connection down first, joins its reader
-   thread, then [close]s. *)
-let shutdown c = try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
 let send_string c s =
   let bytes = Bytes.of_string s in
   let n = Bytes.length bytes in
@@ -53,41 +47,40 @@ let request c json =
   send_string c (Wire.encode c.version (Wire.Text (Json.to_string json)));
   read_reply c
 
-(* Pipelining halves, for callers (the cluster router) that multiplex
-   many requests over one connection and match replies by id. *)
-let send c json = send_string c (Wire.encode c.version (Wire.Text (Json.to_string json)))
-let recv c = read_reply c
+let sockaddr : addr -> Unix.sockaddr = function
+  | `Unix path -> Unix.ADDR_UNIX path
+  | `Tcp (host, port) -> Unix.ADDR_INET ((Unix.gethostbyname host).h_addr_list.(0), port)
 
-let connect ?(transport = Wire.V1) (addr : addr) =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let fd, sockaddr =
-    match addr with
-    | `Unix path -> (Unix.socket PF_UNIX SOCK_STREAM 0, Unix.ADDR_UNIX path)
-    | `Tcp (host, port) ->
-      ( Unix.socket PF_INET SOCK_STREAM 0,
-        Unix.ADDR_INET ((Unix.gethostbyname host).h_addr_list.(0), port) )
-  in
-  (match Unix.connect fd sockaddr with
-  | () -> ()
-  | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e);
-  let c = { fd; dec = Wire.decoder Wire.V1; version = Wire.V1; chunk = Bytes.create 65536 } in
-  (match transport with
+(* Negotiate before anything else is in flight: the ack is the switch
+   point for both directions. *)
+let negotiate c = function
   | Wire.V1 -> ()
   | Wire.V2 -> (
-    (* Negotiate before anything else is in flight: the ack is the
-       switch point for both directions. *)
     match request c (Protocol.hello ~transport:(Wire.version_name Wire.V2) ()) with
     | reply when Protocol.reply_ok reply ->
       c.version <- Wire.V2;
       Wire.set_version c.dec Wire.V2
     | _ ->
       close c;
-      failwith "Client.connect: server refused the binary transport"
+      failwith "Client: server refused the binary transport"
     | exception e ->
       close c;
-      raise e));
+      raise e)
+
+let connect_v1 (addr : addr) =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let sockaddr = sockaddr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) SOCK_STREAM 0 in
+  (match Unix.connect fd sockaddr with
+  | () -> ()
+  | exception e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e);
+  { fd; dec = Wire.decoder Wire.V1; version = Wire.V1; chunk = Bytes.create 65536 }
+
+let connect ?(transport = Wire.V1) addr =
+  let c = connect_v1 addr in
+  negotiate c transport;
   c
 
 (* The transport-polymorphic analyze send: a compact ['A'] frame once
@@ -183,23 +176,10 @@ let session_conn s =
       with Unix.Unix_error _ | Invalid_argument _ -> ()
     in
     (* The timeout must cover the negotiation read too, so connect
-       plain-v1 first and upgrade through the session's own request
-       path. *)
-    let c = connect s.s_addr in
+       plain-v1 first and negotiate after setting it. *)
+    let c = connect_v1 s.s_addr in
     fd_timeout c;
-    (match s.s_transport with
-    | Wire.V1 -> ()
-    | Wire.V2 -> (
-      match request c (Protocol.hello ~transport:(Wire.version_name Wire.V2) ()) with
-      | reply when Protocol.reply_ok reply ->
-        c.version <- Wire.V2;
-        Wire.set_version c.dec Wire.V2
-      | _ ->
-        close c;
-        failwith "Client.session: server refused the binary transport"
-      | exception e ->
-        close c;
-        raise e));
+    negotiate c s.s_transport;
     s.s_conn <- Some c;
     c
 

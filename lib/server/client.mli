@@ -12,6 +12,10 @@
 
 type addr = [ `Unix of string | `Tcp of string * int ]
 
+val sockaddr : addr -> Unix.sockaddr
+(** Resolve an address ([`Tcp] hosts through [gethostbyname]).
+    @raise Not_found on an unknown host. *)
+
 type conn
 
 val connect : ?transport:Wire.version -> addr -> conn
@@ -23,16 +27,6 @@ val request : conn -> Json.t -> Json.t
 (** Send one request document, block for the reply.
     @raise Failure on EOF, a corrupt frame or an unparsable reply. *)
 
-val send : conn -> Json.t -> unit
-(** Write one request document without reading anything — the
-    pipelining half for callers (the cluster router) that multiplex
-    many requests over one connection and match replies by id. *)
-
-val recv : conn -> Json.t
-(** Block for the next reply, whatever its id.  A binary ['V'] frame
-    surfaces as the equivalent [ok] analyze reply document.
-    @raise Failure as {!request}. *)
-
 val send_analyze :
   conn -> id:int -> ?deadline_ms:int -> mu:int array -> Intmat.t -> unit
 (** The transport-polymorphic analyze send: a compact binary ['A']
@@ -40,12 +34,6 @@ val send_analyze :
     otherwise. *)
 
 val close : conn -> unit
-
-val shutdown : conn -> unit
-(** Shut both directions down without closing the descriptor: a thread
-    blocked in {!recv} wakes with an EOF failure, after which {!close}
-    is safe — the shutdown-join-close sequence the router's connection
-    pool uses.  Never raises. *)
 
 (** {1 Retrying session}
 

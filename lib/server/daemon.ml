@@ -1,4 +1,4 @@
-type listen = Unix_sock of string | Tcp of int
+type listen = Conn.listen = Unix_sock of string | Tcp of int
 
 type config = {
   listen : listen;
@@ -29,65 +29,11 @@ let default_config listen =
     admission_target_ms = 250.;
   }
 
-(* -------------------------- output buffers -------------------------- *)
-
-(* A growable byte queue per connection: replies append at the tail,
-   the nonblocking flush consumes from the head.  Reused for the
-   connection's whole life — the warm path never allocates a fresh
-   buffer per reply. *)
-module Outbuf = struct
-  type t = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
-
-  let create n = { buf = Bytes.create n; start = 0; len = 0 }
-  let length b = b.len
-
-  let add b s =
-    let n = String.length s in
-    let cap = Bytes.length b.buf in
-    if b.start + b.len + n > cap then begin
-      if b.start > 0 then Bytes.blit b.buf b.start b.buf 0 b.len;
-      b.start <- 0;
-      if b.len + n > cap then begin
-        let rec grow c = if c >= b.len + n then c else grow (2 * c) in
-        let buf' = Bytes.create (grow (max cap 64)) in
-        Bytes.blit b.buf 0 buf' 0 b.len;
-        b.buf <- buf'
-      end
-    end;
-    Bytes.blit_string s 0 b.buf (b.start + b.len) n;
-    b.len <- b.len + n
-
-  let consume b n =
-    b.start <- b.start + n;
-    b.len <- b.len - n;
-    if b.len = 0 then b.start <- 0
-
-  let clear b =
-    b.start <- 0;
-    b.len <- 0
-end
-
-type conn = {
-  cid : int;
-  fd : Unix.file_descr;
-  dec : Wire.decoder;  (* loop-thread only *)
-  out : Outbuf.t;
-  olock : Mutex.t;
-  (* [version], [dead] and [out] are shared between the loop and the
-     batcher workers; all three are read and written under [olock], so
-     a reply is always encoded in the version current at its position
-     in the output stream (the hello switch happens under the same
-     lock, between the ack bytes and whatever is appended next). *)
-  mutable version : Wire.version;
-  mutable dead : bool;
-  mutable closing : bool;  (* loop-thread only: drop after output drains *)
-}
-
 (* Waiters carry their own (mu, T): singleflight groups key on the
    family (T alone), so members may ask about different instances of
    the leader's family. *)
 type waiter = {
-  w_conn : conn;
+  w_conn : Conn.t;
   w_id : Json.t;
   w_bin : bool;
   w_mu : int array;
@@ -98,7 +44,7 @@ type job = {
   rid : int;
   env : Protocol.envelope;
   budget : Engine.Budget.t;
-  jconn : conn;
+  jconn : Conn.t;
   enqueued_at : float;
   sf : (int * string) option;  (* singleflight (hash, key) of an analyze leader *)
 }
@@ -117,13 +63,10 @@ type t = {
   pipe_w : Unix.file_descr;
   listen_fd : Unix.file_descr;
   bound_port : int option;
-  conns : (int, conn) Hashtbl.t;
-  conns_lock : Mutex.t;
   sflight : waiter Singleflight.t;
   inflight : (int, Engine.Budget.t) Hashtbl.t;
   inflight_lock : Mutex.t;
   next_id : int Atomic.t;
-  next_cid : int Atomic.t;
   (* Per-server counts (the [Obs.Metrics] counters are process-wide,
      and the tests run several servers in one process). *)
   n_accepted : int Atomic.t;
@@ -175,82 +118,27 @@ let initiate_drain t =
 
 (* ------------------------------ replies ----------------------------- *)
 
-(* Flush as much pending output as the socket accepts right now; the
-   remainder stays queued and the loop polls for writability.  A dead
-   peer is not an error — the bytes are simply dropped (the read side
-   will observe the hangup and tear the connection down). *)
-let flush_locked conn =
-  let rec go () =
-    if conn.out.Outbuf.len > 0 then
-      match
-        Unix.write conn.fd conn.out.Outbuf.buf conn.out.Outbuf.start
-          conn.out.Outbuf.len
-      with
-      | 0 -> ()
-      | n ->
-        Outbuf.consume conn.out n;
-        go ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-        Outbuf.clear conn.out
-  in
-  go ()
-
 (* Append one encoded message to the connection's output stream.  With
    [defer] the bytes are only queued — the event loop batches one
    flush per readiness event, so a pipelined burst of replies costs
    one [write] instead of one per reply.  Workers flush eagerly and
    wake the loop if the socket would block. *)
 let send t conn ?(defer = false) make =
-  Mutex.lock conn.olock;
-  if conn.dead then Mutex.unlock conn.olock
-  else begin
-    let pending =
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock conn.olock)
-        (fun () ->
-          Outbuf.add conn.out (make conn.version);
-          if not defer then flush_locked conn;
-          (not defer) && Outbuf.length conn.out > 0)
-    in
-    if pending then wake_loop t
-  end
+  if Conn.send ~flush:(not defer) conn make && not defer then wake_loop t
 
 (* Every reply write consults the [conn.write] fault site first, as
    before the event-loop rewrite: a fired fault swallows the reply
    and shuts the connection down, so the peer observes EOF instead of
    silence and can retry promptly. *)
 let send_reply t conn ?defer make =
-  if Fault.should_fail "conn.write" then
-    locked conn.olock (fun () ->
-        if not conn.dead then
-          try Unix.shutdown conn.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-  else send t conn ?defer make
+  if Fault.should_fail "conn.write" then Conn.shutdown conn else send t conn ?defer make
 
-let send_doc t conn ?defer json =
-  send_reply t conn ?defer (fun version ->
-      Wire.encode version (Wire.Text (Json.to_string json)))
+let send_doc t conn ?defer json = send_reply t conn ?defer (Conn.doc json)
 
 (* An analyze result fans out to each singleflight waiter in the
-   waiter's own dialect: waiters whose request arrived as a binary
-   ['A'] frame get a compact ['V'] frame, everyone else the JSON
-   reply document. *)
-let send_analyze t w ?defer (wire, status) =
-  match w.w_id with
-  | Json.Int id when w.w_bin ->
-    send_reply t w.w_conn ?defer (fun version ->
-        match version with
-        | Wire.V2 -> Wire.encode Wire.V2 (Wire.Bin_verdict { id; verdict = wire; store = status })
-        | Wire.V1 ->
-          Wire.encode Wire.V1
-            (Wire.Text
-               (Json.to_string
-                  (Protocol.ok_reply ~id:w.w_id ~op:"analyze"
-                     (Handlers.fields_of_analyze (wire, status))))))
-  | _ ->
-    send_doc t w.w_conn ?defer
-      (Protocol.ok_reply ~id:w.w_id ~op:"analyze"
-         (Handlers.fields_of_analyze (wire, status)))
+   waiter's own dialect ({!Conn.analyze_reply}). *)
+let send_analyze t w ?defer result =
+  send_reply t w.w_conn ?defer (Conn.analyze_reply ~id:w.w_id ~bin:w.w_bin result)
 
 (* ------------------------------ batches ----------------------------- *)
 
@@ -597,35 +485,10 @@ let handle_envelope t conn ~bin (env : Protocol.envelope) =
     send_doc t conn ~defer:true (Protocol.ok_reply ~id ~op [ ("draining", Json.Bool true) ]);
     initiate_drain t
   | Protocol.Hello { transport } -> (
-    let accepted =
-      match Wire.version_of_name transport with
-      | Some Wire.V1 -> Some Wire.V1
-      | Some Wire.V2 when t.cfg.max_transport = Wire.V2 -> Some Wire.V2
-      | Some Wire.V2 | None -> None
-    in
-    match accepted with
-    | None ->
-      send_doc t conn ~defer:true
-        (Protocol.error_reply ~id ~code:"bad_request"
-           ~detail:(Printf.sprintf "unknown or disabled transport %S" transport))
-    | Some v ->
-      (* Ack in the current dialect, then switch both directions under
-         [olock], so any reply encoded after this point — including
-         one from a concurrently finishing worker — lands after the
-         ack bytes in the new dialect, exactly where the peer switches
-         its own decoder. *)
-      locked conn.olock (fun () ->
-          if not conn.dead then begin
-            Outbuf.add conn.out
-              (Wire.encode conn.version
-                 (Wire.Text
-                    (Json.to_string
-                       (Protocol.ok_reply ~id ~op
-                          [ ("transport", Json.Str (Wire.version_name v)) ]))));
-            conn.version <- v
-          end);
-      Wire.set_version conn.dec v;
-      if v = Wire.V2 then Atomic.incr t.n_binary)
+    match Conn.hello conn ~id ~max:t.cfg.max_transport transport with
+    | Ok Wire.V2 -> Atomic.incr t.n_binary
+    | Ok Wire.V1 -> ()
+    | Error reply -> send_doc t conn ~defer:true reply)
   | Protocol.Search _ | Protocol.Simulate _ | Protocol.Replay _ ->
     let deadline_ms = Protocol.deadline_ms env.Protocol.req in
     if Atomic.get t.draining then
@@ -665,72 +528,9 @@ let handle_envelope t conn ~bin (env : Protocol.envelope) =
       end
     end
 
-let handle_frame t conn frame =
-  match frame with
-  | Wire.Text line -> (
-    match Json.parse ~max_bytes:Protocol.max_line_bytes line with
-    | Error msg ->
-      send_doc t conn ~defer:true
-        (Protocol.error_reply ~id:Json.Null ~code:"parse_error" ~detail:msg)
-    | Ok json -> (
-      match Protocol.parse_request json with
-      | Error msg ->
-        send_doc t conn ~defer:true
-          (Protocol.error_reply ~id:(Protocol.reply_id json) ~code:"bad_request"
-             ~detail:msg)
-      | Ok env -> handle_envelope t conn ~bin:false env))
-  | Wire.Bin_analyze { id; deadline_ms; mu; tmat } ->
-    if Array.length mu <> Intmat.cols tmat then
-      send_doc t conn ~defer:true
-        (Protocol.error_reply ~id:(Json.Int id) ~code:"bad_request"
-           ~detail:"mu arity does not match t columns")
-    else if Array.exists (fun m -> m < 1) mu then
-      send_doc t conn ~defer:true
-        (Protocol.error_reply ~id:(Json.Int id) ~code:"bad_request"
-           ~detail:"mu entries must be >= 1")
-    else handle_analyze t conn ~bin:true ~id:(Json.Int id) ~mu ~tmat ~deadline_ms
-  | Wire.Bin_verdict _ ->
-    send_doc t conn ~defer:true
-      (Protocol.error_reply ~id:Json.Null ~code:"bad_request"
-         ~detail:"verdict frames flow server to client only")
-
 (* ------------------------------ create ------------------------------ *)
 
-(* Bind a Unix socket, coping with a stale socket file left by a
-   SIGKILLed predecessor: a path that IS a socket gets probed with a
-   connect — refused/unreachable means dead owner, so unlink and take
-   over; answered means another daemon is live, so fail loudly.  A
-   path that exists but is NOT a socket is never unlinked (the store
-   journal, say, must not be clobbered by a mistyped --socket). *)
-let bind_unix path =
-  (match Unix.stat path with
-  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
-    let probe = Unix.socket PF_UNIX SOCK_STREAM 0 in
-    match Unix.connect probe (ADDR_UNIX path) with
-    | () ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      failwith
-        (Printf.sprintf "Daemon.create: a server is already listening on %s" path)
-    | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _) ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ())
-    | exception e ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      raise e)
-  | { Unix.st_kind = _; _ } ->
-    failwith
-      (Printf.sprintf "Daemon.create: %s exists and is not a socket; refusing to unlink"
-         path)
-  | exception Unix.Unix_error (ENOENT, _, _) -> ());
-  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-  Unix.bind fd (ADDR_UNIX path);
-  Unix.listen fd 64;
-  fd
-
 let create cfg =
-  (* A peer hanging up mid-reply must surface as EPIPE on the write,
-     not kill the process. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* Store before socket: an unusable store path must not leave a
      bound socket (or a just-unlinked stale one) behind. *)
   let store_ =
@@ -739,23 +539,10 @@ let create cfg =
       cfg.store_path
   in
   let listen_fd =
-    match cfg.listen with
-    | Unix_sock path -> (
-      try bind_unix path
-      with e ->
-        Option.iter Store.close store_;
-        raise e)
-    | Tcp port ->
-      let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-      Unix.setsockopt fd SO_REUSEADDR true;
-      Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen fd 64;
-      fd
-  in
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | ADDR_INET (_, port) -> Some port
-    | ADDR_UNIX _ -> None
+    try Conn.bind cfg.listen
+    with e ->
+      Option.iter Store.close store_;
+      raise e
   in
   let pipe_r, pipe_w = Unix.pipe () in
   let t =
@@ -774,14 +561,11 @@ let create cfg =
       pipe_r;
       pipe_w;
       listen_fd;
-      bound_port;
-      conns = Hashtbl.create 16;
-      conns_lock = Mutex.create ();
+      bound_port = Conn.bound_port listen_fd;
       sflight = Singleflight.create ();
       inflight = Hashtbl.create 64;
       inflight_lock = Mutex.create ();
       next_id = Atomic.make 0;
-      next_cid = Atomic.make 1;
       n_accepted = Atomic.make 0;
       n_shed = Atomic.make 0;
       n_batches = Atomic.make 0;
@@ -802,139 +586,78 @@ let port t = t.bound_port
 
 (* -------------------------------- run ------------------------------- *)
 
-let teardown t fdmap conn =
-  locked conn.olock (fun () ->
-      if not conn.dead then begin
-        conn.dead <- true;
-        try Unix.close conn.fd with Unix.Unix_error _ -> ()
-      end);
-  Hashtbl.remove fdmap conn.fd;
-  locked t.conns_lock (fun () -> Hashtbl.remove t.conns conn.cid)
+let teardown fdmap conn =
+  Hashtbl.remove fdmap (Conn.fd conn);
+  Conn.close conn
 
-let rec drain_frames t fdmap conn =
-  if not (conn.closing || conn.dead) then
-    match Wire.next conn.dec with
-    | Wire.Need_more -> ()
-    | Wire.Frame f ->
-      handle_frame t conn f;
-      drain_frames t fdmap conn
-    | Wire.Corrupt msg ->
-      (* One structured reply, then drop — same contract for an
-         oversized binary frame as for an oversized JSON line (there
-         is no way to resynchronize a corrupt stream anyway). *)
-      send_doc t conn ~defer:true
-        (Protocol.error_reply ~id:Json.Null ~code:"parse_error" ~detail:msg);
-      conn.closing <- true
+(* Flush whatever the socket takes; a connection that stopped reading
+   after a corrupt stream goes once its last reply is out. *)
+let service_write fdmap conn =
+  if (not (Conn.flush conn)) && Conn.closing conn then teardown fdmap conn
 
 let service_read t fdmap conn chunk =
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> teardown t fdmap conn
-  | n ->
+  match Conn.read conn chunk with
+  | `Blocked -> ()
+  | `Eof -> teardown fdmap conn
+  | `Data ->
     (* Both connection-fault sites are consulted here, after a
        successful read, so the decisions are ordered with the peer's
        request stream — the peer sending these bytes proves it has
        consumed every earlier reply, so tearing down now can never
        race a reply still in flight.  [conn.read] models a transport
        reset while reading a request; [conn.drop] a hang-up between
-       requests.  Either way the just-read bytes are discarded and the
-       connection is torn down; the peer re-issues on a fresh
-       connection.  [conn.slow] first: a gray failure stalls the whole
-       event loop for the plan's delay — the slow-shard scenario the
-       hedging and breaker machinery exists for — without failing
-       anything (ambient, never logged per event). *)
+       requests.  Either way the just-read bytes are discarded with
+       the connection; the peer re-issues on a fresh one.
+       [conn.slow] first: a gray failure stalls the whole event loop
+       for the plan's delay — the slow-shard scenario the hedging and
+       breaker machinery exists for — without failing anything
+       (ambient, never logged per event). *)
     Fault.stall "conn.slow";
-    if Fault.should_fail "conn.read" then teardown t fdmap conn
-    else if Fault.should_fail "conn.drop" then teardown t fdmap conn
+    if Fault.should_fail "conn.read" then teardown fdmap conn
+    else if Fault.should_fail "conn.drop" then teardown fdmap conn
     else begin
-      Wire.feed conn.dec chunk 0 n;
-      drain_frames t fdmap conn;
+      Conn.pull conn
+        ~reject:(send_doc t conn ~defer:true)
+        (fun ~bin env -> handle_envelope t conn ~bin env);
       (* One flush for the whole burst of inline replies. *)
-      let pending =
-        locked conn.olock (fun () ->
-            if conn.dead then false
-            else begin
-              flush_locked conn;
-              Outbuf.length conn.out > 0
-            end)
-      in
-      if conn.closing && not pending then teardown t fdmap conn
+      service_write fdmap conn
     end
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) ->
-    teardown t fdmap conn
 
-let accept_burst t fdmap =
-  let rec go budget =
-    if budget > 0 then
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-        (* An injected [daemon.accept] fault closes the freshly
-           accepted connection before it is ever serviced — the peer
-           sees an immediate EOF and reconnects. *)
-        if Fault.should_fail "daemon.accept" then (
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          go (budget - 1))
-        else begin
-          Unix.set_nonblock fd;
-          let conn =
-            {
-              cid = Atomic.fetch_and_add t.next_cid 1;
-              fd;
-              dec = Wire.decoder Wire.V1;
-              out = Outbuf.create 4096;
-              olock = Mutex.create ();
-              version = Wire.V1;
-              dead = false;
-              closing = false;
-            }
-          in
-          Obs.Metrics.incr m_conns;
-          Hashtbl.replace fdmap fd conn;
-          locked t.conns_lock (fun () -> Hashtbl.replace t.conns conn.cid conn);
-          go (budget - 1)
-        end
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error _ -> ()
-  in
-  go 128
+let accept fdmap fd =
+  (* An injected [daemon.accept] fault closes the freshly accepted
+     connection before it is ever serviced — the peer sees an
+     immediate EOF and reconnects. *)
+  if Fault.should_fail "daemon.accept" then (try Unix.close fd with Unix.Unix_error _ -> ())
+  else begin
+    Obs.Metrics.incr m_conns;
+    Hashtbl.replace fdmap fd (Conn.create fd)
+  end
 
 let run t =
   let chunk = Bytes.create 65536 in
   let pipe_buf = Bytes.create 256 in
-  Unix.set_nonblock t.listen_fd;
   Unix.set_nonblock t.pipe_r;
-  let fdmap : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
+  let fdmap : (Unix.file_descr, Conn.t) Hashtbl.t = Hashtbl.create 64 in
+  let conns () = Hashtbl.fold (fun _ c acc -> c :: acc) fdmap [] in
   let drain_seen = ref false in
   let flush_deadline = ref infinity in
   let service_pipe () =
     match Unix.read t.pipe_r pipe_buf 0 (Bytes.length pipe_buf) with
     | 0 -> ()
-    | n ->
-      let drain = ref false in
-      for i = 0 to n - 1 do
-        if Bytes.get pipe_buf i = 'd' then drain := true
-      done;
-      if !drain then initiate_drain t
+    | n -> if Bytes.contains (Bytes.sub pipe_buf 0 n) 'd' then initiate_drain t
     | exception Unix.Unix_error _ -> ()
   in
-  let conn_pending conn = locked conn.olock (fun () -> Outbuf.length conn.out > 0) in
   let abort_seen = ref false in
   let rec loop () =
     if Atomic.get t.aborting && not !abort_seen then begin
       abort_seen := true;
+      if not !drain_seen then Conn.close_listener t.cfg.listen t.listen_fd;
       drain_seen := true;
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-      (match t.cfg.listen with
-      | Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
-      | Tcp _ -> ());
       (* Slam every connection: queued replies are dropped unflushed,
          exactly as a killed process would drop them.  Workers still
-         finishing a batch send into dead connections, which is a
+         finishing a batch send into closed connections, which is a
          no-op. *)
-      Hashtbl.fold (fun _ c acc -> c :: acc) fdmap []
-      |> List.iter (fun c ->
-             locked c.olock (fun () -> Outbuf.clear c.out);
-             teardown t fdmap c);
+      List.iter (teardown fdmap) (conns ());
       Atomic.set t.workers_done true;
       flush_deadline := neg_infinity
     end;
@@ -944,10 +667,7 @@ let run t =
       (* Stop accepting at once; a joiner thread turns the batcher
          join into a loop wake-up so replies queued by the last
          workers still flush through the poll loop below. *)
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-      (match t.cfg.listen with
-      | Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
-      | Tcp _ -> ());
+      Conn.close_listener t.cfg.listen t.listen_fd;
       ignore
         (Thread.create
            (fun () ->
@@ -958,17 +678,16 @@ let run t =
     end;
     (* Tear down connections that finished flushing after a corrupt
        stream; collect the ones still alive. *)
-    let conns = Hashtbl.fold (fun _ c acc -> c :: acc) fdmap [] in
     List.iter
-      (fun c -> if c.closing && not (conn_pending c) then teardown t fdmap c)
-      conns;
-    let live = Hashtbl.fold (fun _ c acc -> c :: acc) fdmap [] in
+      (fun c -> if Conn.closing c && not (Conn.pending c) then teardown fdmap c)
+      (conns ());
+    let live = conns () in
     let workers_done = Atomic.get t.workers_done in
     if workers_done && !flush_deadline = infinity then
       (* Bounded drain flush: a peer that never reads its replies must
          not wedge the shutdown. *)
       flush_deadline := Unix.gettimeofday () +. 5.0;
-    let all_flushed = List.for_all (fun c -> not (conn_pending c)) live in
+    let all_flushed = List.for_all (fun c -> not (Conn.pending c)) live in
     if !drain_seen && workers_done
        && (all_flushed || Unix.gettimeofday () > !flush_deadline)
     then ()
@@ -979,10 +698,10 @@ let run t =
         @ [ (t.pipe_r, { Poll.want_read = true; want_write = false }) ]
         @ List.filter_map
             (fun c ->
-              let want_write = conn_pending c in
-              let want_read = not c.closing in
+              let want_write = Conn.pending c in
+              let want_read = not (Conn.closing c) in
               if want_read || want_write then
-                Some (c.fd, { Poll.want_read; want_write })
+                Some (Conn.fd c, { Poll.want_read; want_write })
               else None)
             live
       in
@@ -992,25 +711,15 @@ let run t =
         (fun (fd, (ev : Poll.event)) ->
           if fd = t.pipe_r then (if ev.Poll.ready_read then service_pipe ())
           else if (not !drain_seen) && fd = t.listen_fd then begin
-            if ev.Poll.ready_read then accept_burst t fdmap
+            if ev.Poll.ready_read then Conn.accept_burst t.listen_fd (accept fdmap)
           end
           else
             match Hashtbl.find_opt fdmap fd with
             | None -> ()
             | Some conn ->
-              if ev.Poll.ready_write then begin
-                let pending =
-                  locked conn.olock (fun () ->
-                      if conn.dead then false
-                      else begin
-                        flush_locked conn;
-                        Outbuf.length conn.out > 0
-                      end)
-                in
-                if conn.closing && not pending then teardown t fdmap conn
-              end;
-              if (not conn.dead) && (ev.Poll.ready_read || ev.Poll.ready_error) then
-                if conn.closing then (if ev.Poll.ready_error then teardown t fdmap conn)
+              if ev.Poll.ready_write then service_write fdmap conn;
+              if (not (Conn.closed conn)) && (ev.Poll.ready_read || ev.Poll.ready_error) then
+                if Conn.closing conn then (if ev.Poll.ready_error then teardown fdmap conn)
                 else service_read t fdmap conn chunk)
         events;
       loop ()
@@ -1023,16 +732,7 @@ let run t =
      traffic.  Workers are done: every accepted request got its reply
      bytes queued, and the loop flushed them (or timed out on a peer
      that stopped reading). *)
-  let conns = locked t.conns_lock (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []) in
-  List.iter
-    (fun c ->
-      locked c.olock (fun () ->
-          if not c.dead then begin
-            c.dead <- true;
-            (try Unix.shutdown c.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-            try Unix.close c.fd with Unix.Unix_error _ -> ()
-          end))
-    conns;
+  List.iter Conn.close (conns ());
   Option.iter Store.close t.store_;
   (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
   try Unix.close t.pipe_w with Unix.Unix_error _ -> ()

@@ -2,7 +2,8 @@
     control and graceful drain, wired around {!Wire}, {!Singleflight},
     {!Admission}, {!Batcher}, {!Handlers} and {!Store}.
 
-    I/O architecture: one event-loop thread owns every socket.  It
+    I/O architecture: one event-loop thread owns every socket, on the
+    connection code it shares with the cluster router ({!Conn}).  It
     polls ({!Poll}) the listener, a self-pipe and all connections;
     accepts until the listener would block; reads nonblocking chunks
     into each connection's {!Wire.decoder}; and answers inline
@@ -38,11 +39,8 @@
     loop turns the wake-up into [initiate_drain] from a normal
     context.
 
-    Stale sockets: {!create} on a Unix path that holds a {e dead}
-    socket (the previous daemon was SIGKILLed before it could clean
-    up) probes it with a connect, unlinks it on refusal, and binds in
-    its place; a path with a {e live} listener fails loudly, and a
-    path that is not a socket at all is never unlinked.
+    Stale sockets: {!create} binds with {!Conn.bind}, which takes over
+    a dead socket file but never a live listener or a non-socket.
 
     Fault injection (armed {!Fault.Plan}, docs/RESILIENCE.md): the
     loop consults [daemon.accept] (close the fresh connection),
@@ -74,7 +72,7 @@
     root, so per-request trace trees are accurate for fastpath work
     too (per-thread span stacks in {!Obs.Trace}). *)
 
-type listen =
+type listen = Conn.listen =
   | Unix_sock of string  (** Path of a Unix-domain socket. *)
   | Tcp of int           (** TCP port on 127.0.0.1; [0] picks a free port. *)
 

@@ -51,7 +51,8 @@ val execute :
   budget:Engine.Budget.t ->
   Protocol.request ->
   (string * Json.t) list
-(** Dispatch one queued request ({!Protocol.queued}).
+(** Dispatch one queued request: [analyze], [search], [simulate] or
+    [replay].
     @raise Bad_request as above.
     @raise Invalid_argument on [Ping]/[Stats]/[Drain], which the
     connection loop answers inline. *)

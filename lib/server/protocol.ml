@@ -76,10 +76,6 @@ let op_name = function
   | Drain -> "drain"
   | Hello _ -> "hello"
 
-let queued = function
-  | Analyze _ | Search _ | Simulate _ | Replay _ -> true
-  | Ship _ | Ping | Stats | Drain | Hello _ -> false
-
 let deadline_ms = function
   | Analyze { deadline_ms; _ } | Search { deadline_ms; _ } -> deadline_ms
   | Simulate _ | Replay _ | Ship _ | Ping | Stats | Drain | Hello _ -> None
@@ -204,11 +200,6 @@ let parse_request json =
     | env -> Ok env
     | exception Bad msg -> Error msg)
   | _ -> Error "request must be a JSON object"
-
-let request_of_line line =
-  match Json.parse ~max_bytes:max_line_bytes line with
-  | Error msg -> Error msg
-  | Ok json -> parse_request json
 
 (* ------------------------------ builders --------------------------- *)
 

@@ -74,11 +74,6 @@ type envelope = { id : Json.t; req : request }
 
 val op_name : request -> string
 
-val queued : request -> bool
-(** Whether the request goes through admission control ([analyze],
-    [search], [simulate], [replay]); [ship]/[ping]/[stats]/[drain]
-    are answered inline by the connection thread. *)
-
 val deadline_ms : request -> int option
 
 val max_line_bytes : int
@@ -86,44 +81,25 @@ val max_line_bytes : int
     any legitimate request, far below memory exhaustion. *)
 
 val parse_request : Json.t -> (envelope, string) result
-val request_of_line : string -> (envelope, string) result
-(** {!Json.parse} (with {!max_line_bytes} and the default depth cap)
-    followed by {!parse_request}. *)
 
 (** {1 Client-side request builders}
 
     These build the JSON {e documents}; how a document travels is the
-    transport's business.  New transport-aware code should hand the
-    result to {!Wire.encode} (or use {!Client}, which does) rather
-    than writing raw lines — on a v2 connection a bare line is not a
-    valid message. *)
+    transport's business: hand it to {!Wire.encode} as a {!Wire.Text}
+    frame (or use {!Client}, which does). *)
 
 val analyze : ?id:Json.t -> ?deadline_ms:int -> mu:int array -> Intmat.t -> Json.t
-(** @deprecated As a wire-level constructor: wrap the document in
-    {!Wire.Text} (or send the equivalent {!Wire.Bin_analyze} frame on
-    a v2 connection) instead of appending a newline by hand. *)
 
 val search :
   ?id:Json.t -> ?deadline_ms:int -> ?s:Intmat.t -> ?pareto:bool -> ?array_dim:int ->
   algorithm:string -> mu:int -> unit -> Json.t
-(** @deprecated As a wire-level constructor: see {!analyze}. *)
 
 val simulate : ?id:Json.t -> ?s:Intmat.t -> algorithm:string -> mu:int -> pi:Intvec.t -> unit -> Json.t
-(** @deprecated As a wire-level constructor: see {!analyze}. *)
-
 val replay : ?id:Json.t -> Check.Instance.t -> Json.t
-(** @deprecated As a wire-level constructor: see {!analyze}. *)
-
 val ship : ?id:Json.t -> seq:int -> record:string -> unit -> Json.t
-
 val ping : ?id:Json.t -> unit -> Json.t
-(** @deprecated As a wire-level constructor: see {!analyze}. *)
-
 val stats_request : ?id:Json.t -> unit -> Json.t
-(** @deprecated As a wire-level constructor: see {!analyze}. *)
-
 val drain : ?id:Json.t -> unit -> Json.t
-(** @deprecated As a wire-level constructor: see {!analyze}. *)
 
 val hello : ?id:Json.t -> transport:string -> unit -> Json.t
 (** The negotiation document itself always travels in the connection's

@@ -13,6 +13,7 @@ module Ring = Cluster.Ring
 module Router = Cluster.Router
 module Shipper = Cluster.Shipper
 module Health = Cluster.Health
+module Wire = Server.Wire
 
 let fresh_path =
   let counter = ref 0 in
@@ -226,11 +227,11 @@ let test_snapshot_open_is_o1 () =
 
 (* ------------------------------ shipping ---------------------------- *)
 
-let boot_daemon ?(jobs = 1) store_path =
+let boot_daemon ?(jobs = 1) ?(tcp = false) store_path =
   let sock = fresh_path ".sock" in
   let cfg =
     {
-      (Daemon.default_config (Daemon.Unix_sock sock)) with
+      (Daemon.default_config (if tcp then Daemon.Tcp 0 else Daemon.Unix_sock sock)) with
       jobs = Some jobs;
       store_path = Some store_path;
       fsync_every = 4;
@@ -243,6 +244,9 @@ let boot_daemon ?(jobs = 1) store_path =
 let stop_daemon (d, th, _sock) =
   Daemon.initiate_drain d;
   Thread.join th
+
+let daemon_addr (d, _, sock) : Client.addr =
+  match Daemon.port d with Some port -> `Tcp ("127.0.0.1", port) | None -> `Unix sock
 
 let journal_record_lines path =
   let ic = open_in_bin path in
@@ -337,13 +341,13 @@ let test_shipper_pump () =
 (* ------------------------------- router ----------------------------- *)
 
 let boot_router ?(health_interval_ms = 60_000) ?(health_threshold = 3)
-    ?(hedge = Router.No_hedge) specs =
+    ?(hedge = Router.No_hedge) ?(transport = Wire.V1) specs =
   let sock = fresh_path ".sock" in
   let cfg =
     {
       (Router.default_config (Daemon.Unix_sock sock) specs) with
       pool_size = 1;
-      shard_transport = Server.Wire.V1;
+      shard_transport = transport;
       health_interval_ms;
       health_threshold;
       hedge;
@@ -363,22 +367,63 @@ let direct_verdict (inst : Check.Instance.t) =
        (Protocol.wire_of_verdict
           (Analysis.check ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat)))
 
-let test_router_differential () =
+(* One exchange on a fresh raw connection, after a [hello] when
+   [binary]: the request bytes out, the first reply's bytes back
+   exactly as they came off the wire.  A peer that never answers fails
+   the read after 5 s. *)
+let raw_exchange ?(binary = false) addr request =
+  let sa = Client.sockaddr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+      Unix.connect fd sa;
+      let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+      let read_exact n =
+        let b = Bytes.create n in
+        let rec go off =
+          if off < n then
+            match Unix.read fd b off (n - off) with
+            | 0 -> Alcotest.fail "connection closed mid-reply"
+            | k -> go (off + k)
+        in
+        go 0;
+        Bytes.to_string b
+      in
+      let rec read_line acc =
+        match read_exact 1 with "\n" -> acc | c -> read_line (acc ^ c)
+      in
+      if binary then begin
+        send "{\"op\":\"hello\",\"transport\":\"binary\"}\n";
+        ignore (read_line "")
+      end;
+      send request;
+      if binary then
+        let header = read_exact 4 in
+        header ^ read_exact (Int32.to_int (String.get_int32_be header 0))
+      else read_line "")
+
+(* [tcp] puts the shards on loopback TCP, where the router's upstream
+   connects complete asynchronously. *)
+let test_router_differential ?(tcp = false) transport () =
   let j0 = fresh_path ".store" and j1 = fresh_path ".store" in
-  let s0 = boot_daemon j0 and s1 = boot_daemon j1 in
-  let _, _, sock0 = s0 and _, _, sock1 = s1 in
+  let s0 = boot_daemon ~tcp j0 and s1 = boot_daemon ~tcp j1 in
+  let addr0 = daemon_addr s0 and addr1 = daemon_addr s1 in
   let specs =
     [
-      { Router.primary = `Unix sock0; follower = None; journal = Some j0 };
-      { Router.primary = `Unix sock1; follower = None; journal = Some j1 };
+      { Router.primary = addr0; follower = None; journal = Some j0 };
+      { Router.primary = addr1; follower = None; journal = Some j1 };
     ]
   in
-  let r = boot_router specs in
-  let _, _, rsock = r in
-  (* A verifying load through the router: every verdict byte-equal to
-     a local Analysis.check, nothing shed, nothing lost. *)
+  let r = boot_router ~transport specs in
+  let router, _, rsock = r in
+  let raddr = `Unix rsock in
+  (* A verifying load through the router, in the same dialect on both
+     sides of it (binary pipelines): every verdict byte-equal to a
+     local Analysis.check, nothing shed, nothing lost. *)
   let report =
-    Client.load (`Unix rsock)
+    Client.load raddr
       {
         Client.default_load with
         requests = 80;
@@ -386,15 +431,53 @@ let test_router_differential () =
         distinct = 16;
         seed = 3;
         verify = true;
+        transport;
+        pipeline = (match transport with Wire.V1 -> 1 | Wire.V2 -> 8);
       }
   in
   Alcotest.(check int) "all ok" 80 report.Client.ok;
   Alcotest.(check int) "no errors" 0 report.Client.errors;
   Alcotest.(check int) "no shed" 0 report.Client.shed;
   Alcotest.(check int) "no disagreements" 0 report.Client.disagreements;
-  (* Router-inline ops: stats identifies the role; ship is refused
-     (replication is shard-direct, never through the router). *)
-  let conn = Client.connect (`Unix rsock) in
+  let inst = Check.Gen.ith ~seed:3 ~size:4 0 in
+  let mu = inst.Check.Instance.mu and tmat = inst.Check.Instance.tmat in
+  let owner = [| addr0; addr1 |].(Ring.shard_of (Router.ring router) (Store.family_hash tmat)) in
+  let binary = transport = Wire.V2 in
+  (* A raw binary analyze of a key the load warmed comes back as the
+     same ['V'] frame the owning shard sends when asked directly. *)
+  if binary then begin
+    let frame = Wire.encode Wire.V2 (Wire.Bin_analyze { id = 41; deadline_ms = None; mu; tmat }) in
+    let direct = raw_exchange ~binary owner frame in
+    let routed = raw_exchange ~binary raddr frame in
+    Alcotest.(check char) "routed reply is a V frame" 'V' routed.[4];
+    Alcotest.(check string) "byte-identical to the owning shard's reply" direct routed
+  end;
+  (* A deadline wider than an ['A'] frame's i32 field still gets the
+     owning shard's answer, and the router keeps serving. *)
+  let wide =
+    Wire.encode transport
+      (Wire.Text
+         (Json.to_string
+            (Protocol.analyze ~id:(Json.Int 12) ~deadline_ms:3_000_000_000 ~mu tmat)))
+  in
+  Alcotest.(check string) "deadline past i32"
+    (raw_exchange ~binary owner wide)
+    (raw_exchange ~binary raddr wide);
+  (* A request that does not decode gets the reply a daemon sends, id
+     included: a session matches replies by id, so a dropped id costs
+     it every retry. *)
+  List.iter
+    (fun line ->
+      Alcotest.(check string) line
+        (raw_exchange addr0 (line ^ "\n"))
+        (raw_exchange raddr (line ^ "\n")))
+    [ {|{"id":7,"op":"nope"}|}; "{not json}" ];
+  (* Router-inline ops: ping and stats on a fresh connection, stats
+     identifying the role; ship is refused (replication is
+     shard-direct, never through the router). *)
+  let conn = Client.connect raddr in
+  Alcotest.(check bool) "ping answered" true
+    (Protocol.reply_ok (Client.request conn (Protocol.ping ~id:(Json.Int 8) ())));
   let stats = Client.request conn (Protocol.stats_request ~id:(Json.Int 9) ()) in
   (match Json.member "role" stats with
   | Some (Json.Str "router") -> ()
@@ -410,6 +493,20 @@ let test_router_differential () =
   stop_daemon s1;
   rm j0;
   rm j1
+
+let test_router_socket_guard () =
+  (* The daemon's stale-socket policy: a --socket path holding a
+     regular file is refused and left byte-for-byte alone. *)
+  let path = fresh_path ".journal" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "precious");
+  let specs = [ { Router.primary = `Unix (fresh_path ".sock"); follower = None; journal = None } ] in
+  Alcotest.(check bool) "regular file refused" true
+    (match Router.create (Router.default_config (Daemon.Unix_sock path) specs) with
+    | _ -> false
+    | exception Failure _ -> true);
+  Alcotest.(check string) "file untouched" "precious"
+    (In_channel.with_open_bin path In_channel.input_all);
+  rm path
 
 let test_router_failover () =
   (* One shard with a follower; kill the primary and let the health
@@ -595,7 +692,14 @@ let suite =
     Alcotest.test_case "snapshot open is O(1)" `Quick test_snapshot_open_is_o1;
     Alcotest.test_case "ship op" `Quick test_ship_op;
     Alcotest.test_case "shipper pump" `Quick test_shipper_pump;
-    Alcotest.test_case "router differential" `Quick test_router_differential;
+    Alcotest.test_case "router differential" `Quick (test_router_differential Wire.V1);
+    Alcotest.test_case "router differential binary" `Quick
+      (test_router_differential Wire.V2);
+    Alcotest.test_case "router differential tcp" `Quick
+      (test_router_differential ~tcp:true Wire.V1);
+    Alcotest.test_case "router differential binary tcp" `Quick
+      (test_router_differential ~tcp:true Wire.V2);
+    Alcotest.test_case "router socket guard" `Quick test_router_socket_guard;
     Alcotest.test_case "router failover" `Quick test_router_failover;
     Alcotest.test_case "health breaker" `Quick test_health_breaker;
     Alcotest.test_case "router hedging" `Quick test_router_hedging;

@@ -8,6 +8,8 @@ module Protocol = Server.Protocol
 module Admission = Server.Admission
 module Daemon = Server.Daemon
 module Client = Server.Client
+module Conn = Server.Conn
+module Wire = Server.Wire
 
 let fresh_path =
   let counter = ref 0 in
@@ -156,11 +158,15 @@ let test_admission_batching () =
 
 (* ----------------------------- protocol ----------------------------- *)
 
+(* Requests decode through [Conn.request_of_frame], the path both
+   event loops take. *)
+let decode_line line = Conn.request_of_frame (Wire.Text line)
+
 let test_protocol_roundtrip () =
   let check_roundtrip name json expect_op =
-    match Protocol.request_of_line (Json.to_string json) with
-    | Ok env -> Alcotest.(check string) name expect_op (Protocol.op_name env.Protocol.req)
-    | Error e -> Alcotest.failf "%s rejected: %s" name e
+    match decode_line (Json.to_string json) with
+    | Ok (env, _) -> Alcotest.(check string) name expect_op (Protocol.op_name env.Protocol.req)
+    | Error e -> Alcotest.failf "%s rejected: %s" name (Json.to_string e)
   in
   check_roundtrip "analyze" (Protocol.analyze ~id:(Json.Int 1) ~mu:mu1 t1) "analyze";
   check_roundtrip "analyze w/ deadline"
@@ -181,28 +187,29 @@ let test_protocol_roundtrip () =
 
 let test_protocol_rejects () =
   let rejected line =
-    match Protocol.request_of_line line with Ok _ -> false | Error _ -> true
+    match decode_line line with Ok _ -> None | Error reply -> Protocol.error_code reply
   in
-  Alcotest.(check bool) "not json" true (rejected "nope");
-  Alcotest.(check bool) "not an object" true (rejected "[1,2]");
-  Alcotest.(check bool) "missing op" true (rejected {|{"id":1}|});
-  Alcotest.(check bool) "unknown op" true (rejected {|{"op":"frobnicate"}|});
-  Alcotest.(check bool) "mu arity mismatch" true
+  let parse_error = Some "parse_error" and bad_request = Some "bad_request" in
+  Alcotest.(check (option string)) "not json" parse_error (rejected "nope");
+  Alcotest.(check (option string)) "not an object" bad_request (rejected "[1,2]");
+  Alcotest.(check (option string)) "missing op" bad_request (rejected {|{"id":1}|});
+  Alcotest.(check (option string)) "unknown op" bad_request (rejected {|{"op":"frobnicate"}|});
+  Alcotest.(check (option string)) "mu arity mismatch" bad_request
     (rejected {|{"op":"analyze","t":[[1,1,-1]],"mu":[4,4]}|});
-  Alcotest.(check bool) "mu below 1" true
+  Alcotest.(check (option string)) "mu below 1" bad_request
     (rejected {|{"op":"analyze","t":[[1,1,-1]],"mu":[4,0,4]}|});
-  Alcotest.(check bool) "ragged matrix" true
+  Alcotest.(check (option string)) "ragged matrix" bad_request
     (rejected {|{"op":"analyze","t":[[1,1],[1]],"mu":[4,4]}|})
 
 let test_protocol_id_echo () =
-  match Protocol.request_of_line {|{"op":"ping","id":{"seq":7}}|} with
-  | Ok env ->
+  match decode_line {|{"op":"ping","id":{"seq":7}}|} with
+  | Ok (env, _) ->
     let reply = Protocol.ok_reply ~id:env.Protocol.id ~op:"ping" [] in
     Alcotest.(check string) "structured id echoed"
       {|{"id":{"seq":7},"ok":true,"op":"ping"}|}
       (Json.to_string reply);
     Alcotest.(check bool) "reply_ok" true (Protocol.reply_ok reply)
-  | Error e -> Alcotest.failf "ping with structured id rejected: %s" e
+  | Error e -> Alcotest.failf "ping with structured id rejected: %s" (Json.to_string e)
 
 (* ----------------------------- live server -------------------------- *)
 
@@ -590,7 +597,6 @@ let test_stale_socket_recovery () =
 
 (* --------------------------- versioned wire -------------------------- *)
 
-module Wire = Server.Wire
 module Poll = Server.Poll
 
 let feed_all dec s = Wire.feed dec (Bytes.of_string s) 0 (String.length s)
