@@ -708,6 +708,20 @@ let engine_bench () =
   assert (cold_s = warm_s);
 
   Table.print tbl;
+  (* The pool's own cost per map: [jobs_wide] no-op tasks on a pool
+     whose helpers are already up, median of 200 maps. *)
+  let noops = List.init jobs_wide Fun.id in
+  ignore (Engine.Pool.map pool_wide Fun.id noops);
+  let map_ns =
+    Array.init 200 (fun _ ->
+        let t0 = Monotonic_clock.now () in
+        ignore (Sys.opaque_identity (Engine.Pool.map pool_wide Fun.id noops));
+        Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0))
+  in
+  Array.sort compare map_ns;
+  let pool_map_ns = map_ns.(100) in
+  Printf.printf "pool: %.0f ns per map of %d no-op tasks (median of 200)\n" pool_map_ns
+    jobs_wide;
   let stats = Engine.Cache.stats () in
   Printf.printf
     "cache: %d hits / %d misses (%d entries); warm/cold speedup: pareto %.1fx, schedules %.1fx\n"
@@ -718,6 +732,7 @@ let engine_bench () =
   Json.Obj
     [
       ("jobs", Json.Int jobs_wide);
+      ("pool_map_ns", Json.Float pool_map_ns);
       ( "pareto",
         Json.Obj
           [

@@ -175,51 +175,120 @@ module Pool = struct
 
   let jobs t = t.jobs
 
+  (* Helper domains belong to the process, not to a [t]: callers create
+     a fresh pool per query, and per-pool domains would pile up toward
+     the runtime's domain limit.  One map at a time owns them through
+     [owned]; between maps they park on [wake].  [seats] is how many
+     helpers may still join the current [work], [running] how many are
+     inside it.  [spawned] is written only by the owner. *)
+  let owned = Atomic.make false
+  let lock = Mutex.create ()
+  let wake = Condition.create ()
+  let finished = Condition.create ()
+  let work = ref ignore
+  let seats = ref 0
+  let running = ref 0
+  let spawned = ref 0
+
+  let m_inline = Obs.Metrics.counter "pool.inline"
+  let g_width = Obs.Metrics.gauge "pool.max_domains"
+
+  (* A helper that returns from [work] while seats remain may take one
+     again; it finds every index claimed and returns at once. *)
+  let rec helper () =
+    Mutex.lock lock;
+    while !seats = 0 do
+      Condition.wait wake lock
+    done;
+    decr seats;
+    incr running;
+    let w = !work in
+    Mutex.unlock lock;
+    Fun.protect w ~finally:(fun () ->
+        Mutex.lock lock;
+        decr running;
+        if !running = 0 then Condition.signal finished;
+        Mutex.unlock lock);
+    helper ()
+
+  (* Spawns helpers up to [want]; a failed spawn (e.g. at the domain
+     limit) leaves the map to the helpers that exist. *)
+  let rec grow want =
+    if !spawned < want then
+      match Domain.spawn helper with
+      | _ ->
+        incr spawned;
+        grow want
+      | exception _ -> ()
+
+  (* Runs [w] on the caller, which owns the helpers, and on up to
+     [want] of them, then gives the helpers back. *)
+  let fan_out want w =
+    grow want;
+    let width = min want !spawned in
+    if width > 0 then begin
+      Obs.Metrics.set_gauge_max g_width (float_of_int (width + 1));
+      Mutex.lock lock;
+      work := w;
+      seats := width;
+      Condition.broadcast wake;
+      Mutex.unlock lock
+    end;
+    (* Wait out every seated helper before letting go of the helpers,
+       even if [w] raised. *)
+    Fun.protect w ~finally:(fun () ->
+        Mutex.lock lock;
+        seats := 0;
+        while !running > 0 do
+          Condition.wait finished lock
+        done;
+        (* Parked helpers must not keep this map's arrays alive. *)
+        work := ignore;
+        Mutex.unlock lock;
+        Atomic.set owned false)
+
   let map t f xs =
     match xs with
     | [] -> []
     | [ x ] -> [ f x ]
     | xs when t.jobs = 1 -> List.map f xs
+    | xs when not (Atomic.compare_and_set owned false true) ->
+      Obs.Metrics.incr m_inline;
+      List.map f xs
     | xs ->
       let arr = Array.of_list xs in
       let n = Array.length arr in
       let out = Array.make n None in
       let next = Atomic.make 0 in
+      (* The failure at the lowest index, which is the one [List.map]
+         raises.  Indices are claimed in increasing order, so every
+         index below a failing one was claimed before it and still
+         runs after workers stop claiming. *)
+      let failure = Atomic.make None in
+      let rec fail i e =
+        match Atomic.get failure with
+        | Some (j, _) when j < i -> ()
+        | cur -> if not (Atomic.compare_and_set failure cur (Some (i, e))) then fail i e
+      in
       (* Spans opened by workers re-parent under the span open at the
          [map] call, so a trace shows the fan-out as one subtree. *)
       let parent = Obs.Trace.current () in
       let worker () =
         Obs.Trace.with_parent parent (fun () ->
             let rec loop () =
-              let i = Atomic.fetch_and_add next 1 in
-              if i < n then begin
-                out.(i) <- Some (f arr.(i));
-                loop ()
+              if Option.is_none (Atomic.get failure) then begin
+                let i = Atomic.fetch_and_add next 1 in
+                if i < n then begin
+                  (match f arr.(i) with
+                  | v -> out.(i) <- Some v
+                  | exception e -> fail i e);
+                  loop ()
+                end
               end
             in
             loop ())
       in
-      let spawned = min (t.jobs - 1) (n - 1) in
-      Obs.Metrics.set_gauge_max
-        (Obs.Metrics.gauge "pool.max_domains")
-        (float_of_int (spawned + 1));
-      let domains = List.init spawned (fun _ -> Domain.spawn worker) in
-      (* Always join every domain, even when a worker raises; the first
-         exception (caller's first, then spawn order) is re-raised. *)
-      let failure =
-        match worker () with
-        | () -> None
-        | exception e -> Some e
-      in
-      let failure =
-        List.fold_left
-          (fun failure d ->
-            match Domain.join d with
-            | () -> failure
-            | exception e -> (match failure with Some _ -> failure | None -> Some e))
-          failure domains
-      in
-      (match failure with Some e -> raise e | None -> ());
-      Array.to_list
-        (Array.map (function Some v -> v | None -> assert false) out)
+      fan_out (min (t.jobs - 1) (n - 1)) worker;
+      (match Atomic.get failure with Some (_, e) -> raise e | None -> ());
+      Array.to_list (Array.map (function Some v -> v | None -> assert false) out)
 end

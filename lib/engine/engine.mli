@@ -82,10 +82,16 @@ module Cache : sig
   (** Drop all entries and zero the hit/miss counts of every table. *)
 end
 
-(** A bounded pool of OCaml 5 domains with deterministic merge:
-    {!Pool.map} always returns results in input order, whatever the
-    scheduling, so parallel scans are reproducible and agree with the
-    sequential reference (property-tested in [test_engine.ml]). *)
+(** A pool of OCaml 5 domains with deterministic merge: {!Pool.map}
+    always returns results in input order, whatever the scheduling, so
+    parallel scans are reproducible and agree with the sequential
+    reference (property-tested in [test_engine.ml]).
+
+    The helper domains belong to the process, not to a [t]: the first
+    map that fans out spawns them, up to the widest [jobs - 1] any map
+    has asked for, and between maps they park on a condition variable,
+    so a map costs a wake-up rather than a domain spawn.  A [t] is
+    only a width, and creating one per query costs nothing. *)
 module Pool : sig
   type t
 
@@ -96,10 +102,26 @@ module Pool : sig
   val jobs : t -> int
 
   val map : t -> ('a -> 'b) -> 'a list -> 'b list
-  (** Order-preserving parallel map.  Work is distributed by atomic
-      index stealing across [jobs - 1] spawned domains plus the calling
-      domain; with [jobs = 1] this is [List.map].  Trace spans opened
-      by [f] on worker domains are re-parented under the span that was
-      open at the [map] call (see {!Obs.Trace.with_parent}), and the
-      widest pool observed feeds the [pool.max_domains] gauge. *)
+  (** Order-preserving parallel map: the calling domain and up to
+      [jobs - 1] helpers claim indices in increasing order.  With
+      [jobs = 1] or fewer than two elements this is [List.map].
+
+      - One map owns the helpers at a time.  A map that finds them
+        taken, such as one nested inside a task or one on another
+        thread, runs [List.map] on its caller and bumps the
+        [pool.inline] counter.  The result is the same, and no helper
+        ever waits on a map that is waiting on it.
+      - If [f] raises, [map] re-raises the exception [List.map] would,
+        the one at the lowest failing index, whatever the schedule.
+        Workers stop claiming after a failure, and the next map runs
+        normally.
+      - If a helper cannot be spawned (e.g. at the runtime's domain
+        limit), the map runs on the helpers that exist, or on the
+        caller alone.
+      - Trace spans opened by [f] on helpers are re-parented under the
+        span open at the call (see {!Obs.Trace.with_parent}), and a map
+        that fans out feeds its width to the [pool.max_domains] gauge.
+
+      Once a helper exists the runtime refuses [Unix.fork], as after
+      any second domain; [Unix.create_process] is unaffected. *)
 end

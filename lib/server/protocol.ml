@@ -122,6 +122,15 @@ let to_matrix name = function
   | _ -> failf "field %S must be a non-empty array of integer rows" name
 
 let opt_int name json = Option.map (to_int name) (opt_member name json)
+
+(* A negative deadline has no encoding on the binary transport, so it
+   is refused here rather than read as "none" on one path and as
+   already spent on another. *)
+let opt_deadline json =
+  match opt_int "deadline_ms" json with
+  | Some ms when ms < 0 -> failf "field \"deadline_ms\" must be >= 0"
+  | d -> d
+
 let opt_matrix name json = Option.map (to_matrix name) (opt_member name json)
 
 let parse_request json =
@@ -139,7 +148,7 @@ let parse_request json =
             failf "mu arity %d does not match t columns %d" (Array.length mu)
               (Intmat.cols tmat);
           if Array.exists (fun m -> m < 1) mu then failf "mu entries must be >= 1";
-          Analyze { mu; tmat; deadline_ms = opt_int "deadline_ms" json }
+          Analyze { mu; tmat; deadline_ms = opt_deadline json }
         | "search" ->
           Search
             {
@@ -151,7 +160,7 @@ let parse_request json =
                 | Some v -> to_bool "pareto" v
                 | None -> false);
               array_dim = Option.value ~default:1 (opt_int "array_dim" json);
-              deadline_ms = opt_int "deadline_ms" json;
+              deadline_ms = opt_deadline json;
             }
         | "simulate" ->
           Simulate

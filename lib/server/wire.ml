@@ -68,7 +68,11 @@ let payload_of_frame = function
     let b = Buffer.create (16 + (4 * n * (k + 1))) in
     Buffer.add_char b tag_analyze;
     Buffer.add_int64_be b (Int64.of_int id);
-    add_i32 b "deadline_ms" (match deadline_ms with Some ms when ms >= 0 -> ms | _ -> -1);
+    add_i32 b "deadline_ms"
+      (match deadline_ms with
+      | None -> -1
+      | Some ms when ms < 0 -> invalid_arg "Wire.encode: negative deadline_ms"
+      | Some ms -> ms);
     add_u8 b "matrix rows" k;
     add_u8 b "matrix cols" n;
     Array.iter (fun m -> add_i32 b "mu entry" m) mu;

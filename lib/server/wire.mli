@@ -65,7 +65,8 @@ val encode : version -> frame -> string
     the length prefix in v2).
     @raise Invalid_argument on a [Bin_*] frame in v1, a field that
     does not fit its fixed-width encoding (i32 entries, u8 lengths),
-    an unknown store status, or a [Text] in v1 containing a newline. *)
+    a negative [deadline_ms] (the frame's [-1] means none), an unknown
+    store status, or a [Text] in v1 containing a newline. *)
 
 (** {1 Decoding}
 

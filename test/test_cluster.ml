@@ -463,6 +463,19 @@ let test_router_differential ?(tcp = false) transport () =
   Alcotest.(check string) "deadline past i32"
     (raw_exchange ~binary owner wide)
     (raw_exchange ~binary raddr wide);
+  (* A negative deadline is a bad request, directly and through the
+     router, whose ['A'] frame has no encoding for it. *)
+  let negative =
+    Wire.encode transport
+      (Wire.Text
+         (Json.to_string (Protocol.analyze ~id:(Json.Int 13) ~deadline_ms:(-5) ~mu tmat)))
+  in
+  let direct = raw_exchange ~binary owner negative in
+  Alcotest.(check string) "negative deadline" direct (raw_exchange ~binary raddr negative);
+  Alcotest.(check (option string)) "negative deadline refused" (Some "bad_request")
+    (match Json.parse (if binary then String.sub direct 5 (String.length direct - 5) else direct) with
+    | Ok reply -> Protocol.error_code reply
+    | Error _ -> None);
   (* A request that does not decode gets the reply a daemon sends, id
      included: a session matches replies by id, so a dropped id costs
      it every retry. *)

@@ -34,6 +34,75 @@ let test_pool_exception () =
        false
      with Failure _ -> true)
 
+(* Helpers outlive a map: over many maps, some task on a domain other
+   than the caller's sees a per-domain task count above one map's 16,
+   which a domain spawned per map never reaches. *)
+let test_pool_reuses_helpers () =
+  let pool = Engine.Pool.create ~jobs:2 () in
+  let count = Domain.DLS.new_key (fun () -> 0) in
+  let caller = (Domain.self () :> int) in
+  let task _ =
+    Unix.sleepf 1e-4;
+    let c = Domain.DLS.get count + 1 in
+    Domain.DLS.set count c;
+    ((Domain.self () :> int), c)
+  in
+  let seen =
+    List.concat (List.init 200 (fun _ -> Engine.Pool.map pool task (List.init 16 Fun.id)))
+  in
+  Alcotest.(check bool) "a helper ran tasks of more than one map" true
+    (List.exists (fun (d, c) -> d <> caller && c > 16) seen)
+
+(* A map inside a task finds the helpers taken and runs on its caller. *)
+let test_pool_nested () =
+  let xs = List.init 20 Fun.id in
+  let inline () = Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "pool.inline" in
+  List.iter
+    (fun jobs ->
+      let pool = Engine.Pool.create ~jobs () in
+      let before = inline () in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "nested map, jobs=%d" jobs)
+        (List.map (fun x -> [ x + 1; x + 1; x + 1 ]) xs)
+        (Engine.Pool.map pool (fun x -> Engine.Pool.map pool succ [ x; x; x ]) xs);
+      Alcotest.(check int)
+        (Printf.sprintf "inner maps ran inline, jobs=%d" jobs)
+        (if jobs = 1 then 0 else List.length xs)
+        (inline () - before))
+    [ 1; 2; 4 ]
+
+let test_pool_two_threads () =
+  let pool = Engine.Pool.create ~jobs:2 () in
+  let f x = (x * x) + 1 in
+  let xs = List.init 16 Fun.id in
+  let ok = Atomic.make true in
+  let run () =
+    try
+      for _ = 1 to 200 do
+        if Engine.Pool.map pool f xs <> List.map f xs then Atomic.set ok false
+      done
+    with _ -> Atomic.set ok false
+  in
+  List.iter Thread.join (List.init 2 (fun _ -> Thread.create run ()));
+  Alcotest.(check bool) "every result equals List.map" true (Atomic.get ok)
+
+let test_pool_lowest_failure () =
+  let xs = List.init 64 Fun.id in
+  let f x = if x = 17 || x = 40 then failwith (string_of_int x) else x in
+  List.iter
+    (fun jobs ->
+      let pool = Engine.Pool.create ~jobs () in
+      for _ = 1 to 50 do
+        match Engine.Pool.map pool f xs with
+        | _ -> Alcotest.fail "expected Failure"
+        | exception Failure m ->
+          Alcotest.(check string) (Printf.sprintf "lowest failing index, jobs=%d" jobs) "17" m
+      done;
+      Alcotest.(check (list int))
+        (Printf.sprintf "next map after failures, jobs=%d" jobs)
+        xs (Engine.Pool.map pool Fun.id xs))
+    [ 1; 2; 4 ]
+
 (* ------------------------- search = reference ---------------------- *)
 
 let test_search_schedules_agree () =
@@ -273,6 +342,10 @@ let suite =
     Alcotest.test_case "pool preserves order" `Quick test_pool_order;
     Alcotest.test_case "pool edge cases" `Quick test_pool_edge_cases;
     Alcotest.test_case "pool exception" `Quick test_pool_exception;
+    Alcotest.test_case "pool reuses helpers" `Quick test_pool_reuses_helpers;
+    Alcotest.test_case "pool nested map" `Quick test_pool_nested;
+    Alcotest.test_case "pool two threads" `Quick test_pool_two_threads;
+    Alcotest.test_case "pool lowest failure" `Quick test_pool_lowest_failure;
     Alcotest.test_case "parallel schedules = sequential" `Quick test_search_schedules_agree;
     Alcotest.test_case "parallel best-by-buffers = sequential" `Quick
       test_search_best_by_buffers_agree;

@@ -637,6 +637,11 @@ let test_wire_roundtrip () =
     Alcotest.(check (array int)) "analyze mu" mu mu';
     Alcotest.(check bool) "analyze matrix" true (Intmat.equal tmat tmat')
   | _ -> Alcotest.fail "expected a binary analyze frame");
+  (* [-1] is the frame's "none"; a negative deadline has no encoding. *)
+  Alcotest.(check bool) "negative deadline refused" true
+    (match Wire.encode Wire.V2 (Wire.Bin_analyze { id = 1; deadline_ms = Some (-5); mu; tmat }) with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
   (* Binary verdict, witness branch included. *)
   let w =
     {
@@ -1106,13 +1111,14 @@ let test_deadline_exceeded_no_dispatch () =
     (Some "deadline_exceeded") (Protocol.error_code reply);
   Alcotest.(check int) "no Analysis.check dispatched" before
     (Obs.Metrics.value queries);
-  (* A negative stamp (an even staler forward) is equally dead. *)
+  (* A negative deadline has no meaning on either transport: it is
+     refused as a bad request, also before any dispatch. *)
   let reply =
     Client.request conn
       (Protocol.analyze ~id:(Json.Int 2) ~deadline_ms:(-5) ~mu:inst.Check.Instance.mu
          inst.Check.Instance.tmat)
   in
-  Alcotest.(check (option string)) "negative budget too" (Some "deadline_exceeded")
+  Alcotest.(check (option string)) "negative budget refused" (Some "bad_request")
     (Protocol.error_code reply);
   Alcotest.(check int) "still no dispatch" before (Obs.Metrics.value queries);
   (* The same request with headroom goes through and computes. *)
