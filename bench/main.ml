@@ -879,22 +879,20 @@ let chaos_bench ?(quick = false) () =
   Printf.printf "\n== chaos: daemon under seeded fault plan, retrying client ==\n";
   let requests = if quick then 200 else 1000 in
   let r =
-    Server.Chaos.run
-      { Server.Chaos.default_config with requests; rate = 0.08; seed = 42 }
+    Cluster.Chaos.run { Cluster.Chaos.default_config with requests; rate = 0.08; seed = 42 }
   in
-  Printf.printf
-    "%5d req  %d faults  %d worker deaths  %d retried\n\
-     overall  p50 %6.2f ms  p95 %6.2f ms  p99 %6.2f ms\n\
-     recovery p50 %6.2f ms  p95 %6.2f ms  max %6.2f ms\n\
-     %s (fingerprint %s)\n"
-    requests r.Server.Chaos.faults r.Server.Chaos.worker_deaths
-    r.Server.Chaos.retried r.Server.Chaos.p50_ms r.Server.Chaos.p95_ms
-    r.Server.Chaos.p99_ms r.Server.Chaos.recovery_p50_ms
-    r.Server.Chaos.recovery_p95_ms r.Server.Chaos.recovery_max_ms
-    (if r.Server.Chaos.converged then "converged" else "DIVERGED")
-    r.Server.Chaos.fingerprint;
-  assert r.Server.Chaos.converged;
-  Server.Chaos.json_of_report r
+  Cluster.Chaos.(
+    Printf.printf
+      "%5d req  %d faults  %d worker deaths  %d retried\n\
+       overall  p50 %6.2f ms  p95 %6.2f ms  p99 %6.2f ms\n\
+       recovery p50 %6.2f ms  p95 %6.2f ms  max %6.2f ms\n\
+       %s (fingerprint %s)\n"
+      requests r.faults r.worker_deaths r.retried r.p50_ms r.p95_ms r.p99_ms
+      r.recovery_p50_ms r.recovery_p95_ms r.recovery_max_ms
+      (if r.converged then "converged" else "DIVERGED")
+      r.fingerprint);
+  assert r.converged;
+  Cluster.Chaos.json_of_report r
 
 (* Exec bench: the compiled multicore kernel over the scenario x dtype
    matrix.  Verification stays on (it is part of the contract — the
@@ -1100,7 +1098,7 @@ let cluster_bench ?(quick = false) () =
     ]
 
 (* SLO benches: the gray-failure acceptance gate of docs/RESILIENCE.md,
-   measured.  A three-pass {!Cluster.Chaos_cluster} SLO audit over a
+   measured.  A three-pass {!Cluster.Chaos} SLO audit over a
    two-shard fleet — fault-free baseline, ambient latency faults with
    hedging, the same faults without — whose report carries the p99 of
    each pass and the audited bound (3x the baseline p99 with a 25 ms
@@ -1114,50 +1112,46 @@ let slo_bench ?(quick = false) () =
   let requests = if quick then 300 else 600 in
   let cfg =
     {
-      Cluster.Chaos_cluster.default_config with
+      Cluster.Chaos.default_config with
       seed = 11;
       requests;
-      shards = 2;
       classes = [ "latency" ];
       rate = 0.03;
-      slo = true;
+      delay_ms = 50;
+      topology = Fleet { Cluster.Chaos.default_fleet with shards = 2; slo = true };
     }
   in
-  let r = Cluster.Chaos_cluster.run cfg in
+  let r = Cluster.Chaos.run cfg in
   let slo =
-    match r.Cluster.Chaos_cluster.slo with
+    match r.slo with
     | Some s -> s
     | None -> failwith "slo bench: chaos report without slo section"
   in
   Printf.printf
     "%d req  baseline p99 %6.2f ms   hedged p50 %6.2f ms  p99 %6.2f ms   \
      unhedged p99 %7.2f ms\n"
-    requests slo.Cluster.Chaos_cluster.baseline_p99_ms r.Cluster.Chaos_cluster.p50_ms
-    slo.Cluster.Chaos_cluster.hedged_p99_ms slo.Cluster.Chaos_cluster.unhedged_p99_ms;
+    requests slo.baseline_p99_ms r.p50_ms slo.hedged_p99_ms slo.unhedged_p99_ms;
   Printf.printf
     "bound %6.2f ms (3x baseline, 25 ms floor)   hedges %d (%d won)   delays %d\n"
-    slo.Cluster.Chaos_cluster.bound_ms r.Cluster.Chaos_cluster.hedges
-    r.Cluster.Chaos_cluster.hedge_wins r.Cluster.Chaos_cluster.delays;
-  if not r.Cluster.Chaos_cluster.converged then begin
+    slo.bound_ms r.hedges r.hedge_wins r.delays;
+  if not r.converged then begin
     Printf.eprintf
       "FAIL: slo audit did not converge (hedged within bound: %b, unhedged \
        degraded: %b, disagreements %d, lost %d)\n"
-      slo.Cluster.Chaos_cluster.hedged_within_bound
-      slo.Cluster.Chaos_cluster.unhedged_degraded
-      r.Cluster.Chaos_cluster.disagreements r.Cluster.Chaos_cluster.lost_writes;
+      slo.hedged_within_bound slo.unhedged_degraded r.disagreements r.lost_writes;
     exit 1
   end;
   Json.Obj
     [
       ("requests", Json.Int requests);
-      ("baseline_p99_ms", Json.Float slo.Cluster.Chaos_cluster.baseline_p99_ms);
-      ("hedged_p50_ms", Json.Float r.Cluster.Chaos_cluster.p50_ms);
-      ("hedged_p99_ms", Json.Float slo.Cluster.Chaos_cluster.hedged_p99_ms);
-      ("unhedged_p99_ms", Json.Float slo.Cluster.Chaos_cluster.unhedged_p99_ms);
-      ("bound_ms", Json.Float slo.Cluster.Chaos_cluster.bound_ms);
-      ("hedges", Json.Int r.Cluster.Chaos_cluster.hedges);
-      ("hedge_wins", Json.Int r.Cluster.Chaos_cluster.hedge_wins);
-      ("delays", Json.Int r.Cluster.Chaos_cluster.delays);
+      ("baseline_p99_ms", Json.Float slo.baseline_p99_ms);
+      ("hedged_p50_ms", Json.Float r.p50_ms);
+      ("hedged_p99_ms", Json.Float slo.hedged_p99_ms);
+      ("unhedged_p99_ms", Json.Float slo.unhedged_p99_ms);
+      ("bound_ms", Json.Float slo.bound_ms);
+      ("hedges", Json.Int r.hedges);
+      ("hedge_wins", Json.Int r.hedge_wins);
+      ("delays", Json.Int r.delays);
     ]
 
 (* Family benches: a structurally-repetitive mu-sweep — few distinct

@@ -1782,19 +1782,14 @@ let chaos_cmd =
       value & opt float 0.1
       & info [ "rate" ] ~docv:"P" ~doc:"Per-consult fault probability in [0,1].")
   in
-  let concurrency_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "concurrency" ] ~docv:"N"
-          ~doc:
-            "Driver threads.  The default 1 keeps the fault log byte-identical across \
-             runs with the same seed; higher values trade that for contention.")
-  in
   let jobs_arg =
     Arg.(
       value
       & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Daemon pool domains (default: runtime choice).")
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Pool domains of the single daemon (default: runtime choice); fleet \
+             daemons run one each.")
   in
   let expect_converged_arg =
     Arg.(
@@ -1834,7 +1829,7 @@ let chaos_cmd =
     Arg.(
       value & opt int 4
       & info [ "fsync-every" ] ~docv:"N"
-          ~doc:"Shard daemons' store sync interval under $(b,--cluster).")
+          ~doc:"Store sync interval of every daemon the run boots.")
   in
   let slo_arg =
     Arg.(
@@ -1876,125 +1871,81 @@ let chaos_cmd =
               output_char oc '\n')
             lines)
   in
-  let run_cluster ~shards ~seed ~requests ~distinct ~size ~classes ~rate ~transport
-      ~hard_kill ~fsync_every ~slo ~no_hedge ~delay_ms ~expect_converged ~out
-      ~fault_log fmt obs =
-    let classes =
-      if classes = [ "io"; "worker"; "conn" ] then
-        if slo then [ "latency" ] else [ "cluster" ]
-      else classes
-    in
-    let r =
-      Cluster.Chaos_cluster.run
-        { Cluster.Chaos_cluster.seed; requests; distinct; size; shards; classes;
-          rate; transport; hedge = not no_hedge; hard_kill; fsync_every; slo;
-          delay_ms = Option.value delay_ms ~default:50 }
-    in
-    let doc =
-      Json.versioned ~command:"chaos"
-        (obs_fields obs
-           (match Cluster.Chaos_cluster.json_of_report r with
-           | Json.Obj fields -> fields
-           | other -> [ ("report", other) ]))
-    in
-    (match out with None -> () | Some path -> Obs.Export.write_file path doc);
-    write_fault_log fault_log r.Cluster.Chaos_cluster.fault_log;
-    (match fmt with
-    | Json_v2 -> Json.print doc
-    | Plain ->
-      Printf.printf
-        "%d requests over %d shards (%s transport): %d ok, %d errors, %d retried (%d \
-         attempts total)\n\
-         faults injected = %d (fingerprint %s)\n\
-         killed shard %d at request %d (%s), acked = %d, lost writes = %d, \
-         disagreements = %d -> %s\n\
-         p50 = %.2f ms  p95 = %.2f ms  p99 = %.2f ms\n"
-        r.Cluster.Chaos_cluster.requests r.Cluster.Chaos_cluster.shards
-        r.Cluster.Chaos_cluster.transport r.Cluster.Chaos_cluster.ok
-        r.Cluster.Chaos_cluster.errors r.Cluster.Chaos_cluster.retried
-        r.Cluster.Chaos_cluster.attempts r.Cluster.Chaos_cluster.faults
-        r.Cluster.Chaos_cluster.fingerprint r.Cluster.Chaos_cluster.killed_shard
-        r.Cluster.Chaos_cluster.killed_at
-        (if r.Cluster.Chaos_cluster.promoted then "follower promoted"
-         else "no promotion")
-        r.Cluster.Chaos_cluster.acked r.Cluster.Chaos_cluster.lost_writes
-        r.Cluster.Chaos_cluster.disagreements
-        (if r.Cluster.Chaos_cluster.converged then "converged" else "DIVERGED")
-        r.Cluster.Chaos_cluster.p50_ms r.Cluster.Chaos_cluster.p95_ms
-        r.Cluster.Chaos_cluster.p99_ms;
-      Printf.printf "hedges = %d (%d won), delays = %d\n"
-        r.Cluster.Chaos_cluster.hedges r.Cluster.Chaos_cluster.hedge_wins
-        r.Cluster.Chaos_cluster.delays;
-      match r.Cluster.Chaos_cluster.slo with
-      | None -> ()
-      | Some s ->
-        Printf.printf
-          "slo: baseline p99 = %.2f ms, hedged p99 = %.2f ms (bound %.2f ms, %s), \
-           unhedged p99 = %.2f ms (%s)\n"
-          s.Cluster.Chaos_cluster.baseline_p99_ms
-          s.Cluster.Chaos_cluster.hedged_p99_ms s.Cluster.Chaos_cluster.bound_ms
-          (if s.Cluster.Chaos_cluster.hedged_within_bound then "within" else "OVER")
-          s.Cluster.Chaos_cluster.unhedged_p99_ms
-          (if s.Cluster.Chaos_cluster.unhedged_degraded then "degraded as expected"
-           else "NOT degraded"));
-    obs_end obs fmt;
-    if expect_converged && not r.Cluster.Chaos_cluster.converged then exit 1
-  in
-  let run seed requests distinct size classes rate concurrency jobs transport cluster
-      hard_kill fsync_every slo no_hedge delay_ms expect_converged out fault_log fmt
-      obs =
+  let run seed requests distinct size classes rate jobs transport cluster hard_kill
+      fsync_every slo no_hedge delay_ms expect_converged out fault_log fmt obs =
     obs_begin obs;
-    if cluster > 0 then
-      run_cluster ~shards:cluster ~seed ~requests ~distinct ~size ~classes ~rate
-        ~transport ~hard_kill ~fsync_every ~slo ~no_hedge ~delay_ms ~expect_converged
-        ~out ~fault_log fmt obs
-    else begin
+    let fleet = cluster > 0 in
     let r =
-      Server.Chaos.run
+      Cluster.Chaos.run
         {
-          Server.Chaos.seed;
+          Cluster.Chaos.seed;
           requests;
           distinct;
           size;
-          classes;
+          (* A fleet's background traffic would consult the io/conn
+             sites in timing-dependent order: with the default
+             --faults it arms [cluster], or [latency] for the SLO
+             audit (docs/CLUSTER.md). *)
+          classes =
+            (if fleet && classes = [ "io"; "worker"; "conn" ] then
+               if slo then [ "latency" ] else [ "cluster" ]
+             else classes);
           rate;
-          concurrency;
-          jobs;
-          deadline_ms = None;
           transport;
-          delay_ms = Option.value delay_ms ~default:25;
+          delay_ms = Option.value delay_ms ~default:(if fleet then 50 else 25);
+          fsync_every;
+          topology =
+            (if fleet then Fleet { shards = cluster; hedge = not no_hedge; hard_kill; slo }
+             else Daemon { jobs });
         }
     in
     let doc =
       Json.versioned ~command:"chaos"
         (obs_fields obs
-           (match Server.Chaos.json_of_report r with
+           (match Cluster.Chaos.json_of_report r with
            | Json.Obj fields -> fields
            | other -> [ ("report", other) ]))
     in
     (match out with None -> () | Some path -> Obs.Export.write_file path doc);
-    write_fault_log fault_log r.Server.Chaos.fault_log;
+    write_fault_log fault_log r.fault_log;
     (match fmt with
     | Json_v2 -> Json.print doc
     | Plain ->
-      Printf.printf
-        "%d requests (%s transport): %d ok, %d errors, %d retried (%d attempts total)\n\
-         faults injected = %d (fingerprint %s), worker deaths = %d\n\
-         acked = %d, lost writes = %d, disagreements = %d -> %s\n\
-         p50 = %.2f ms  p95 = %.2f ms  p99 = %.2f ms\n\
-         recovery p50 = %.2f ms  p95 = %.2f ms  max = %.2f ms\n"
-        r.Server.Chaos.requests r.Server.Chaos.transport r.Server.Chaos.ok
-        r.Server.Chaos.errors r.Server.Chaos.retried r.Server.Chaos.attempts
-        r.Server.Chaos.faults
-        r.Server.Chaos.fingerprint r.Server.Chaos.worker_deaths r.Server.Chaos.acked
-        r.Server.Chaos.lost_writes r.Server.Chaos.disagreements
-        (if r.Server.Chaos.converged then "converged" else "DIVERGED")
-        r.Server.Chaos.p50_ms r.Server.Chaos.p95_ms r.Server.Chaos.p99_ms
-        r.Server.Chaos.recovery_p50_ms r.Server.Chaos.recovery_p95_ms
-        r.Server.Chaos.recovery_max_ms);
+      Cluster.Chaos.(
+        Printf.printf
+          "%d requests%s (%s transport): %d ok, %d errors, %d retried (%d attempts \
+           total)\n\
+           faults injected = %d (fingerprint %s), worker deaths = %d\n"
+          r.requests
+          (if fleet then Printf.sprintf " over %d shards" r.shards else "")
+          r.transport r.ok r.errors r.retried r.attempts r.faults r.fingerprint
+          r.worker_deaths;
+        if fleet then
+          Printf.printf "killed shard %d at request %d (%s), " r.killed_shard r.killed_at
+            (if r.promoted then "follower promoted" else "no promotion");
+        Printf.printf
+          "acked = %d, lost writes = %d, disagreements = %d -> %s\n\
+           p50 = %.2f ms  p95 = %.2f ms  p99 = %.2f ms\n\
+           recovery p50 = %.2f ms  p95 = %.2f ms  max = %.2f ms\n"
+          r.acked r.lost_writes r.disagreements
+          (if r.converged then "converged" else "DIVERGED")
+          r.p50_ms r.p95_ms r.p99_ms r.recovery_p50_ms r.recovery_p95_ms
+          r.recovery_max_ms;
+        if fleet then
+          Printf.printf "hedges = %d (%d won), delays = %d\n" r.hedges r.hedge_wins
+            r.delays;
+        Option.iter
+          (fun s ->
+            Printf.printf
+              "slo: baseline p99 = %.2f ms, hedged p99 = %.2f ms (bound %.2f ms, %s), \
+               unhedged p99 = %.2f ms (%s)\n"
+              s.baseline_p99_ms s.hedged_p99_ms s.bound_ms
+              (if s.hedged_within_bound then "within" else "OVER")
+              s.unhedged_p99_ms
+              (if s.unhedged_degraded then "degraded as expected" else "NOT degraded"))
+          r.slo));
     obs_end obs fmt;
-    if expect_converged && not r.Server.Chaos.converged then exit 1
-    end
+    if expect_converged && not r.converged then exit 1
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -2004,7 +1955,7 @@ let chaos_cmd =
           through the retrying client, and audit convergence (docs/RESILIENCE.md)")
     Term.(
       const run $ seed_arg $ requests_arg $ distinct_arg $ size_arg $ faults_arg
-      $ rate_arg $ concurrency_arg $ jobs_arg $ client_transport_arg $ cluster_arg
+      $ rate_arg $ jobs_arg $ client_transport_arg $ cluster_arg
       $ kill_arg $ chaos_fsync_arg $ slo_arg $ no_hedge_arg $ delay_ms_arg
       $ expect_converged_arg $ out_arg $ fault_log_arg $ format_arg $ obs_term)
 

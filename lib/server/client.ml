@@ -316,6 +316,12 @@ let percentile sorted p =
   | 0 -> 0.
   | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
+let expected_verdict (inst : Check.Instance.t) =
+  Json.to_string
+    (Protocol.json_of_wire
+       (Protocol.wire_of_verdict
+          (Analysis.check ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat)))
+
 let wire_exactness reply =
   match Json.member "verdict" reply with
   | Some v -> (
@@ -337,17 +343,7 @@ let load_any addrs cfg =
   let instances =
     Array.init cfg.distinct (fun i -> Check.Gen.ith ~seed:cfg.seed ~size:cfg.size i)
   in
-  let expected =
-    if not cfg.verify then [||]
-    else
-      Array.map
-        (fun (inst : Check.Instance.t) ->
-          Json.to_string
-            (Protocol.json_of_wire
-               (Protocol.wire_of_verdict
-                  (Analysis.check ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat))))
-        instances
-  in
+  let expected = if cfg.verify then Array.map expected_verdict instances else [||] in
   let latencies = Array.make cfg.requests nan in
   let next = Atomic.make 0 in
   let ok = Atomic.make 0

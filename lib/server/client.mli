@@ -151,3 +151,14 @@ val load_any : addr list -> load_config -> load_report
     @raise Invalid_argument on an empty address list. *)
 
 val json_of_load_report : load_report -> Json.t
+
+val expected_verdict : Check.Instance.t -> string
+(** The verdict bytes a correct server replies for this instance: a
+    fault-free direct {!Analysis.check} rendered through
+    {!Protocol.wire_of_verdict} and {!Protocol.json_of_wire}.  Every
+    verifying caller (the load generator above, the chaos driver)
+    compares a reply's [verdict] object against it. *)
+
+val percentile : float array -> float -> float
+(** [percentile sorted p]: the nearest-rank [p]-quantile ([p] in
+    [[0, 1]]) of an ascending array; [0.] when it is empty. *)

@@ -14,6 +14,7 @@ module Router = Cluster.Router
 module Shipper = Cluster.Shipper
 module Health = Cluster.Health
 module Wire = Server.Wire
+module Chaos = Cluster.Chaos
 
 let fresh_path =
   let counter = ref 0 in
@@ -693,6 +694,76 @@ let test_router_hedging () =
   rm pj;
   rm fj
 
+(* ------------------------------- chaos ------------------------------ *)
+
+let fleet_chaos ?(hard_kill = false) ?(fsync_every = 4) transport =
+  {
+    Chaos.default_config with
+    requests = 300;
+    classes = [ "cluster" ];
+    transport;
+    fsync_every;
+    topology = Fleet { Chaos.default_fleet with hard_kill };
+  }
+
+let test_chaos_fleet_determinism () =
+  (* The fleet topology under the same seed twice: the kill lands at
+     the same request, so the fault logs match line for line, and the
+     audit finds every acked write in a journal that may hold it. *)
+  let cfg = fleet_chaos Wire.V1 in
+  let r1 = Chaos.run cfg in
+  let r2 = Chaos.run cfg in
+  Alcotest.(check (list string)) "same seed, same fault log" r1.fault_log r2.fault_log;
+  Alcotest.(check string) "same seed, same fingerprint" r1.fingerprint r2.fingerprint;
+  Alcotest.(check bool) "run 1 converged" true r1.converged;
+  Alcotest.(check bool) "run 2 converged" true r2.converged;
+  Alcotest.(check bool) "a kill fired" true (r1.killed_shard >= 0);
+  Alcotest.(check int) "killed at the same request" r1.killed_at r2.killed_at;
+  Alcotest.(check bool) "follower promoted" true r1.promoted;
+  Alcotest.(check int) "no lost acked writes" 0 r1.lost_writes;
+  Alcotest.(check int) "no disagreements" 0 r1.disagreements
+
+let test_chaos_fleet_hard_kill () =
+  (* SIGKILL-grade kill with every ack synced before its reply: the
+     aborted shard drops its queue and buffered replies, yet no acked
+     write may be lost. *)
+  let r = Chaos.run (fleet_chaos ~hard_kill:true ~fsync_every:1 Wire.V2) in
+  Alcotest.(check bool) "a kill fired" true (r.killed_shard >= 0);
+  Alcotest.(check bool) "follower promoted" true r.promoted;
+  Alcotest.(check bool) "converged" true r.converged;
+  Alcotest.(check int) "no lost acked writes" 0 r.lost_writes;
+  Alcotest.(check int) "no disagreements" 0 r.disagreements
+
+let test_chaos_report_keys () =
+  (* One report for both topologies: every key either former driver
+     emitted is present on both, and the fleet-only counters read
+     "none" for one daemon. *)
+  let keys r =
+    match Chaos.json_of_report r with
+    | Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "chaos report is not an object"
+  in
+  let expected =
+    [
+      "seed"; "requests"; "shards"; "classes"; "rate"; "transport"; "ok"; "errors";
+      "retried"; "attempts"; "disagreements"; "acked"; "lost_writes"; "faults";
+      "delays"; "site_counts"; "worker_deaths"; "store_quarantined"; "store_healed";
+      "store_io_errors"; "killed_shard"; "killed_at"; "promoted"; "promotions";
+      "hedges"; "hedge_wins"; "fingerprint"; "converged"; "p50_ms"; "p95_ms";
+      "p99_ms"; "recovery_p50_ms"; "recovery_p95_ms"; "recovery_max_ms"; "wall_s";
+    ]
+  in
+  let one = Chaos.run { Chaos.default_config with requests = 60 } in
+  let fleet = Chaos.run { (fleet_chaos Wire.V1) with requests = 60 } in
+  Alcotest.(check (list string)) "one daemon keys" expected (keys one);
+  Alcotest.(check (list string)) "fleet keys" expected (keys fleet);
+  Alcotest.(check int) "one daemon: no shards" 0 one.shards;
+  Alcotest.(check int) "one daemon: no kill" (-1) one.killed_shard;
+  Alcotest.(check int) "one daemon: no kill index" (-1) one.killed_at;
+  Alcotest.(check int) "one daemon: no hedges" 0 one.hedges;
+  Alcotest.(check int) "fleet: shards" 3 fleet.shards;
+  Alcotest.(check bool) "both converged" true (one.converged && fleet.converged)
+
 let suite =
   [
     Alcotest.test_case "ring placement" `Quick test_ring_placement;
@@ -716,4 +787,7 @@ let suite =
     Alcotest.test_case "router failover" `Quick test_router_failover;
     Alcotest.test_case "health breaker" `Quick test_health_breaker;
     Alcotest.test_case "router hedging" `Quick test_router_hedging;
+    Alcotest.test_case "chaos fleet determinism" `Quick test_chaos_fleet_determinism;
+    Alcotest.test_case "chaos fleet hard kill" `Quick test_chaos_fleet_hard_kill;
+    Alcotest.test_case "chaos report keys" `Quick test_chaos_report_keys;
   ]

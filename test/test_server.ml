@@ -545,19 +545,19 @@ let test_worker_supervision () =
 
 let test_chaos_determinism () =
   let cfg =
-    { Server.Chaos.default_config with seed = 9; requests = 120; rate = 0.15 }
+    { Cluster.Chaos.default_config with seed = 9; requests = 120; rate = 0.15 }
   in
-  let r1 = Server.Chaos.run cfg in
-  let r2 = Server.Chaos.run cfg in
+  let r1 = Cluster.Chaos.run cfg in
+  let r2 = Cluster.Chaos.run cfg in
   Alcotest.(check (list string)) "log lines identical"
-    r1.Server.Chaos.fault_log r2.Server.Chaos.fault_log;
+    r1.Cluster.Chaos.fault_log r2.Cluster.Chaos.fault_log;
   Alcotest.(check string) "same seed, same fault log"
-    r1.Server.Chaos.fingerprint r2.Server.Chaos.fingerprint;
-  Alcotest.(check bool) "run 1 converged" true r1.Server.Chaos.converged;
-  Alcotest.(check bool) "run 2 converged" true r2.Server.Chaos.converged;
-  Alcotest.(check bool) "faults fired" true (r1.Server.Chaos.faults > 0);
-  Alcotest.(check int) "no lost acknowledged writes" 0 r1.Server.Chaos.lost_writes;
-  Alcotest.(check int) "no disagreements" 0 r1.Server.Chaos.disagreements
+    r1.Cluster.Chaos.fingerprint r2.Cluster.Chaos.fingerprint;
+  Alcotest.(check bool) "run 1 converged" true r1.Cluster.Chaos.converged;
+  Alcotest.(check bool) "run 2 converged" true r2.Cluster.Chaos.converged;
+  Alcotest.(check bool) "faults fired" true (r1.Cluster.Chaos.faults > 0);
+  Alcotest.(check int) "no lost acknowledged writes" 0 r1.Cluster.Chaos.lost_writes;
+  Alcotest.(check int) "no disagreements" 0 r1.Cluster.Chaos.disagreements
 
 let test_stale_socket_recovery () =
   (* A SIGKILLed daemon leaves its socket file behind; the next create
@@ -1047,21 +1047,21 @@ let test_chaos_binary_transport () =
      convergence contract, and the fault log is still deterministic in
      the seed (per transport — the hello exchange adds consults). *)
   let cfg =
-    { Server.Chaos.default_config with
+    { Cluster.Chaos.default_config with
       seed = 10;
       requests = 100;
       rate = 0.12;
       transport = Wire.V2 }
   in
-  let r1 = Server.Chaos.run cfg in
-  let r2 = Server.Chaos.run cfg in
-  Alcotest.(check string) "binary session negotiated" "binary" r1.Server.Chaos.transport;
+  let r1 = Cluster.Chaos.run cfg in
+  let r2 = Cluster.Chaos.run cfg in
+  Alcotest.(check string) "binary session negotiated" "binary" r1.Cluster.Chaos.transport;
   Alcotest.(check (list string)) "same seed, same fault log"
-    r1.Server.Chaos.fault_log r2.Server.Chaos.fault_log;
-  Alcotest.(check bool) "run 1 converged" true r1.Server.Chaos.converged;
-  Alcotest.(check bool) "run 2 converged" true r2.Server.Chaos.converged;
-  Alcotest.(check int) "no lost acked writes" 0 r1.Server.Chaos.lost_writes;
-  Alcotest.(check bool) "faults fired" true (r1.Server.Chaos.faults > 0)
+    r1.Cluster.Chaos.fault_log r2.Cluster.Chaos.fault_log;
+  Alcotest.(check bool) "run 1 converged" true r1.Cluster.Chaos.converged;
+  Alcotest.(check bool) "run 2 converged" true r2.Cluster.Chaos.converged;
+  Alcotest.(check int) "no lost acked writes" 0 r1.Cluster.Chaos.lost_writes;
+  Alcotest.(check bool) "faults fired" true (r1.Cluster.Chaos.faults > 0)
 
 let test_poll_readiness () =
   let r, w = Unix.pipe () in
@@ -1227,27 +1227,27 @@ let test_gray_chaos_determinism () =
      keeps the same-seed fault log byte-identical even though stall
      timing is not schedule-deterministic. *)
   let cfg =
-    { Server.Chaos.default_config with
+    { Cluster.Chaos.default_config with
       seed = 23;
       requests = 100;
       rate = 0.1;
       classes = [ "latency"; "io" ];
       delay_ms = 5 }
   in
-  let r1 = Server.Chaos.run cfg in
-  let r2 = Server.Chaos.run cfg in
-  Alcotest.(check string) "same seed, same fingerprint" r1.Server.Chaos.fingerprint
-    r2.Server.Chaos.fingerprint;
-  Alcotest.(check (list string)) "same seed, same fault log" r1.Server.Chaos.fault_log
-    r2.Server.Chaos.fault_log;
-  Alcotest.(check bool) "stalls were applied" true (r1.Server.Chaos.delays > 0);
-  Alcotest.(check bool) "run 1 converged" true r1.Server.Chaos.converged;
-  Alcotest.(check bool) "run 2 converged" true r2.Server.Chaos.converged;
+  let r1 = Cluster.Chaos.run cfg in
+  let r2 = Cluster.Chaos.run cfg in
+  Alcotest.(check string) "same seed, same fingerprint" r1.Cluster.Chaos.fingerprint
+    r2.Cluster.Chaos.fingerprint;
+  Alcotest.(check (list string)) "same seed, same fault log" r1.Cluster.Chaos.fault_log
+    r2.Cluster.Chaos.fault_log;
+  Alcotest.(check bool) "stalls were applied" true (r1.Cluster.Chaos.delays > 0);
+  Alcotest.(check bool) "run 1 converged" true r1.Cluster.Chaos.converged;
+  Alcotest.(check bool) "run 2 converged" true r2.Cluster.Chaos.converged;
   (* The arm-time record of each enabled latency site is in the log. *)
   Alcotest.(check bool) "latency sites recorded at arm" true
     (List.exists
        (fun l -> String.length l >= 9 && String.sub l 0 9 = "conn.slow")
-       r1.Server.Chaos.fault_log)
+       r1.Cluster.Chaos.fault_log)
 
 
 let suite =
