@@ -494,20 +494,21 @@ let e16 () =
     | Some routing -> Linkcheck.predict alg tm routing = []
     | None -> false
   in
+  let pool = Engine.Pool.create ~jobs:1 () in
   let show name alg =
     List.iter
       (fun (model, accept) ->
         Printf.printf "\n%s — %s:\n" name model;
-        let front = Enumerate.pareto_front ~accept alg ~k:2 in
+        let front = Search.pareto_front ~pool ~accept alg ~k:2 in
         let tbl = Table.create [ "total time"; "processors"; "Pi"; "S" ] in
         List.iter
-          (fun p ->
+          (fun (p : Search.pareto_point) ->
             Table.add_row tbl
               [
-                string_of_int p.Enumerate.total_time;
-                string_of_int p.Enumerate.processors;
-                Intvec.to_string p.Enumerate.pi;
-                Intmat.to_string p.Enumerate.s;
+                string_of_int p.total_time;
+                string_of_int p.processors;
+                Intvec.to_string p.pi;
+                Intmat.to_string p.s;
               ])
           front;
         Table.print tbl)
@@ -519,7 +520,7 @@ let e16 () =
   show "matmul mu=4" (Matmul.algorithm ~mu:4);
   show "transitive closure mu=4" (Transitive_closure.algorithm ~mu:4);
   let alg4 = Matmul.algorithm ~mu:4 in
-  let all = Enumerate.all_optimal_schedules alg4 ~s:Matmul.paper_s in
+  let all = Search.all_optimal_schedules ~pool alg4 ~s:Matmul.paper_s in
   Printf.printf
     "\nAll time-optimal schedules for matmul mu=4 with the paper's S (Problem 2.1):\n";
   let tbl = Table.create [ "Pi"; "buffers per stream"; "total buffers" ] in
@@ -536,7 +537,7 @@ let e16 () =
       | None -> ())
     all;
   Table.print tbl;
-  (match Enumerate.best_by_buffers alg4 ~s:Matmul.paper_s with
+  (match Search.buffer_minimal ~pool alg4 ~s:Matmul.paper_s all with
   | Some (pi, r) ->
     Printf.printf
       "Buffer-minimal time-optimal schedule (paper's future-work criterion): Pi = %s, %d registers\n"
@@ -656,7 +657,7 @@ let micro_bench () =
    the JSON "engine" section of the bench report (docs/SCHEMA.md). *)
 
 let engine_bench () =
-  Printf.printf "\n== engine: cached parallel search vs the sequential reference ==\n";
+  Printf.printf "\n== engine: cached search, cold vs warm cache, 1 vs N domains ==\n";
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -670,8 +671,6 @@ let engine_bench () =
 
   (* Pareto scan, matmul mu=6: the space-family scan dominates. *)
   let alg = Matmul.algorithm ~mu:6 in
-  let seq, t_seq = time (fun () -> Enumerate.pareto_front alg ~k:2) in
-  add "pareto matmul mu=6" "sequential (Enumerate)" t_seq;
   Engine.Cache.clear ();
   let cold1, t_cold1 = time (fun () -> Search.pareto_front ~pool:pool1 alg ~k:2) in
   add "pareto matmul mu=6" "engine, 1 domain, cold cache" t_cold1;
@@ -686,15 +685,11 @@ let engine_bench () =
   add "pareto matmul mu=6"
     (Printf.sprintf "engine, %d domains, warm cache" jobs_wide)
     t_warmn;
-  let key p = (p.Enumerate.total_time, p.Enumerate.processors) in
-  assert (List.map key seq = List.map key cold1);
   assert (cold1 = warm1 && cold1 = coldn && coldn = warmn);
 
   (* Schedule enumeration, transitive closure mu=8. *)
   let tc = Transitive_closure.algorithm ~mu:8 in
   let s = Transitive_closure.paper_s in
-  let seq_s, t_seq_s = time (fun () -> Enumerate.all_optimal_schedules tc ~s) in
-  add "schedules tc mu=8" "sequential (Enumerate)" t_seq_s;
   Engine.Cache.clear ();
   let cold_s, t_cold_s = time (fun () -> Search.all_optimal_schedules ~pool:pool_wide tc ~s) in
   add "schedules tc mu=8"
@@ -704,7 +699,6 @@ let engine_bench () =
   add "schedules tc mu=8"
     (Printf.sprintf "engine, %d domains, warm cache" jobs_wide)
     t_warm_s;
-  assert (List.map Intvec.to_ints seq_s = List.map Intvec.to_ints cold_s);
   assert (cold_s = warm_s);
 
   Table.print tbl;
@@ -736,7 +730,6 @@ let engine_bench () =
       ( "pareto",
         Json.Obj
           [
-            ("sequential_ms", Json.Float t_seq);
             ("cold_1_ms", Json.Float t_cold1);
             ("warm_1_ms", Json.Float t_warm1);
             ("cold_n_ms", Json.Float t_coldn);
@@ -745,7 +738,6 @@ let engine_bench () =
       ( "schedules",
         Json.Obj
           [
-            ("sequential_ms", Json.Float t_seq_s);
             ("cold_n_ms", Json.Float t_cold_s);
             ("warm_n_ms", Json.Float t_warm_s);
           ] );
@@ -761,7 +753,6 @@ let engine_bench () =
                 Json.Float (float_of_int stats.Engine.Cache.hits /. float_of_int queries)
             );
           ] );
-      ("warm_beats_sequential", Json.Bool (t_warmn < t_seq));
     ]
 
 (* Serve benches: an in-process daemon on a Unix socket driven by the

@@ -432,13 +432,6 @@ let resolve_s s_opt default_s =
 
 (* ----------------------------- optimize ---------------------------- *)
 
-let json_of_routing (rt : Tmap.routing) =
-  Json.Obj
-    [
-      ("hops", json_of_int_array rt.Tmap.hops);
-      ("buffers", json_of_int_array rt.Tmap.buffers);
-    ]
-
 let optimize_cmd =
   let method_arg =
     Arg.(
@@ -479,7 +472,7 @@ let optimize_cmd =
                 ("pi", json_of_vec r.Procedure51.pi);
                 ("total_time", Json.Int r.Procedure51.total_time);
                 ("candidates_tried", Json.Int r.Procedure51.candidates_tried);
-                ("routing", Json.option json_of_routing r.Procedure51.routing);
+                ("routing", Json.option Server.Handlers.json_of_routing r.Procedure51.routing);
               ])
         | Plain ->
           Printf.printf "Pi = %s\ntotal time = %d\ncandidates tried = %d\n"
@@ -892,21 +885,22 @@ let collision_accept alg collision_free pi s =
   | Some routing -> Linkcheck.predict alg tm routing = []
   | None -> false
 
-let json_of_pareto_point (p : Enumerate.pareto_point) =
-  Json.Obj
-    [
-      ("total_time", Json.Int p.Enumerate.total_time);
-      ("processors", Json.Int p.Enumerate.processors);
-      ("pi", json_of_vec p.Enumerate.pi);
-      ("s", json_of_mat p.Enumerate.s);
-    ]
+let print_pareto_front front =
+  if front = [] then print_endline "no achievable points found"
+  else
+    List.iter
+      (fun (p : Search.pareto_point) ->
+        Printf.printf "t = %-4d PEs = %-4d Pi = %-12s S = %s\n" p.total_time p.processors
+          (Intvec.to_string p.pi) (Intmat.to_string p.s))
+      front
 
 let pareto_cmd =
   let run name mu dim collision_free fmt obs =
     obs_begin obs;
     let alg, _ = builtin_algorithm name mu in
     let front =
-      Enumerate.pareto_front ~accept:(collision_accept alg collision_free) alg ~k:(dim + 1)
+      Search.pareto_front ~pool:(Engine.Pool.create ~jobs:1 ())
+        ~accept:(collision_accept alg collision_free) alg ~k:(dim + 1)
     in
     (match fmt with
     | Json_v2 ->
@@ -918,18 +912,9 @@ let pareto_cmd =
                 ("mu", Json.Int mu);
                 ("array_dim", Json.Int dim);
                 ("collision_free", Json.Bool collision_free);
-                ("points", Json.Arr (List.map json_of_pareto_point front));
+                ("points", Json.Arr (List.map Server.Handlers.json_of_pareto_point front));
               ]))
-    | Plain ->
-      if front = [] then print_endline "no achievable points found"
-      else
-        List.iter
-          (fun p ->
-            Printf.printf "t = %-4d PEs = %-4d Pi = %-12s S = %s\n" p.Enumerate.total_time
-              p.Enumerate.processors
-              (Intvec.to_string p.Enumerate.pi)
-              (Intmat.to_string p.Enumerate.s))
-          front);
+    | Plain -> print_pareto_front front);
     obs_end obs fmt
   in
   Cmd.v
@@ -1016,38 +1001,20 @@ let search_cmd =
           ("mode", Json.Str "pareto");
           ("array_dim", Json.Int dim);
           ("collision_free", Json.Bool collision_free);
-          ("points", Json.Arr (List.map json_of_pareto_point front));
+          ("points", Json.Arr (List.map Server.Handlers.json_of_pareto_point front));
         ]
-        (fun () ->
-          if front = [] then print_endline "no achievable points found"
-          else
-            List.iter
-              (fun p ->
-                Printf.printf "t = %-4d PEs = %-4d Pi = %-12s S = %s\n" p.Enumerate.total_time
-                  p.Enumerate.processors
-                  (Intvec.to_string p.Enumerate.pi)
-                  (Intmat.to_string p.Enumerate.s))
-              front)
+        (fun () -> print_pareto_front front)
     end
     else begin
       let s = resolve_s s_opt default_s in
       let schedules = Search.all_optimal_schedules ~pool ~budget alg ~s in
-      let best = Search.best_by_buffers ~pool ~budget alg ~s in
+      let best = Search.buffer_minimal ~pool alg ~s schedules in
       finish
         [
           ("mode", Json.Str "schedules");
           ("s", json_of_mat s);
           ("schedules", Json.Arr (List.map json_of_vec schedules));
-          ( "best_by_buffers",
-            Json.option
-              (fun (pi, rt) ->
-                Json.Obj
-                  [
-                    ("pi", json_of_vec pi);
-                    ("registers", Json.Int (Array.fold_left ( + ) 0 rt.Tmap.buffers));
-                    ("routing", json_of_routing rt);
-                  ])
-              best );
+          ("best_by_buffers", Json.option Server.Handlers.json_of_buffer_minimal best);
         ]
         (fun () ->
           (match schedules with

@@ -1,3 +1,10 @@
+type pareto_point = {
+  total_time : int;
+  processors : int;
+  pi : Intvec.t;
+  s : Intmat.t;
+}
+
 let get_pool = function
   | Some p -> p
   | None -> Engine.Pool.create ()
@@ -9,134 +16,108 @@ let valid_screen ?budget ~mu t =
   let v = Analysis.check ?budget ~mu t in
   v.Analysis.full_rank && v.Analysis.conflict_free
 
+(* One cost level of Procedure 5.1 under its own span: [f] applied on
+   the pool to every candidate of that cost, paired with its candidate
+   in enumeration order.  [f] checks [Pi D > 0] itself, so that check
+   runs on the pool too. *)
+let level ~pool ~mu f cost =
+  Obs.Trace.with_span ~args:[ ("cost", string_of_int cost) ] "search.level" @@ fun () ->
+  let cands = Procedure51.candidates_at_cost ~mu cost in
+  List.combine cands (Engine.Pool.map pool f cands)
+
 let all_optimal_schedules ?pool ?budget ?max_objective (alg : Algorithm.t) ~s =
   let pool = get_pool pool in
   let mu = Index_set.bounds alg.Algorithm.index_set in
   let d = alg.Algorithm.dependences in
-  let max_objective =
-    match max_objective with
-    | Some m -> m
-    | None -> Procedure51.default_max_objective mu
-  in
   Obs.Trace.with_span "search.schedule-scan" @@ fun () ->
   let screen pi =
     Schedule.respects pi d && valid_screen ?budget ~mu (Intmat.append_row s pi)
   in
-  (* Cost levels smallest-first with a barrier per level, exactly like
-     Procedure 5.1; within a level every candidate is screened
-     independently and winners keep enumeration order. *)
-  let rec by_cost cost =
-    if cost > max_objective then []
-    else begin
-      let winners =
-        Obs.Trace.with_span ~args:[ ("cost", string_of_int cost) ] "search.level"
-        @@ fun () ->
-        let cands = Procedure51.candidates_at_cost ~mu cost in
-        let flags = Engine.Pool.map pool screen cands in
-        List.filter_map
-          (fun (pi, ok) -> if ok then Some pi else None)
-          (List.combine cands flags)
-      in
-      match winners with
-      | [] -> by_cost (cost + 1)
-      | winners -> winners
-    end
-  in
-  by_cost 1
+  Procedure51.first_level ?max_objective ~mu (fun cost ->
+      level ~pool ~mu screen cost
+      |> List.filter_map (fun (pi, ok) -> if ok then Some pi else None)
+      |> function [] -> None | winners -> Some winners)
+  |> Option.value ~default:[]
 
-let best_by_buffers ?pool ?budget ?max_objective (alg : Algorithm.t) ~s =
+let buffer_minimal ?pool (alg : Algorithm.t) ~s schedules =
   let pool = get_pool pool in
   let d = alg.Algorithm.dependences in
-  let schedules = all_optimal_schedules ~pool ?budget ?max_objective alg ~s in
+  let total = Array.fold_left ( + ) 0 in
   let scored =
     Engine.Pool.map pool
       (fun pi ->
-        match Tmap.find_routing (Tmap.make ~s ~pi) ~d with
-        | Some routing ->
-          let buffers = Array.fold_left ( + ) 0 routing.Tmap.buffers in
-          let hops = Array.fold_left ( + ) 0 routing.Tmap.hops in
-          Some ((buffers, hops), pi, routing)
-        | None -> None)
+        Tmap.find_routing (Tmap.make ~s ~pi) ~d
+        |> Option.map (fun rt -> ((total rt.Tmap.buffers, total rt.Tmap.hops), pi, rt)))
       schedules
     |> List.filter_map Fun.id
   in
-  match List.sort (fun (a, _, _) (b, _, _) -> compare a b) scored with
+  match List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) scored with
   | [] -> None
   | (_, pi, routing) :: _ -> Some (pi, routing)
+
+let best_by_buffers ?pool ?budget ?max_objective alg ~s =
+  let pool = get_pool pool in
+  buffer_minimal ~pool alg ~s (all_optimal_schedules ~pool ?budget ?max_objective alg ~s)
 
 let pareto_front ?pool ?budget ?entry_bound ?(time_slack = 8)
     ?(accept = fun _ _ -> true) (alg : Algorithm.t) ~k =
   let pool = get_pool pool in
   let mu = Index_set.bounds alg.Algorithm.index_set in
   let d = alg.Algorithm.dependences in
-  let max_objective = Procedure51.default_max_objective mu in
   let valid t = valid_screen ?budget ~mu t in
   Obs.Trace.with_span "search.space-scan" @@ fun () ->
   (* One pool task per schedule candidate: the whole space-family scan
      for that Pi, with the cached oracle plugged into Space_opt. *)
-  let eval pi =
-    match Space_opt.optimize ?entry_bound ~objective:Space_opt.Processors ~valid alg ~pi ~k with
-    | Some r -> Some (pi, r)
-    | None -> None
+  let level =
+    level ~pool ~mu (fun pi ->
+        if Schedule.respects pi d then
+          Space_opt.optimize ?entry_bound ~objective:Space_opt.Processors ~valid alg ~pi ~k
+        else None)
   in
-  let level cost =
-    Obs.Trace.with_span ~args:[ ("cost", string_of_int cost) ] "search.level"
-    @@ fun () ->
-    let cands =
-      List.filter (fun pi -> Schedule.respects pi d) (Procedure51.candidates_at_cost ~mu cost)
-    in
-    Engine.Pool.map pool eval cands
+  (* The joint optimum's level: the first cost where any candidate
+     admits a conflict-free space mapping at all.  [accept] is applied
+     afterwards, so a rejecting accept shifts the front without moving
+     its origin. *)
+  let base =
+    Procedure51.first_level ~mu (fun cost ->
+        let res = level cost in
+        if List.exists (fun (_, r) -> Option.is_some r) res then Some (cost, res) else None)
   in
-  (* The joint optimum's level: first cost where any candidate admits a
-     conflict-free space mapping at all (accept is applied afterwards,
-     like the sequential version, so a rejecting accept shifts the
-     front without moving its origin). *)
-  let rec find_base cost =
-    if cost > max_objective then None
-    else begin
-      let res = level cost in
-      if List.exists Option.is_some res then Some (cost, res) else find_base (cost + 1)
-    end
-  in
-  match find_base 1 with
+  match base with
   | None -> []
   | Some (base, res0) ->
     let levels =
       (base, res0) :: List.init time_slack (fun i -> (base + 1 + i, level (base + 1 + i)))
     in
-    let candidates =
+    let points =
       List.concat_map
         (fun (cost, res) ->
           List.filter_map
             (function
-              | Some (pi, r) when accept pi r.Space_opt.s ->
+              | pi, Some r when accept pi r.Space_opt.s ->
                 Some
                   {
-                    Enumerate.total_time = cost + 1;
+                    total_time = cost + 1;
                     processors = r.Space_opt.processors;
                     pi;
                     s = r.Space_opt.s;
                   }
-              | Some _ | None -> None)
+              | _, (Some _ | None) -> None)
             res)
         levels
     in
-    (* The sequential version accumulates candidates with [::], so the
-       stable sort resolves (time, processors) ties in favor of the
-       last-enumerated candidate; reverse here to keep representative
-       parity with [Enumerate.pareto_front]. *)
+    (* Keep non-dominated points: smaller time and smaller array.
+       Sorting the reversed list stably makes the last-enumerated
+       candidate represent each (time, processors) pair. *)
     let sorted =
-      List.sort
-        (fun a b ->
-          compare
-            (a.Enumerate.total_time, a.Enumerate.processors)
-            (b.Enumerate.total_time, b.Enumerate.processors))
-        (List.rev candidates)
+      List.stable_sort
+        (fun a b -> compare (a.total_time, a.processors) (b.total_time, b.processors))
+        (List.rev points)
     in
     let rec sweep best_procs = function
       | [] -> []
       | p :: rest ->
-        if p.Enumerate.processors < best_procs then p :: sweep p.Enumerate.processors rest
+        if p.processors < best_procs then p :: sweep p.processors rest
         else sweep best_procs rest
     in
     sweep max_int sorted

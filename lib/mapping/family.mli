@@ -135,7 +135,8 @@ val decide : mu:int array -> Intmat.t -> bool
     {!build}, {!eval}, and {!Conflict.is_conflict_free} when the
     instance is {!Residual}.  Always agrees with
     {!Conflict.is_conflict_free}; this is the default screen of
-    [Procedure51], [Space_opt] and [Enumerate].
+    [Procedure51] and [Space_opt] ([Search] screens through the
+    memoized [Analysis.check] instead).
     @raise Invalid_argument when [mu] and [T] disagree on arity. *)
 
 (** {1 Codec}

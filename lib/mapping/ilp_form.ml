@@ -49,24 +49,14 @@ let optimize_5d_to_2d ?max_objective (alg : Algorithm.t) ~s =
     invalid_arg "Ilp_form.optimize_5d_to_2d: S fails the Prop 8.1 normalization";
   let mu = Index_set.bounds alg.Algorithm.index_set in
   let d = alg.Algorithm.dependences in
-  let max_objective =
-    match max_objective with
-    | Some m -> m
-    | None -> Array.fold_left (fun acc m -> acc + (m * (m + 1))) 0 mu
-  in
   let accept pi =
     Schedule.respects pi d
     && Intmat.rank (Intmat.append_row s pi) = 3
     && Prop81.decide ~mu ~s ~pi
   in
-  let rec by_cost cost =
-    if cost > max_objective then None
-    else
-      match List.find_opt accept (Procedure51.candidates_at_cost ~mu cost) with
-      | Some pi -> Some (pi, cost + 1)
-      | None -> by_cost (cost + 1)
-  in
-  by_cost 1
+  Procedure51.first_level ?max_objective ~mu (fun cost ->
+      List.find_opt accept (Procedure51.candidates_at_cost ~mu cost)
+      |> Option.map (fun pi -> (pi, cost + 1)))
 
 let optimize ?(positivity_required = true) (alg : Algorithm.t) ~s =
   let n = Algorithm.dim alg in
@@ -127,18 +117,7 @@ let optimize ?(positivity_required = true) (alg : Algorithm.t) ~s =
        can reject every vertex of the optimal face, in which case the
        optimum is an interior lattice point of that face — e.g. matmul
        at odd mu, where Pi = (1, mu-1, 2)-style schedules win. *)
-    let max_objective =
-      Stdlib.max
-        (Array.fold_left (fun acc m -> acc + (m * (m + 1))) 0 mu)
-        (Zint.to_int (Qnum.ceil lower) * 4)
-    in
-    let rec by_cost cost =
-      if cost > max_objective then None
-      else
-        match
-          List.find_map (fun pi -> accept cost pi) (Procedure51.candidates_at_cost ~mu cost)
-        with
-        | Some sol -> Some sol
-        | None -> by_cost (cost + 1)
-    in
-    by_cost (Zint.to_int (Qnum.ceil lower))
+    let from = Zint.to_int (Qnum.ceil lower) in
+    let max_objective = Stdlib.max (Procedure51.default_max_objective mu) (from * 4) in
+    Procedure51.first_level ~from ~max_objective ~mu (fun cost ->
+        List.find_map (accept cost) (Procedure51.candidates_at_cost ~mu cost))

@@ -39,22 +39,24 @@ let candidates_at_cost ~mu cost =
 let default_max_objective mu =
   Array.fold_left (fun acc m -> acc + (m * (m + 1))) 0 mu
 
-let minimal_schedule ?max_objective (alg : Algorithm.t) =
-  let mu = Index_set.bounds alg.Algorithm.index_set in
-  let d = alg.Algorithm.dependences in
+let first_level ?(from = 1) ?max_objective ~mu level =
   let max_objective =
     match max_objective with Some m -> m | None -> default_max_objective mu
   in
-  let rec by_cost cost =
+  let rec walk cost =
     if cost > max_objective then None
     else
-      match
-        List.find_opt (fun pi -> Schedule.respects pi d) (candidates_at_cost ~mu cost)
-      with
-      | Some pi -> Some pi
-      | None -> by_cost (cost + 1)
+      match level cost with
+      | Some _ as hit -> hit
+      | None -> walk (cost + 1)
   in
-  by_cost 1
+  walk from
+
+let minimal_schedule ?max_objective (alg : Algorithm.t) =
+  let mu = Index_set.bounds alg.Algorithm.index_set in
+  let d = alg.Algorithm.dependences in
+  first_level ?max_objective ~mu (fun cost ->
+      List.find_opt (fun pi -> Schedule.respects pi d) (candidates_at_cost ~mu cost))
 
 let optimize ?valid ?p ?(require_routing = false) ?max_objective
     (alg : Algorithm.t) ~s =
@@ -62,9 +64,6 @@ let optimize ?valid ?p ?(require_routing = false) ?max_objective
   let mu = Index_set.bounds alg.Algorithm.index_set in
   let d = alg.Algorithm.dependences in
   let k = Intmat.rows s + 1 in
-  let max_objective =
-    match max_objective with Some m -> m | None -> default_max_objective mu
-  in
   let valid =
     match valid with
     | Some f -> f
@@ -90,13 +89,8 @@ let optimize ?valid ?p ?(require_routing = false) ?max_objective
         | None -> None
     end
   in
-  let rec by_cost cost =
-    if cost > max_objective then None
-    else
-      let winners = List.filter_map attempt (candidates_at_cost ~mu cost) in
-      match winners with
+  first_level ?max_objective ~mu (fun cost ->
+      match List.filter_map attempt (candidates_at_cost ~mu cost) with
       | (pi, routing) :: _ ->
         Some { pi; total_time = cost + 1; candidates_tried = !tried; routing }
-      | [] -> by_cost (cost + 1)
-  in
-  by_cost 1
+      | [] -> None)

@@ -37,8 +37,17 @@ val optimize :
     ([Analysis.check]) plugs into. *)
 
 val default_max_objective : int array -> int
-(** The default search bound [Σ mu_i * (mu_i + 1)] — exposed so engine
-    scans stop at the same level as this module. *)
+(** The default search bound [Σ mu_i * (mu_i + 1)]. *)
+
+val first_level :
+  ?from:int -> ?max_objective:int -> mu:int array -> (int -> 'a option) -> 'a option
+(** The cost-level walk every Procedure 5.1-style search shares:
+    [first_level ~mu level] calls [level cost] for [cost = from, from
+    + 1, ...] (default [from = 1]) and returns its first [Some], or
+    [None] once [cost] passes [max_objective] (default
+    [default_max_objective mu]).  [level] sees one whole level at a
+    time, so "first level with a winner" is decided before any costlier
+    candidate is generated. *)
 
 val candidates_at_cost : mu:int array -> int -> Intvec.t list
 (** All integral [Pi] with [Σ |pi_i| mu_i] equal to the given cost —

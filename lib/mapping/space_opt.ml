@@ -104,24 +104,12 @@ let optimize_joint ?entry_bound ?objective ?valid ?max_time_objective (alg : Alg
     ~k =
   let mu = Index_set.bounds alg.Algorithm.index_set in
   let d = alg.Algorithm.dependences in
-  let max_time_objective =
-    match max_time_objective with
-    | Some m -> m
-    | None -> Array.fold_left (fun acc m -> acc + (m * (m + 1))) 0 mu
-  in
-  let rec by_cost cost =
-    if cost > max_time_objective then None
-    else
-      let hit =
-        List.find_map
-          (fun pi ->
-            if not (Schedule.respects pi d) then None
-            else
-              match optimize ?entry_bound ?objective ?valid alg ~pi ~k with
-              | Some r -> Some (pi, r)
-              | None -> None)
-          (Procedure51.candidates_at_cost ~mu cost)
-      in
-      match hit with Some _ -> hit | None -> by_cost (cost + 1)
-  in
-  by_cost 1
+  Procedure51.first_level ?max_objective:max_time_objective ~mu (fun cost ->
+      List.find_map
+        (fun pi ->
+          if not (Schedule.respects pi d) then None
+          else
+            match optimize ?entry_bound ?objective ?valid alg ~pi ~k with
+            | Some r -> Some (pi, r)
+            | None -> None)
+        (Procedure51.candidates_at_cost ~mu cost))

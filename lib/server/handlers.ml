@@ -57,13 +57,21 @@ let json_of_routing (rt : Tmap.routing) =
       ("buffers", json_of_int_array rt.Tmap.buffers);
     ]
 
-let json_of_pareto_point (p : Enumerate.pareto_point) =
+let json_of_pareto_point (p : Search.pareto_point) =
   Json.Obj
     [
-      ("total_time", Json.Int p.Enumerate.total_time);
-      ("processors", Json.Int p.Enumerate.processors);
-      ("pi", json_of_vec p.Enumerate.pi);
-      ("s", json_of_mat p.Enumerate.s);
+      ("total_time", Json.Int p.Search.total_time);
+      ("processors", Json.Int p.Search.processors);
+      ("pi", json_of_vec p.Search.pi);
+      ("s", json_of_mat p.Search.s);
+    ]
+
+let json_of_buffer_minimal (pi, (rt : Tmap.routing)) =
+  Json.Obj
+    [
+      ("pi", json_of_vec pi);
+      ("registers", Json.Int (Array.fold_left ( + ) 0 rt.Tmap.buffers));
+      ("routing", json_of_routing rt);
     ]
 
 let resolve_s s_opt default_s =
@@ -88,21 +96,12 @@ let search ~pool ~budget ~algorithm ~mu ~s:s_opt ~pareto ~array_dim =
     else begin
       let s = resolve_s s_opt default_s in
       let schedules = Search.all_optimal_schedules ~pool ~budget alg ~s in
-      let best = Search.best_by_buffers ~pool ~budget alg ~s in
+      let best = Search.buffer_minimal ~pool alg ~s schedules in
       [
         ("mode", Json.Str "schedules");
         ("s", json_of_mat s);
         ("schedules", Json.Arr (List.map json_of_vec schedules));
-        ( "best_by_buffers",
-          Json.option
-            (fun (pi, rt) ->
-              Json.Obj
-                [
-                  ("pi", json_of_vec pi);
-                  ("registers", Json.Int (Array.fold_left ( + ) 0 rt.Tmap.buffers));
-                  ("routing", json_of_routing rt);
-                ])
-            best );
+        ("best_by_buffers", Json.option json_of_buffer_minimal best);
       ]
     end
   in

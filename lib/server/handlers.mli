@@ -18,6 +18,17 @@ val builtin_algorithm : string -> int -> Algorithm.t * Intmat.t option
     mapping.  Shared with the CLI subcommands.
     @raise Bad_request on an unknown name. *)
 
+val json_of_pareto_point : Search.pareto_point -> Json.t
+(** [{"total_time", "processors", "pi", "s"}]: one point of a Pareto
+    front, as every [pareto]/[search] reply renders it. *)
+
+val json_of_routing : Tmap.routing -> Json.t
+(** [{"hops", "buffers"}] per dependence. *)
+
+val json_of_buffer_minimal : Intvec.t * Tmap.routing -> Json.t
+(** [{"pi", "registers", "routing"}]: a {!Search.buffer_minimal} pick,
+    as every [search] reply renders it. *)
+
 val analyze_wire :
   store:Store.t option ->
   budget:Engine.Budget.t ->

@@ -1,6 +1,6 @@
 (* Tests for the engine subsystem: worker pool determinism, the memo
-   cache, budgets, the Obs metrics the engine emits, and the parallel
-   search agreeing with the sequential reference. *)
+   cache, budgets, the Obs metrics the engine emits, and the search
+   agreeing with the oracle-screened [Reference] at every pool width. *)
 
 let mu3 = [| 4; 4; 4 |]
 
@@ -107,47 +107,74 @@ let test_pool_lowest_failure () =
 
 let test_search_schedules_agree () =
   let alg = Matmul.algorithm ~mu:4 in
-  let reference = to_ints_l (Enumerate.all_optimal_schedules alg ~s:Matmul.paper_s) in
+  let reference = Reference.all_optimal_schedules alg ~s:Matmul.paper_s in
+  let tc = Transitive_closure.algorithm ~mu:4 in
+  let tc_reference = Reference.all_optimal_schedules tc ~s:Transitive_closure.paper_s in
   List.iter
     (fun jobs ->
       let pool = Engine.Pool.create ~jobs () in
       let got = to_ints_l (Search.all_optimal_schedules ~pool alg ~s:Matmul.paper_s) in
-      Alcotest.check vec_lists (Printf.sprintf "matmul schedules, jobs=%d" jobs) reference got)
-    [ 1; 4 ];
-  let tc = Transitive_closure.algorithm ~mu:4 in
-  let pool = Engine.Pool.create ~jobs:4 () in
-  Alcotest.check vec_lists "tc schedules"
-    (to_ints_l (Enumerate.all_optimal_schedules tc ~s:Transitive_closure.paper_s))
-    (to_ints_l (Search.all_optimal_schedules ~pool tc ~s:Transitive_closure.paper_s))
+      Alcotest.check vec_lists (Printf.sprintf "matmul schedules, jobs=%d" jobs) reference got;
+      Alcotest.check vec_lists
+        (Printf.sprintf "tc schedules, jobs=%d" jobs)
+        tc_reference
+        (to_ints_l (Search.all_optimal_schedules ~pool tc ~s:Transitive_closure.paper_s)))
+    [ 1; 4 ]
 
 let test_search_best_by_buffers_agree () =
   let alg = Matmul.algorithm ~mu:4 in
-  let pool = Engine.Pool.create ~jobs:4 () in
-  match
-    (Enumerate.best_by_buffers alg ~s:Matmul.paper_s, Search.best_by_buffers ~pool alg ~s:Matmul.paper_s)
-  with
-  | Some (pi_ref, rt_ref), Some (pi, rt) ->
-    Alcotest.(check (list int)) "same pi" (Intvec.to_ints pi_ref) (Intvec.to_ints pi);
-    Alcotest.(check int) "same registers"
-      (Array.fold_left ( + ) 0 rt_ref.Tmap.buffers)
-      (Array.fold_left ( + ) 0 rt.Tmap.buffers)
-  | _ -> Alcotest.fail "expected a buffer-minimal schedule from both"
-
-let point_key p =
-  ( p.Enumerate.total_time,
-    p.Enumerate.processors,
-    Intvec.to_ints p.Enumerate.pi,
-    Intmat.to_ints p.Enumerate.s )
-
-let test_search_pareto_agree () =
-  let alg = Matmul.algorithm ~mu:3 in
-  let reference = List.map point_key (Enumerate.pareto_front alg ~k:2) in
+  let reference =
+    Reference.best_by_buffers alg ~s:Matmul.paper_s
+      (Reference.all_optimal_schedules alg ~s:Matmul.paper_s)
+  in
   List.iter
     (fun jobs ->
       let pool = Engine.Pool.create ~jobs () in
-      let got = List.map point_key (Search.pareto_front ~pool alg ~k:2) in
+      match (reference, Search.best_by_buffers ~pool alg ~s:Matmul.paper_s) with
+      | Some (pi_ref, (registers, _)), Some (pi, rt) ->
+        Alcotest.(check (list int)) (Printf.sprintf "same pi, jobs=%d" jobs) pi_ref (Intvec.to_ints pi);
+        Alcotest.(check int)
+          (Printf.sprintf "same registers, jobs=%d" jobs)
+          registers
+          (Array.fold_left ( + ) 0 rt.Tmap.buffers)
+      | _ -> Alcotest.fail "expected a buffer-minimal schedule from both")
+    [ 1; 4 ]
+
+let test_search_pareto_agree () =
+  let alg = Matmul.algorithm ~mu:3 in
+  let reference = Reference.pareto_front alg ~k:2 in
+  List.iter
+    (fun jobs ->
+      let pool = Engine.Pool.create ~jobs () in
+      let got = List.map Reference.point (Search.pareto_front ~pool alg ~k:2) in
       Alcotest.(check bool) (Printf.sprintf "pareto front, jobs=%d" jobs) true (reference = got))
     [ 1; 4 ]
+
+(* A schedules request reports the schedule list and a buffer-minimal
+   pick from one scan, so under a pressed budget the pick still comes
+   from the reported list. *)
+let test_search_scans_once () =
+  let request =
+    Server.Protocol.Search
+      { algorithm = "matmul"; mu = 4; s = None; pareto = false; array_dim = 1; deadline_ms = Some 0 }
+  in
+  let pool = Engine.Pool.create ~jobs:2 () in
+  let budget = Engine.Budget.make ~deadline_ms:0 () in
+  Obs.Trace.enable ();
+  let fields =
+    Fun.protect ~finally:Obs.Trace.disable (fun () ->
+        Server.Handlers.execute ~pool ~store:None ~budget request)
+  in
+  let scans =
+    List.filter (fun sp -> sp.Obs.Trace.name = "search.schedule-scan") (Obs.Trace.spans ())
+  in
+  Alcotest.(check int) "one schedule scan" 1 (List.length scans);
+  match (List.assoc "schedules" fields, List.assoc "best_by_buffers" fields) with
+  | Json.Arr schedules, Json.Obj best ->
+    Alcotest.(check int) "six schedules" 6 (List.length schedules);
+    Alcotest.(check bool) "best pi is a listed schedule" true
+      (List.mem (List.assoc "pi" best) schedules)
+  | _ -> Alcotest.fail "expected a schedule list and a buffer-minimal pick"
 
 let test_search_empty_under_bound () =
   let alg = Matmul.algorithm ~mu:4 in
@@ -269,11 +296,16 @@ let test_budgeted_search_still_correct () =
   (* Degraded oracles must not change the schedule set on instances the
      lattice decides (matmul's family is one). *)
   let alg = Matmul.algorithm ~mu:4 in
-  let pool = Engine.Pool.create ~jobs:2 () in
-  let budget = Engine.Budget.make ~deadline_ms:0 () in
-  Alcotest.check vec_lists "bounded search agrees"
-    (to_ints_l (Enumerate.all_optimal_schedules alg ~s:Matmul.paper_s))
-    (to_ints_l (Search.all_optimal_schedules ~pool ~budget alg ~s:Matmul.paper_s))
+  let reference = Reference.all_optimal_schedules alg ~s:Matmul.paper_s in
+  List.iter
+    (fun jobs ->
+      let pool = Engine.Pool.create ~jobs () in
+      let budget = Engine.Budget.make ~deadline_ms:0 () in
+      Alcotest.check vec_lists
+        (Printf.sprintf "bounded search agrees, jobs=%d" jobs)
+        reference
+        (to_ints_l (Search.all_optimal_schedules ~pool ~budget alg ~s:Matmul.paper_s)))
+    [ 1; 2 ]
 
 (* --------------------------- observability ------------------------- *)
 
@@ -350,6 +382,7 @@ let suite =
     Alcotest.test_case "parallel best-by-buffers = sequential" `Quick
       test_search_best_by_buffers_agree;
     Alcotest.test_case "parallel pareto = sequential" `Slow test_search_pareto_agree;
+    Alcotest.test_case "search scans once" `Quick test_search_scans_once;
     Alcotest.test_case "search empty under bound" `Quick test_search_empty_under_bound;
     Alcotest.test_case "cache hits" `Quick test_cache_hits;
     Alcotest.test_case "cache clear" `Quick test_cache_clear;

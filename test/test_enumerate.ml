@@ -1,74 +1,105 @@
-(* Tests for the Problem 2.1 enumeration and the Pareto analysis. *)
+(* Tests for the Problem 2.1 enumeration and the Pareto analysis:
+   [Search] on a 1-domain pool (the sequential search) and on a
+   2-domain pool, checked against the paper's optima and against the
+   oracle-screened [Reference]. *)
+
+let mu4 = [| 4; 4; 4 |]
+
+(* Run [f jobs pool] on a 1-domain and on a 2-domain pool. *)
+let at_widths f = List.iter (fun jobs -> f jobs (Engine.Pool.create ~jobs ())) [ 1; 2 ]
+
+let to_ints_l = List.map Intvec.to_ints
 
 let test_all_optimal_matmul () =
   let alg = Matmul.algorithm ~mu:4 in
-  let all = Enumerate.all_optimal_schedules alg ~s:Matmul.paper_s in
-  Alcotest.(check int) "six optimal schedules" 6 (List.length all);
-  (* The paper's two named optima are among them. *)
-  let as_lists = List.map Intvec.to_ints all in
-  Alcotest.(check bool) "(1,4,1) present" true (List.mem [ 1; 4; 1 ] as_lists);
-  Alcotest.(check bool) "(4,1,1) present" true (List.mem [ 4; 1; 1 ] as_lists);
-  (* Every enumerated schedule really is valid and optimal. *)
-  List.iter
-    (fun pi ->
-      Alcotest.(check int) "cost" 24 (Schedule.objective ~mu:[| 4; 4; 4 |] pi);
-      let t = Intmat.append_row Matmul.paper_s pi in
-      Alcotest.(check bool) "conflict-free" true (Conflict.is_conflict_free ~mu:[| 4; 4; 4 |] t))
-    all
+  let reference = Reference.all_optimal_schedules alg ~s:Matmul.paper_s in
+  at_widths (fun jobs pool ->
+      let all = Search.all_optimal_schedules ~pool alg ~s:Matmul.paper_s in
+      let name = Printf.sprintf "%s, jobs=%d" in
+      Alcotest.(check int) (name "six optimal schedules" jobs) 6 (List.length all);
+      (* The paper's two named optima are among them. *)
+      let as_lists = to_ints_l all in
+      Alcotest.(check bool) (name "(1,4,1) present" jobs) true (List.mem [ 1; 4; 1 ] as_lists);
+      Alcotest.(check bool) (name "(4,1,1) present" jobs) true (List.mem [ 4; 1; 1 ] as_lists);
+      Alcotest.(check (list (list int))) (name "= oracle reference" jobs) reference as_lists;
+      (* Every enumerated schedule really is valid and optimal. *)
+      List.iter
+        (fun pi ->
+          Alcotest.(check int) "cost" 24 (Schedule.objective ~mu:mu4 pi);
+          let t = Intmat.append_row Matmul.paper_s pi in
+          Alcotest.(check bool) "conflict-free" true (Conflict.is_conflict_free ~mu:mu4 t))
+        all)
 
 let test_all_optimal_tc_unique () =
   (* Transitive closure has a unique optimum (mu+1, 1, 1). *)
   let mu = 4 in
   let alg = Transitive_closure.algorithm ~mu in
-  let all = Enumerate.all_optimal_schedules alg ~s:Transitive_closure.paper_s in
-  Alcotest.(check (list (list int))) "unique" [ [ mu + 1; 1; 1 ] ] (List.map Intvec.to_ints all)
+  Alcotest.(check (list (list int)))
+    "oracle reference" [ [ mu + 1; 1; 1 ] ]
+    (Reference.all_optimal_schedules alg ~s:Transitive_closure.paper_s);
+  at_widths (fun jobs pool ->
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "unique, jobs=%d" jobs)
+        [ [ mu + 1; 1; 1 ] ]
+        (to_ints_l (Search.all_optimal_schedules ~pool alg ~s:Transitive_closure.paper_s)))
 
 let test_pareto_matmul () =
   let alg = Matmul.algorithm ~mu:4 in
-  let front = Enumerate.pareto_front alg ~k:2 in
-  Alcotest.(check bool) "nonempty" true (front <> []);
-  (* Strictly improving processors as time grows; first point is the
-     joint optimum's time. *)
-  let rec strictly_improving = function
-    | a :: (b :: _ as rest) ->
-      a.Enumerate.total_time < b.Enumerate.total_time
-      && a.Enumerate.processors > b.Enumerate.processors
-      && strictly_improving rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "pareto shape" true (strictly_improving front);
-  let first = List.hd front in
-  Alcotest.(check int) "fastest = 25" 25 first.Enumerate.total_time;
-  Alcotest.(check int) "9 PEs at the fastest point" 9 first.Enumerate.processors;
-  (* Every point is a valid mapping. *)
-  List.iter
-    (fun p ->
-      let t = Intmat.append_row p.Enumerate.s p.Enumerate.pi in
-      Alcotest.(check bool) "valid" true
-        (Intmat.rank t = 2 && Conflict.is_conflict_free ~mu:[| 4; 4; 4 |] t))
-    front
+  let reference = Reference.pareto_front alg ~k:2 in
+  at_widths (fun jobs pool ->
+      let name = Printf.sprintf "%s, jobs=%d" in
+      let front = Search.pareto_front ~pool alg ~k:2 in
+      Alcotest.(check bool) (name "nonempty" jobs) true (front <> []);
+      (* Strictly improving processors as time grows; first point is the
+         joint optimum's time. *)
+      let rec strictly_improving = function
+        | (a : Search.pareto_point) :: (b :: _ as rest) ->
+          a.total_time < b.total_time && a.processors > b.processors && strictly_improving rest
+        | _ -> true
+      in
+      Alcotest.(check bool) (name "pareto shape" jobs) true (strictly_improving front);
+      let first = List.hd front in
+      Alcotest.(check int) (name "fastest = 25" jobs) 25 first.total_time;
+      Alcotest.(check int) (name "9 PEs at the fastest point" jobs) 9 first.processors;
+      Alcotest.(check bool) (name "= oracle reference" jobs) true
+        (List.map Reference.point front = reference);
+      (* Every point is a valid mapping. *)
+      List.iter
+        (fun (p : Search.pareto_point) ->
+          let t = Intmat.append_row p.s p.pi in
+          Alcotest.(check bool) "valid" true
+            (Intmat.rank t = 2 && Conflict.is_conflict_free ~mu:mu4 t))
+        front)
+
+let registers r = Array.fold_left ( + ) 0 r.Tmap.buffers
+let hops r = Array.fold_left ( + ) 0 r.Tmap.hops
+
+(* The reference's (registers, hops) key of the buffer-minimal optimum. *)
+let reference_best alg =
+  match
+    Reference.best_by_buffers alg ~s:Matmul.paper_s
+      (Reference.all_optimal_schedules alg ~s:Matmul.paper_s)
+  with
+  | Some (_, key) -> key
+  | None -> Alcotest.fail "reference found no routable schedule"
 
 let test_best_by_buffers () =
   (* Among matmul's six time-optimal schedules, buffer totals differ;
      the selector must return one achieving the minimum (3 registers,
      e.g. the paper's (1,4,1) with buffers (0,3,0)). *)
   let alg = Matmul.algorithm ~mu:4 in
-  match Enumerate.best_by_buffers alg ~s:Matmul.paper_s with
-  | Some (pi, routing) ->
-    let total = Array.fold_left ( + ) 0 routing.Tmap.buffers in
-    Alcotest.(check int) "cost optimal" 24 (Schedule.objective ~mu:[| 4; 4; 4 |] pi);
-    (* Exhaustive floor: every optimal schedule needs >= this many. *)
-    let all = Enumerate.all_optimal_schedules alg ~s:Matmul.paper_s in
-    let best_possible =
-      List.fold_left
-        (fun acc pi ->
-          match Tmap.find_routing (Tmap.make ~s:Matmul.paper_s ~pi) ~d:alg.Algorithm.dependences with
-          | Some r -> min acc (Array.fold_left ( + ) 0 r.Tmap.buffers)
-          | None -> acc)
-        max_int all
-    in
-    Alcotest.(check int) "achieves the minimum" best_possible total
-  | None -> Alcotest.fail "expected a schedule"
+  (* Exhaustive floor: every optimal schedule needs >= this many. *)
+  let floor, _ = reference_best alg in
+  Alcotest.(check int) "three registers suffice" 3 floor;
+  at_widths (fun jobs pool ->
+      match Search.best_by_buffers ~pool alg ~s:Matmul.paper_s with
+      | Some (pi, routing) ->
+        Alcotest.(check int) (Printf.sprintf "cost optimal, jobs=%d" jobs) 24
+          (Schedule.objective ~mu:mu4 pi);
+        Alcotest.(check int)
+          (Printf.sprintf "achieves the minimum, jobs=%d" jobs)
+          floor (registers routing)
+      | None -> Alcotest.fail "expected a schedule")
 
 let test_large_mu_formulas () =
   (* The lattice oracle makes the paper's closed-form times checkable
@@ -100,72 +131,64 @@ let test_pareto_accept_reject_all () =
   (* An accept that rejects everything empties the front without
      crashing (the base level is still discovered pre-accept). *)
   let alg = Matmul.algorithm ~mu:3 in
-  Alcotest.(check (list pass)) "rejecting accept yields empty front" []
-    (Enumerate.pareto_front ~accept:(fun _ _ -> false) alg ~k:2)
+  at_widths (fun jobs pool ->
+      Alcotest.(check (list pass))
+        (Printf.sprintf "rejecting accept yields empty front, jobs=%d" jobs)
+        []
+        (Search.pareto_front ~pool ~accept:(fun _ _ -> false) alg ~k:2))
 
 let test_pareto_accept_shifts_front () =
   (* Rejecting exactly the unconstrained front's fastest point must
      move the front: the old optimum disappears and whatever remains
      stays valid, non-dominated, and no faster than before. *)
   let alg = Matmul.algorithm ~mu:3 in
-  let full = Enumerate.pareto_front alg ~k:2 in
+  let full = Reference.pareto_front alg ~k:2 in
   Alcotest.(check bool) "baseline nonempty" true (full <> []);
-  let fastest = List.hd full in
-  let restricted =
-    Enumerate.pareto_front
-      ~accept:(fun pi s ->
-        not
-          (Intvec.to_ints pi = Intvec.to_ints fastest.Enumerate.pi
-          && Intmat.to_ints s = Intmat.to_ints fastest.Enumerate.s))
-      alg ~k:2
-  in
-  Alcotest.(check bool) "old optimum excluded" true
-    (not
-       (List.exists
-          (fun p ->
-            Intvec.to_ints p.Enumerate.pi = Intvec.to_ints fastest.Enumerate.pi
-            && Intmat.to_ints p.Enumerate.s = Intmat.to_ints fastest.Enumerate.s)
-          restricted));
-  Alcotest.(check bool) "still nonempty" true (restricted <> []);
-  let head = List.hd restricted in
-  Alcotest.(check bool) "no faster than the unconstrained optimum" true
-    (head.Enumerate.total_time >= fastest.Enumerate.total_time);
-  List.iter
-    (fun p ->
-      let t = Intmat.append_row p.Enumerate.s p.Enumerate.pi in
-      Alcotest.(check bool) "valid" true
-        (Intmat.rank t = 2 && Conflict.is_conflict_free ~mu:[| 3; 3; 3 |] t))
-    restricted
+  let fastest_time, _, fastest_pi, fastest_s = List.hd full in
+  let accept pi s = not (Intvec.to_ints pi = fastest_pi && Intmat.to_ints s = fastest_s) in
+  let reference = Reference.pareto_front ~accept alg ~k:2 in
+  at_widths (fun jobs pool ->
+      let name = Printf.sprintf "%s, jobs=%d" in
+      let restricted = Search.pareto_front ~pool ~accept alg ~k:2 in
+      Alcotest.(check bool) (name "old optimum excluded" jobs) true
+        (List.for_all (fun (p : Search.pareto_point) -> accept p.pi p.s) restricted);
+      Alcotest.(check bool) (name "still nonempty" jobs) true (restricted <> []);
+      let head = List.hd restricted in
+      Alcotest.(check bool) (name "no faster than the unconstrained optimum" jobs) true
+        (head.total_time >= fastest_time);
+      Alcotest.(check bool) (name "= oracle reference" jobs) true
+        (List.map Reference.point restricted = reference);
+      List.iter
+        (fun (p : Search.pareto_point) ->
+          let t = Intmat.append_row p.s p.pi in
+          Alcotest.(check bool) "valid" true
+            (Intmat.rank t = 2 && Conflict.is_conflict_free ~mu:[| 3; 3; 3 |] t))
+        restricted)
 
 let test_best_by_buffers_tiebreak () =
   (* With buffer totals tied, the selector must break ties on hop
      count: verify it attains the lexicographic (buffers, hops)
      minimum over the whole optimal set. *)
   let alg = Matmul.algorithm ~mu:4 in
-  match Enumerate.best_by_buffers alg ~s:Matmul.paper_s with
-  | None -> Alcotest.fail "expected a schedule"
-  | Some (_, routing) ->
-    let got =
-      ( Array.fold_left ( + ) 0 routing.Tmap.buffers,
-        Array.fold_left ( + ) 0 routing.Tmap.hops )
-    in
-    let best =
-      List.fold_left
-        (fun acc pi ->
-          match Tmap.find_routing (Tmap.make ~s:Matmul.paper_s ~pi) ~d:alg.Algorithm.dependences with
-          | Some r ->
-            min acc
-              (Array.fold_left ( + ) 0 r.Tmap.buffers, Array.fold_left ( + ) 0 r.Tmap.hops)
-          | None -> acc)
-        (max_int, max_int)
-        (Enumerate.all_optimal_schedules alg ~s:Matmul.paper_s)
-    in
-    Alcotest.(check (pair int int)) "lexicographic minimum" best got
+  let best = reference_best alg in
+  at_widths (fun jobs pool ->
+      match Search.best_by_buffers ~pool alg ~s:Matmul.paper_s with
+      | None -> Alcotest.fail "expected a schedule"
+      | Some (_, routing) ->
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "lexicographic minimum, jobs=%d" jobs)
+          best
+          (registers routing, hops routing))
 
 let test_no_schedule_empty () =
   let alg = Matmul.algorithm ~mu:4 in
-  Alcotest.(check (list pass)) "empty under tiny bound" []
-    (Enumerate.all_optimal_schedules ~max_objective:3 alg ~s:Matmul.paper_s)
+  Alcotest.(check (list (list int))) "oracle reference" []
+    (Reference.all_optimal_schedules ~max_objective:3 alg ~s:Matmul.paper_s);
+  at_widths (fun jobs pool ->
+      Alcotest.(check (list pass))
+        (Printf.sprintf "empty under tiny bound, jobs=%d" jobs)
+        []
+        (Search.all_optimal_schedules ~pool ~max_objective:3 alg ~s:Matmul.paper_s))
 
 let suite =
   [

@@ -44,6 +44,11 @@ let prop_pipeline_clean =
           clean_modulo_links alg tm rep
           && rep.Exec.num_processors = so.Space_opt.processors))
 
+(* Project out the last dimension as a simple space mapping. *)
+let last_axis alg =
+  let n = Algorithm.dim alg in
+  Intmat.make 1 n (fun _ j -> if j = n - 1 then Zint.one else Zint.zero)
+
 let prop_optimizers_agree_on_fuzzed =
   QCheck.Test.make ~name:"Procedure 5.1 (exact) = (theorem) on fuzzed programs" ~count:40
     QCheck.int (fun seed ->
@@ -53,14 +58,31 @@ let prop_optimizers_agree_on_fuzzed =
       | Error _ -> true
       | Ok a ->
         let alg = a.Loopnest.algorithm in
-        let n = Algorithm.dim alg in
-        (* Project out the last dimension as a simple space mapping. *)
-        let s = Intmat.make 1 n (fun _ j -> if j = n - 1 then Zint.one else Zint.zero) in
+        let s = last_axis alg in
         let mu = Index_set.bounds alg.Algorithm.index_set in
         let exact t = Intmat.rank t = Intmat.rows s + 1 && Conflict.is_conflict_free ~mu t in
         let time r = Option.map (fun x -> x.Procedure51.total_time) r in
         time (Procedure51.optimize ~valid:exact ~max_objective:40 alg ~s)
         = time (Procedure51.optimize ~max_objective:40 alg ~s))
+
+(* Search at widths 1 and 2 against the oracle-screened reference:
+   the same time-optimal schedules, in the same order. *)
+let prop_search_matches_reference =
+  QCheck.Test.make ~name:"Search = oracle reference on fuzzed programs" ~count:60 QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      match Loopnest.parse_result (Check.Gen.source_program rng) with
+      | Error _ -> true
+      | Ok a ->
+        let alg = a.Loopnest.algorithm in
+        let s = last_axis alg in
+        let reference = Reference.all_optimal_schedules ~max_objective:40 alg ~s in
+        List.for_all
+          (fun jobs ->
+            let pool = Engine.Pool.create ~jobs () in
+            List.map Intvec.to_ints (Search.all_optimal_schedules ~pool ~max_objective:40 alg ~s)
+            = reference)
+          [ 1; 2 ])
 
 let prop_multi_statement_pipeline_clean =
   QCheck.Test.make ~name:"multi-statement fuzz: aligned programs simulate cleanly" ~count:40
@@ -107,6 +129,7 @@ let suite =
     [
       prop_pipeline_clean;
       prop_optimizers_agree_on_fuzzed;
+      prop_search_matches_reference;
       prop_multi_statement_pipeline_clean;
       prop_fastpaths_agree_with_oracle;
     ]
