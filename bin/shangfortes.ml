@@ -33,9 +33,9 @@ let format_arg =
     & info [ "format" ] ~docv:"FMT"
         ~doc:"Output format: plain (default) or json (versioned, schema_version 2).")
 
-let json_of_vec v = Json.ints (Intvec.to_ints v)
-let json_of_mat m = Json.Arr (List.map Json.ints (Intmat.to_ints m))
-let json_of_int_array a = Json.ints (Array.to_list a)
+let json_of_vec = Server.Handlers.json_of_vec
+let json_of_mat = Server.Handlers.json_of_mat
+let json_of_int_array = Server.Handlers.json_of_int_array
 
 (* --------------------- shared: observability ----------------------- *)
 
@@ -545,23 +545,7 @@ let simulate_cmd =
     | Json_v2 ->
       Json.print
         (Json.versioned ~command:"simulate"
-           (obs_fields obs
-           [
-             ("algorithm", Json.Str name);
-             ("mu", Json.Int mu);
-             ("s", json_of_mat s);
-             ("pi", json_of_vec pi);
-             ("makespan", Json.Int r.Exec.makespan);
-             ("processors", Json.Int r.Exec.num_processors);
-             ("computations", Json.Int r.Exec.computations);
-             ("conflicts", Json.Int (List.length r.Exec.conflicts));
-             ("causality_violations", Json.Int (List.length r.Exec.causality_violations));
-             ("link_collisions", Json.Int (List.length r.Exec.collisions));
-             ("buffers", json_of_int_array r.Exec.max_buffer_occupancy);
-             ("dataflow_correct", Json.Bool (Exec.values_agree r));
-             ("verification", Json.Str (Exec.verification_name r.Exec.verified));
-             ("utilization", Json.Float r.Exec.utilization);
-           ]))
+           (obs_fields obs (Server.Handlers.simulate_fields ~algorithm:name ~mu ~s ~pi r)))
     | Plain ->
       Printf.printf
         "makespan = %d\nprocessors = %d\ncomputations = %d\nconflicts = %d\n\
@@ -1009,14 +993,7 @@ let search_cmd =
       let s = resolve_s s_opt default_s in
       let schedules = Search.all_optimal_schedules ~pool ~budget alg ~s in
       let best = Search.buffer_minimal ~pool alg ~s schedules in
-      finish
-        [
-          ("mode", Json.Str "schedules");
-          ("s", json_of_mat s);
-          ("schedules", Json.Arr (List.map json_of_vec schedules));
-          ("best_by_buffers", Json.option Server.Handlers.json_of_buffer_minimal best);
-        ]
-        (fun () ->
+      finish (Server.Handlers.schedules_fields ~s schedules best) (fun () ->
           (match schedules with
           | [] -> print_endline "no conflict-free schedule found"
           | schedules ->
@@ -1588,7 +1565,9 @@ let client_cmd =
     Arg.(value & opt int 1000 & info [ "requests" ] ~docv:"N" ~doc:"Total requests to send.")
   in
   let concurrency_arg =
-    Arg.(value & opt int 8 & info [ "concurrency" ] ~docv:"N" ~doc:"Client worker threads.")
+    Arg.(
+      value & opt int 8
+      & info [ "concurrency" ] ~docv:"N" ~doc:"Connections, all driven from one thread.")
   in
   let distinct_arg =
     Arg.(
@@ -1639,7 +1618,7 @@ let client_cmd =
       & info [ "shards" ] ~docv:"ADDRS"
           ~doc:
             "Comma-separated addresses ($(b,tcp:PORT), $(b,tcp:HOST:PORT) or socket \
-             paths) to round-robin the workers over — a router plus direct shard \
+             paths) to round-robin the connections over — a router plus direct shard \
              sockets, or a whole fleet; every reply is still verified byte-for-byte \
              against local analysis, whichever server produced it.  Overrides \
              $(b,--socket)/$(b,--port).")

@@ -261,7 +261,7 @@ let hedge_delay_ms t shard =
     else begin
       let a = Array.sub shard.lat 0 n in
       Array.sort compare a;
-      Float.max 1. (2. *. a.(min (n - 1) (n * 99 / 100)))
+      Float.max 1. (2. *. Server.Client.percentile a 0.99)
     end
 
 (* --------------------------- upstream pool ------------------------- *)
@@ -352,25 +352,17 @@ let get_conn t shard ~follower =
 
 (* [deadline_override], when given, replaces the request's stamped
    deadline with the remaining budget: a hedge never tells the follower
-   it has the full original allowance.  An analyze goes as an ['A']
-   frame on v2 unless a value is wider than the frame's fixed fields
-   (a deadline or entry past i32, more than 255 rows or columns): then
-   it goes as the JSON document, which the shard answers as it would a
-   client asking directly. *)
+   it has the full original allowance.  An analyze goes through
+   {!Conn.analyze_request}, as an ['A'] frame on v2 when the frame can
+   carry it. *)
 let send_upstream ?deadline_override uc ~rid (req : Protocol.request) =
   let dl orig = match deadline_override with Some _ -> deadline_override | None -> orig in
   let id = Json.Int rid in
   ignore
     (Conn.send uc.u (fun version ->
          match req with
-         | Protocol.Analyze { mu; tmat; deadline_ms } -> (
-           let deadline_ms = dl deadline_ms in
-           let doc () = Conn.doc (Protocol.analyze ~id ?deadline_ms ~mu tmat) version in
-           match version with
-           | Wire.V1 -> doc ()
-           | Wire.V2 -> (
-             try Wire.encode Wire.V2 (Wire.Bin_analyze { id = rid; deadline_ms; mu; tmat })
-             with Invalid_argument _ -> doc ()))
+         | Protocol.Analyze { mu; tmat; deadline_ms } ->
+           Conn.analyze_request ~id:rid ?deadline_ms:(dl deadline_ms) ~mu tmat version
          | Protocol.Search { algorithm; mu; s; pareto; array_dim; deadline_ms } ->
            Conn.doc
              (Protocol.search ~id ?deadline_ms:(dl deadline_ms) ?s ~pareto ~array_dim

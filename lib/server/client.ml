@@ -1,98 +1,87 @@
 type addr = [ `Unix of string | `Tcp of string * int ]
 
-type conn = {
-  fd : Unix.file_descr;
-  dec : Wire.decoder;
-  mutable version : Wire.version;
-  chunk : Bytes.t;
-}
-
-let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let send_string c s =
-  let bytes = Bytes.of_string s in
-  let n = Bytes.length bytes in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write c.fd bytes !written (n - !written)
-  done
-
-let rec read_frame c =
-  match Wire.next c.dec with
-  | Wire.Frame f -> f
-  | Wire.Corrupt msg -> failwith ("Client.request: corrupt reply stream: " ^ msg)
-  | Wire.Need_more -> (
-    match Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) with
-    | 0 -> failwith "Client.request: connection closed by server"
-    | n ->
-      Wire.feed c.dec c.chunk 0 n;
-      read_frame c)
-
-(* Every reply surfaces as the JSON document it is equivalent to: a
-   binary ['V'] frame reconstructs the exact [ok] analyze reply —
-   {!Protocol.json_of_wire} renders deterministically, so the verify
-   path compares byte-identically regardless of transport. *)
-let read_reply c =
-  match read_frame c with
-  | Wire.Text line -> (
-    match Json.parse line with
-    | Ok reply -> reply
-    | Error msg -> failwith ("Client.request: unparsable reply: " ^ msg))
-  | Wire.Bin_verdict { id; verdict; store } ->
-    Protocol.ok_reply ~id:(Json.Int id) ~op:"analyze"
-      (Handlers.fields_of_analyze (verdict, store))
-  | Wire.Bin_analyze _ -> failwith "Client.request: unexpected analyze frame from server"
-
-let request c json =
-  send_string c (Wire.encode c.version (Wire.Text (Json.to_string json)));
-  read_reply c
-
 let sockaddr : addr -> Unix.sockaddr = function
   | `Unix path -> Unix.ADDR_UNIX path
   | `Tcp (host, port) -> Unix.ADDR_INET ((Unix.gethostbyname host).h_addr_list.(0), port)
 
-(* Negotiate before anything else is in flight: the ack is the switch
-   point for both directions. *)
-let negotiate c = function
-  | Wire.V1 -> ()
-  | Wire.V2 -> (
-    match request c (Protocol.hello ~transport:(Wire.version_name Wire.V2) ()) with
-    | reply when Protocol.reply_ok reply ->
-      c.version <- Wire.V2;
-      Wire.set_version c.dec Wire.V2
-    | _ ->
-      close c;
-      failwith "Client: server refused the binary transport"
-    | exception e ->
-      close c;
-      raise e)
+(* ----------------------------- connections --------------------------- *)
 
-let connect_v1 (addr : addr) =
+type conn = { conn : Conn.t; chunk : Bytes.t }
+
+let close c = Conn.close c.conn
+
+(* Wait in [Poll.wait] until [c] is readable, writing queued output
+   meanwhile; [timeout_ms < 0] waits forever.  An interrupted wait
+   waits again for what is left of the timeout. *)
+let await c ~timeout_ms =
+  let deadline = Unix.gettimeofday () +. (timeout_ms /. 1000.) in
+  let rec go () =
+    let left =
+      if timeout_ms < 0. then -1
+      else max 0 (int_of_float (Float.ceil ((deadline -. Unix.gettimeofday ()) *. 1000.)))
+    in
+    let want = { Poll.want_read = true; want_write = Conn.flush c.conn } in
+    match Poll.wait [ (Conn.fd c.conn, want) ] ~timeout_ms:left with
+    | (_, ev) :: _ when ev.Poll.ready_read || ev.Poll.ready_error -> true
+    | [] when left = 0 -> false
+    | _ -> go ()
+  in
+  go ()
+
+(* The next reply frame, writing queued output while waiting for it. *)
+let rec next_frame c ~timeout_ms =
+  match Wire.next (Conn.decoder c.conn) with
+  | Wire.Frame f -> f
+  | Wire.Corrupt msg -> failwith ("Client.request: corrupt reply stream: " ^ msg)
+  | Wire.Need_more ->
+    if not (await c ~timeout_ms) then failwith "Client.request: reply timed out";
+    (match Conn.read c.conn c.chunk with
+    | `Eof -> failwith "Client.request: connection closed by server"
+    | `Data | `Blocked -> ());
+    next_frame c ~timeout_ms
+
+let send c json = ignore (Conn.send ~flush:true c.conn (Conn.doc json))
+
+(* A JSON request is answered by a JSON document: ['V'] frames only
+   ever answer ['A'] frames, which {!load} alone sends. *)
+let read_reply c ~timeout_ms =
+  match next_frame c ~timeout_ms with
+  | Wire.Text line -> (
+    match Json.parse line with
+    | Ok reply -> reply
+    | Error msg -> failwith ("Client.request: unparsable reply: " ^ msg))
+  | Wire.Bin_verdict _ | Wire.Bin_analyze _ ->
+    failwith "Client.request: unexpected binary frame from server"
+
+let request c json =
+  send c json;
+  read_reply c ~timeout_ms:(-1.)
+
+(* The v2 hello is a blocking round trip with nothing sent before the
+   ack, so the server reads it alone (its per-read fault consults stay
+   where they were) and the ack is the switch point for the input. *)
+let connect_within ~timeout_ms ~transport addr =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let sockaddr = sockaddr addr in
-  let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) SOCK_STREAM 0 in
-  (match Unix.connect fd sockaddr with
-  | () -> ()
+  let sa = sockaddr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) SOCK_STREAM 0 in
+  match
+    Unix.connect fd sa;
+    Unix.set_nonblock fd;
+    let c = { conn = Conn.create fd; chunk = Bytes.create 65536 } in
+    if transport = Wire.V2 then begin
+      Conn.upgrade c.conn Wire.V2;
+      if not (Protocol.reply_ok (read_reply c ~timeout_ms)) then
+        failwith "Client: server refused the binary transport";
+      Wire.set_version (Conn.decoder c.conn) Wire.V2
+    end;
+    c
+  with
+  | c -> c
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e);
-  { fd; dec = Wire.decoder Wire.V1; version = Wire.V1; chunk = Bytes.create 65536 }
+    raise e
 
-let connect ?(transport = Wire.V1) addr =
-  let c = connect_v1 addr in
-  negotiate c transport;
-  c
-
-(* The transport-polymorphic analyze send: a compact ['A'] frame once
-   the connection speaks v2, the JSON document otherwise. *)
-let send_analyze c ~id ?deadline_ms ~mu tmat =
-  match c.version with
-  | Wire.V2 -> send_string c (Wire.encode Wire.V2 (Wire.Bin_analyze { id; deadline_ms; mu; tmat }))
-  | Wire.V1 ->
-    send_string c
-      (Wire.encode Wire.V1
-         (Wire.Text
-            (Json.to_string (Protocol.analyze ~id:(Json.Int id) ?deadline_ms ~mu tmat))))
+let connect ?(transport = Wire.V1) addr = connect_within ~timeout_ms:(-1.) ~transport addr
 
 (* --------------------------- retrying session ----------------------- *)
 
@@ -164,28 +153,16 @@ let backoff s attempt =
   let d = Float.min r.max_delay_ms (r.base_delay_ms *. (2. ** float_of_int (attempt - 1))) in
   d *. (0.5 +. (0.5 *. jitter s)) /. 1000.
 
+(* Every wait of the session, the hello's included, is bounded by
+   [timeout_ms]: a swallowed reply stalls it no longer than that, and
+   the timeout is a retriable transport error like any other. *)
 let session_conn s =
   match s.s_conn with
   | Some c -> c
   | None ->
-    let fd_timeout c =
-      (* A receive timeout bounds how long a swallowed reply can stall
-         the session; the EAGAIN it raises is a retriable transport
-         error like any other. *)
-      try Unix.setsockopt_float c.fd SO_RCVTIMEO (s.s_retry.timeout_ms /. 1000.)
-      with Unix.Unix_error _ | Invalid_argument _ -> ()
-    in
-    (* The timeout must cover the negotiation read too, so connect
-       plain-v1 first and negotiate after setting it. *)
-    let c = connect_v1 s.s_addr in
-    fd_timeout c;
-    negotiate c s.s_transport;
+    let c = connect_within ~timeout_ms:s.s_retry.timeout_ms ~transport:s.s_transport s.s_addr in
     s.s_conn <- Some c;
     c
-
-let drop_session_conn s =
-  Option.iter close s.s_conn;
-  s.s_conn <- None
 
 let retriable_code reply =
   match Protocol.error_code reply with
@@ -229,12 +206,12 @@ let call s json =
   let want_id = Json.member "id" json in
   let attempt_once () =
     let c = session_conn s in
-    send_string c (Wire.encode c.version (Wire.Text (Json.to_string json)));
+    send c json;
     (* Discard replies whose id is not ours: a late reply to an
        earlier, timed-out request on this same connection must not be
        mis-attributed to the re-issued one. *)
     let rec read_matching () =
-      let reply = read_reply c in
+      let reply = read_reply c ~timeout_ms:s.s_retry.timeout_ms in
       if Json.member "id" reply = want_id then reply else read_matching ()
     in
     read_matching ()
@@ -247,16 +224,16 @@ let call s json =
         && attempt < s.s_retry.max_attempts
         && take_retry_token s
       then begin
-        Thread.delay (backoff s attempt);
+        Unix.sleepf (backoff s attempt);
         go (attempt + 1)
       end
       else Ok (reply, attempt)
     | exception e ->
-      (* Any transport failure — reset, EOF, receive timeout — voids
-         the connection; the next attempt reconnects from scratch. *)
-      drop_session_conn s;
+      (* Any transport failure — reset, EOF, timeout — voids the
+         connection; the next attempt reconnects from scratch. *)
+      close_session s;
       if attempt < s.s_retry.max_attempts && take_retry_token s then begin
-        Thread.delay (backoff s attempt);
+        Unix.sleepf (backoff s attempt);
         go (attempt + 1)
       end
       else Error (Printexc.to_string e)
@@ -316,22 +293,14 @@ let percentile sorted p =
   | 0 -> 0.
   | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
-let expected_verdict (inst : Check.Instance.t) =
-  Json.to_string
-    (Protocol.json_of_wire
-       (Protocol.wire_of_verdict
-          (Analysis.check ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat)))
+let expected_wire (inst : Check.Instance.t) =
+  Protocol.wire_of_verdict (Analysis.check ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat)
 
-let wire_exactness reply =
-  match Json.member "verdict" reply with
-  | Some v -> (
-    match Json.member "exactness" v with Some (Json.Str s) -> Some s | _ -> None)
-  | None -> None
+let expected_verdict inst = Json.to_string (Protocol.json_of_wire (expected_wire inst))
 
-let verdict_bytes reply =
-  match Json.member "verdict" reply with
-  | Some v -> Some (Json.to_string v)
-  | None -> None
+(* One load connection; [inflight] counts its entries in the table of
+   requests awaiting a reply. *)
+type lconn = { c : conn; mutable inflight : int; mutable alive : bool }
 
 let load_any addrs cfg =
   if addrs = [] then invalid_arg "Client.load: at least one address";
@@ -343,99 +312,122 @@ let load_any addrs cfg =
   let instances =
     Array.init cfg.distinct (fun i -> Check.Gen.ith ~seed:cfg.seed ~size:cfg.size i)
   in
-  let expected = if cfg.verify then Array.map expected_verdict instances else [||] in
+  let expected = if cfg.verify then Array.map expected_wire instances else [||] in
   let latencies = Array.make cfg.requests nan in
-  let next = Atomic.make 0 in
-  let ok = Atomic.make 0
-  and shed = Atomic.make 0
-  and draining = Atomic.make 0
-  and deadline_exceeded = Atomic.make 0
-  and errors = Atomic.make 0
-  and bounded = Atomic.make 0
-  and disagreements = Atomic.make 0 in
-  let classify reply i =
-    if Protocol.reply_ok reply then begin
-      Atomic.incr ok;
-      if cfg.verify then
-        if wire_exactness reply = Some "bounded" then Atomic.incr bounded
-        else if verdict_bytes reply <> Some expected.(i mod cfg.distinct) then
-          Atomic.incr disagreements
-    end
-    else
+  let ok = ref 0 and shed = ref 0 and draining = ref 0 and deadline_exceeded = ref 0 in
+  let errors = ref 0 and bounded = ref 0 and disagreements = ref 0 in
+  let check i exactness same =
+    incr ok;
+    if cfg.verify then
+      if exactness = Some (Json.Str "bounded") then incr bounded
+      else if not (same expected.(i mod cfg.distinct)) then incr disagreements
+  in
+  (* A ['V'] frame is checked as the record it carries, a JSON reply by
+     the bytes of its [verdict] object. *)
+  let classify i = function
+    | `Verdict (v : Protocol.verdict_wire) ->
+      check i (Some (Json.Str v.Protocol.exactness)) (fun w -> v = w)
+    | `Reply reply when Protocol.reply_ok reply ->
+      let verdict = Json.member "verdict" reply in
+      check i (Option.bind verdict (Json.member "exactness")) (fun w ->
+          Option.map Json.to_string verdict = Some (Json.to_string (Protocol.json_of_wire w)))
+    | `Reply reply -> (
       match Protocol.error_code reply with
-      | Some "overloaded" -> Atomic.incr shed
-      | Some "draining" -> Atomic.incr draining
+      | Some "overloaded" -> incr shed
+      | Some "draining" -> incr draining
       (* An expired deadline is an answer, not a failure: the server
          honored the budget the caller asked for. *)
-      | Some "deadline_exceeded" -> Atomic.incr deadline_exceeded
-      | _ -> Atomic.incr errors
+      | Some "deadline_exceeded" -> incr deadline_exceeded
+      | _ -> incr errors)
   in
-  (* Each worker keeps up to [pipeline] requests in flight on its one
-     connection and matches replies back by id — the server answers
-     warm requests inline and cold ones from the pool, so replies can
-     legitimately overtake each other. *)
-  (* Workers round-robin over the given addresses, so a shard fleet
-     gets driven — and byte-for-byte verified — evenly; with one
-     address this is the classic single-server load. *)
-  let worker w () =
-    match connect ~transport:cfg.transport addrs.(w mod Array.length addrs) with
-    | exception exn ->
-      Printf.eprintf "client: connect failed: %s\n%!" (Printexc.to_string exn);
-      (* Burn the whole remaining share as transport errors rather
-         than hanging the run. *)
-      let rec burn () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < cfg.requests then begin
-          Atomic.incr errors;
-          burn ()
-        end
-      in
-      burn ()
-    | c ->
-      let outstanding : (int, float) Hashtbl.t = Hashtbl.create (2 * cfg.pipeline) in
-      let exhausted = ref false in
-      let fill () =
-        while (not !exhausted) && Hashtbl.length outstanding < cfg.pipeline do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= cfg.requests then exhausted := true
-          else begin
-            let inst = instances.(i mod cfg.distinct) in
-            Hashtbl.replace outstanding i (Unix.gettimeofday ());
-            send_analyze c ~id:i ?deadline_ms:cfg.deadline_ms
-              ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat
-          end
-        done
-      in
-      (match
-         let rec pump () =
-           fill ();
-           if Hashtbl.length outstanding > 0 then begin
-             let reply = read_reply c in
-             (match Protocol.reply_id reply with
-             | Json.Int i when Hashtbl.mem outstanding i ->
-               let t0 = Hashtbl.find outstanding i in
-               Hashtbl.remove outstanding i;
-               let ms = 1000. *. (Unix.gettimeofday () -. t0) in
-               latencies.(i) <- ms;
-               Obs.Metrics.observe h_latency ms;
-               classify reply i
-             | _ -> Atomic.incr errors);
-             pump ()
-           end
-         in
-         pump ()
-       with
-      | () -> ()
-      | exception _ ->
-        (* A transport failure voids every request in flight on this
-           connection; requests not yet sent stay in the shared
-           counter for the other workers. *)
-        ignore (Atomic.fetch_and_add errors (Hashtbl.length outstanding)));
-      close c
+  (* Request id (its index) -> connection and send time. *)
+  let outstanding : (int, lconn * float) Hashtbl.t = Hashtbl.create 256 in
+  let next = ref 0 in
+  (* A dead connection fails what it has in flight; its unsent share
+     stays with [next] for the connections still alive. *)
+  let fail l =
+    if l.alive then begin
+      l.alive <- false;
+      close l.c;
+      Hashtbl.filter_map_inplace
+        (fun _ ((owner, _) as v) -> if owner == l then (incr errors; None) else Some v)
+        outstanding
+    end
+  in
+  let fill l =
+    while l.alive && l.inflight < cfg.pipeline && !next < cfg.requests do
+      let i = !next and inst = instances.(!next mod cfg.distinct) in
+      incr next;
+      Hashtbl.replace outstanding i (l, Unix.gettimeofday ());
+      l.inflight <- l.inflight + 1;
+      ignore
+        (Conn.send l.c.conn
+           (Conn.analyze_request ~id:i ?deadline_ms:cfg.deadline_ms
+              ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat))
+    done
+  in
+  (* Replies may overtake each other (the server answers warm requests
+     inline, cold ones from its pool), so they match by id; a reply
+     nobody awaits on this connection breaks it. *)
+  let complete l i reply =
+    match Hashtbl.find_opt outstanding i with
+    | Some (owner, sent_at) when owner == l ->
+      Hashtbl.remove outstanding i;
+      l.inflight <- l.inflight - 1;
+      let ms = 1000. *. (Unix.gettimeofday () -. sent_at) in
+      latencies.(i) <- ms;
+      Obs.Metrics.observe h_latency ms;
+      classify i reply
+    | _ -> fail l
+  in
+  let rec pull l =
+    if l.alive then
+      match Wire.next (Conn.decoder l.c.conn) with
+      | Wire.Need_more -> ()
+      | Wire.Frame (Wire.Bin_verdict { id; verdict; _ }) ->
+        complete l id (`Verdict verdict);
+        pull l
+      | Wire.Frame (Wire.Text line) -> (
+        match Result.map (fun r -> (Protocol.reply_id r, r)) (Json.parse line) with
+        | Ok (Json.Int i, reply) ->
+          complete l i (`Reply reply);
+          pull l
+        | _ -> fail l)
+      | Wire.Frame (Wire.Bin_analyze _) | Wire.Corrupt _ -> fail l
+  in
+  let service events l =
+    match List.assoc_opt (Conn.fd l.c.conn) events with
+    | Some (ev : Poll.event) when l.alive && (ev.ready_read || ev.ready_error) -> (
+      match Conn.read l.c.conn l.c.chunk with
+      | `Blocked -> ()
+      | `Eof -> fail l
+      | `Data -> pull l)
+    | _ -> ()
+  in
+  let rec drive conns =
+    List.iter fill conns;
+    if Hashtbl.length outstanding > 0 then begin
+      let live = List.filter (fun l -> l.alive) conns in
+      let want l = (Conn.fd l.c.conn, { Poll.want_read = true; want_write = Conn.flush l.c.conn }) in
+      List.iter (service (Poll.wait (List.map want live) ~timeout_ms:(-1))) live;
+      drive conns
+    end
   in
   let t0 = Unix.gettimeofday () in
-  let threads = List.init cfg.concurrency (fun w -> Thread.create (worker w) ()) in
-  List.iter Thread.join threads;
+  (* Every connection opens, round-robin over the addresses, before the
+     first request: a refused connect or hello fails the whole run. *)
+  let opened = ref [] in
+  (match
+     for w = 0 to cfg.concurrency - 1 do
+       let c = connect ~transport:cfg.transport addrs.(w mod Array.length addrs) in
+       opened := { c; inflight = 0; alive = true } :: !opened
+     done
+   with
+  | () -> drive (List.rev !opened)
+  | exception exn -> Printf.eprintf "client: connect failed: %s\n%!" (Printexc.to_string exn));
+  List.iter (fun l -> close l.c) !opened;
+  (* What no connection could send. *)
+  errors := !errors + (cfg.requests - !next);
   let wall_s = Unix.gettimeofday () -. t0 in
   let measured =
     Array.of_list
@@ -444,13 +436,13 @@ let load_any addrs cfg =
   Array.sort compare measured;
   {
     sent = cfg.requests;
-    ok = Atomic.get ok;
-    shed = Atomic.get shed;
-    draining = Atomic.get draining;
-    deadline_exceeded = Atomic.get deadline_exceeded;
-    errors = Atomic.get errors;
-    bounded = Atomic.get bounded;
-    disagreements = Atomic.get disagreements;
+    ok = !ok;
+    shed = !shed;
+    draining = !draining;
+    deadline_exceeded = !deadline_exceeded;
+    errors = !errors;
+    bounded = !bounded;
+    disagreements = !disagreements;
     transport = Wire.version_name cfg.transport;
     pipeline = cfg.pipeline;
     p50_ms = percentile measured 0.50;

@@ -2,13 +2,15 @@
     doubling as the load generator behind the [client] CLI subcommand,
     the serve bench section and the CI smoke job.
 
+    It runs on the servers' own connection code: a connection is a
+    {!Conn.t}, every wait is a {!Poll.wait}, and analyze requests go
+    out through {!Conn.analyze_request}, the router's encoder.
+
     Every connection starts on the v1 JSON-lines dialect; passing
     [~transport:Wire.V2] sends the [hello] negotiation frame first and
     switches both directions to the binary framing once the server
-    acks it.  Whatever the dialect, replies surface as the JSON
-    document they are equivalent to — a binary ['V'] verdict frame
-    reconstructs the exact [ok] analyze reply — so callers never see
-    the transport. *)
+    acks it.  {!request} and {!call} send JSON documents, so their
+    replies are JSON documents on either dialect. *)
 
 type addr = [ `Unix of string | `Tcp of string * int ]
 
@@ -25,13 +27,8 @@ val connect : ?transport:Wire.version -> addr -> conn
 
 val request : conn -> Json.t -> Json.t
 (** Send one request document, block for the reply.
-    @raise Failure on EOF, a corrupt frame or an unparsable reply. *)
-
-val send_analyze :
-  conn -> id:int -> ?deadline_ms:int -> mu:int array -> Intmat.t -> unit
-(** The transport-polymorphic analyze send: a compact binary ['A']
-    frame once the connection speaks v2, the JSON document
-    otherwise. *)
+    @raise Failure on EOF, a corrupt or binary frame, or an
+    unparsable reply. *)
 
 val close : conn -> unit
 
@@ -53,7 +50,7 @@ type retry = {
   max_attempts : int;     (** Total tries, first included (>= 1). *)
   base_delay_ms : float;  (** Backoff before the 2nd try. *)
   max_delay_ms : float;   (** Backoff ceiling. *)
-  timeout_ms : float;     (** Per-read receive timeout (SO_RCVTIMEO). *)
+  timeout_ms : float;     (** Bound on each {!Poll.wait}, the hello's too. *)
   retry_seed : int;       (** Seeds the jitter LCG. *)
   retry_budget : int;
       (** Token-bucket capacity bounding {e re-issues} across the whole
@@ -67,7 +64,7 @@ type retry = {
 }
 
 val default_retry : retry
-(** 8 attempts, 1 ms base, 100 ms ceiling, 2 s read timeout, seed 0,
+(** 8 attempts, 1 ms base, 100 ms ceiling, 2 s wait timeout, seed 0,
     retry budget 128 refilling at 64 tokens/s — generous enough that a
     well-behaved session never notices the bucket. *)
 
@@ -90,20 +87,23 @@ val close_session : session -> unit
 (** {1 Load generation}
 
     [load] replays a deterministic {!Check.Gen.ith} instance stream as
-    [analyze] requests from [concurrency] worker threads (one
-    connection each), cycling over [distinct] instances — so a second
-    pass hits the server's warm store.  Each worker keeps up to
-    [pipeline] requests in flight on its connection and matches
-    replies back by id (the server may answer warm requests out of
-    order relative to cold ones).  On {!Wire.V2} the requests go out
-    as compact binary ['A'] frames.  With [verify] every exact reply's
-    [verdict] object must render byte-identically to a direct local
-    {!Analysis.check}; disagreements are counted (and must be zero —
-    the CI smoke job asserts it). *)
+    [analyze] requests over [concurrency] connections, cycling over
+    [distinct] instances — so a second pass hits the server's warm
+    store.  One thread drives every connection: all open before the
+    first request (a refused connect or [hello] fails every request),
+    each keeps up to [pipeline] requests in flight, one {!Poll.wait}
+    covers them all, and replies match back by id in one table (warm
+    replies may overtake cold ones).  A dead connection fails what it
+    has in flight; its unsent share goes to the live ones.  On
+    {!Wire.V2} the requests go out as binary ['A'] frames.  With
+    [verify] every exact verdict must equal a direct local
+    {!Analysis.check} — a ['V'] frame's {!Protocol.verdict_wire}
+    record field by field, a JSON [verdict] object byte for byte —
+    and disagreements are counted (the CI smoke job asserts zero). *)
 
 type load_config = {
   requests : int;
-  concurrency : int;
+  concurrency : int;   (** Connections, all driven from one thread. *)
   distinct : int;      (** Distinct instances in the cycled pool. *)
   seed : int;
   size : int;          (** {!Check.Gen} size parameter. *)
@@ -114,7 +114,7 @@ type load_config = {
 }
 
 val default_load : load_config
-(** 1000 requests, 8 workers, 64 distinct instances, seed 1, size 4,
+(** 1000 requests, 8 connections, 64 distinct instances, seed 1, size 4,
     verify on, no deadline, v1 transport, pipeline 1. *)
 
 type load_report = {
@@ -125,7 +125,7 @@ type load_report = {
   deadline_exceeded : int;
       (** [deadline_exceeded] replies — answers (the budget really was
           spent), not failures. *)
-  errors : int;         (** Transport failures and unexpected replies. *)
+  errors : int;         (** Lost to a connection, or an unexpected reply. *)
   bounded : int;        (** Exact-comparison skips (bounded verdicts). *)
   disagreements : int;
   transport : string;   (** Negotiated transport ({!Wire.version_name}). *)
@@ -143,7 +143,7 @@ val load : addr -> load_config -> load_report
     {!Obs.Metrics}. *)
 
 val load_any : addr list -> load_config -> load_report
-(** {!load} with workers round-robined over several addresses — the
+(** {!load} with connections round-robined over several addresses — the
     [client --shards] mode: driving a shard fleet (or a router plus
     direct shard sockets) under the same byte-for-byte verification,
     since every reply is checked against a local {!Analysis.check}

@@ -198,6 +198,14 @@ let analyze_reply ~id ~bin result version =
     Wire.encode Wire.V2 (Wire.Bin_verdict { id; verdict; store })
   | _ -> doc (Protocol.ok_reply ~id ~op:"analyze" (Handlers.fields_of_analyze result)) version
 
+let analyze_request ~id ?deadline_ms ~mu tmat version =
+  let json () = doc (Protocol.analyze ~id:(Json.Int id) ?deadline_ms ~mu tmat) version in
+  match version with
+  | Wire.V1 -> json ()
+  | Wire.V2 -> (
+    try Wire.encode Wire.V2 (Wire.Bin_analyze { id; deadline_ms; mu; tmat })
+    with Invalid_argument _ -> json ())
+
 let request_of_frame = function
   | Wire.Text line -> (
     match Json.parse ~max_bytes:Protocol.max_line_bytes line with

@@ -1,14 +1,16 @@
-(** The connection code shared by the two event loops that serve the
-    wire protocol, the daemon's ({!Daemon}) and the cluster router's:
-    the listener bind with the stale-socket policy, accept, one
-    {!Wire.decoder} and one reusable output buffer per connection,
-    nonblocking read, flush and teardown, decoding a frame into a
-    request with its error reply, the [hello] switch, and the analyze
-    reply encoder.  What a request does stays with the caller, and so
-    do fault sites: the daemon consults its [conn.*] sites around
-    these calls, the router none.
+(** The connection code of every peer of the wire protocol: the two
+    event loops that serve it, the daemon's ({!Daemon}) and the
+    cluster router's, and the client side, the router's upstream pool
+    and {!Client}: the listener bind with the stale-socket policy,
+    accept, one {!Wire.decoder} and one reusable output buffer per
+    connection, nonblocking read, flush and teardown, decoding a frame
+    into a request with its error reply, the [hello] switch on both
+    sides, and the analyze request and reply encoders.  What a request
+    does stays with the caller, and so do fault sites: the daemon
+    consults its [conn.*] sites around these calls, the router and
+    the client none.
 
-    A connection is read, polled and closed by one loop thread.
+    A connection is read, polled and closed by one thread.
     Output may be appended from any thread (the daemon's batcher
     workers do): the output buffer, the dialect and the closed flag
     sit under one per-connection lock, so every message is encoded in
@@ -92,6 +94,13 @@ val analyze_reply :
 (** The reply to an [analyze], for {!send}: a ['V'] frame when the
     request came as an ['A'] frame ([bin]) and the connection still
     speaks v2, the JSON reply document otherwise. *)
+
+val analyze_request :
+  id:int -> ?deadline_ms:int -> mu:int array -> Intmat.t -> Wire.version -> string
+(** An [analyze] request, for {!send}: an ['A'] frame on v2, the JSON
+    document on v1 or when a value is wider than the frame's fixed
+    fields (a deadline or entry past i32, more than 255 rows or
+    columns), which a server answers as it would any JSON request. *)
 
 val request_of_frame : Wire.frame -> (Protocol.envelope * bool, Json.t) result
 (** A decoded frame as a request, paired with whether it came as an

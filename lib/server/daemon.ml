@@ -338,23 +338,59 @@ let with_loop_span ~path f =
         ~args:[ ("op", "analyze"); ("path", path) ]
         f)
 
-let deadline_exceeded_reply t conn ~id =
-  Atomic.incr t.n_deadline_exceeded;
-  Obs.Metrics.incr m_deadline_exceeded;
-  send_doc t conn ~defer:true
-    (Protocol.error_reply ~id ~code:"deadline_exceeded"
-       ~detail:"request deadline already spent")
+(* A draining server, or a budget spent before the request arrived
+   (the router stamps the remaining budget on each forwarded frame),
+   answers at once: no store lookup, no admission, no analysis. *)
+let refused t conn ~id deadline_ms =
+  if Atomic.get t.draining then begin
+    send_doc t conn ~defer:true
+      (Protocol.error_reply ~id ~code:"draining" ~detail:"server is draining");
+    true
+  end
+  else if match deadline_ms with Some d -> d <= 0 | None -> false then begin
+    Atomic.incr t.n_deadline_exceeded;
+    Obs.Metrics.incr m_deadline_exceeded;
+    send_doc t conn ~defer:true
+      (Protocol.error_reply ~id ~code:"deadline_exceeded"
+         ~detail:"request deadline already spent");
+    true
+  end
+  else false
+
+(* The one admission path for queued work.  The AIMD limiter gates
+   queued compute only — ping/stats/drain/hello/ship are answered
+   inline and can never shed behind analyze traffic — and the bounded
+   queue comes after it.  [shed] answers a refusal with the
+   [overloaded] detail. *)
+let admit t conn env ~sf ~shed =
+  let shed detail =
+    Atomic.incr t.n_shed;
+    Obs.Metrics.incr m_shed;
+    shed detail
+  in
+  if not (Limiter.try_admit t.limiter) then
+    shed (Printf.sprintf "admission limit reached (%d inflight)" (Limiter.limit t.limiter))
+  else begin
+    let rid = Atomic.fetch_and_add t.next_id 1 in
+    let budget = Engine.Budget.make ?deadline_ms:(Protocol.deadline_ms env.Protocol.req) () in
+    locked t.inflight_lock (fun () -> Hashtbl.replace t.inflight rid budget);
+    let job = { rid; env; budget; jconn = conn; enqueued_at = Unix.gettimeofday (); sf } in
+    if Admission.try_push t.queue job then begin
+      Atomic.incr t.n_accepted;
+      Obs.Metrics.incr m_accepted;
+      Obs.Metrics.set_gauge g_queue_depth (float_of_int (Admission.length t.queue))
+    end
+    else begin
+      unregister t rid;
+      (* A full queue is itself an overload signal: release with an
+         over-target latency so the limiter backs off. *)
+      Limiter.release t.limiter ~latency_ms:Float.infinity;
+      shed (Printf.sprintf "queue full (%d requests)" t.cfg.queue_capacity)
+    end
+  end
 
 let handle_analyze t conn ~bin ~id ~mu ~tmat ~deadline_ms =
-  if Atomic.get t.draining then
-    send_doc t conn ~defer:true
-      (Protocol.error_reply ~id ~code:"draining" ~detail:"server is draining")
-  else if match deadline_ms with Some d -> d <= 0 | None -> false then
-    (* The budget was spent before the request arrived (the router
-       stamps the remaining budget on each forwarded frame): answer
-       without touching the store or dispatching any analysis. *)
-    deadline_exceeded_reply t conn ~id
-  else
+  if not (refused t conn ~id deadline_ms) then
     let w = { w_conn = conn; w_id = id; w_bin = bin; w_mu = mu; w_tmat = tmat } in
     match Option.bind t.store_ (fun s -> Store.find s ~mu tmat) with
     | Some e ->
@@ -399,55 +435,17 @@ let handle_analyze t conn ~bin ~id ~mu ~tmat ~deadline_ms =
            instance. *)
         let hash = Store.family_hash tmat and key = Store.family_key_string tmat in
         match Singleflight.join t.sflight ~hash ~key w with
-      | `Follower -> Obs.Metrics.incr m_coalesced
-      | `Leader ->
-        (* Adaptive admission: the AIMD limiter gates queued compute
-           work only — ping/stats/drain/hello/ship are answered inline
-           above and can never shed behind analyze traffic. *)
-        let shed_group detail =
-          Atomic.incr t.n_shed;
-          Obs.Metrics.incr m_shed;
-          (* The whole group sheds: followers joined an admission that
-             never happened. *)
-          let ws = Singleflight.complete t.sflight ~hash ~key in
-          List.iter
-            (fun w ->
-              send_doc t w.w_conn ~defer:true
-                (Protocol.error_reply ~id:w.w_id ~code:"overloaded" ~detail))
-            ws
-        in
-        if not (Limiter.try_admit t.limiter) then
-          shed_group
-            (Printf.sprintf "admission limit reached (%d inflight)"
-               (Limiter.limit t.limiter))
-        else begin
-          let rid = Atomic.fetch_and_add t.next_id 1 in
-          let budget = Engine.Budget.make ?deadline_ms () in
-          locked t.inflight_lock (fun () -> Hashtbl.replace t.inflight rid budget);
-          let job =
-            {
-              rid;
-              env = { Protocol.id; req = Protocol.Analyze { mu; tmat; deadline_ms } };
-              budget;
-              jconn = conn;
-              enqueued_at = Unix.gettimeofday ();
-              sf = Some (hash, key);
-            }
-          in
-          if Admission.try_push t.queue job then begin
-            Atomic.incr t.n_accepted;
-            Obs.Metrics.incr m_accepted;
-            Obs.Metrics.set_gauge g_queue_depth (float_of_int (Admission.length t.queue))
-          end
-          else begin
-            unregister t rid;
-            (* A full queue is itself an overload signal: release with
-               an over-target latency so the limiter backs off. *)
-            Limiter.release t.limiter ~latency_ms:Float.infinity;
-            shed_group
-              (Printf.sprintf "queue full (%d requests)" t.cfg.queue_capacity)
-          end
-        end))
+        | `Follower -> Obs.Metrics.incr m_coalesced
+        | `Leader ->
+          let env = { Protocol.id; req = Protocol.Analyze { mu; tmat; deadline_ms } } in
+          admit t conn env ~sf:(Some (hash, key)) ~shed:(fun detail ->
+              (* The whole group sheds: followers joined an admission
+                 that never happened. *)
+              List.iter
+                (fun w ->
+                  send_doc t w.w_conn ~defer:true
+                    (Protocol.error_reply ~id:w.w_id ~code:"overloaded" ~detail))
+                (Singleflight.complete t.sflight ~hash ~key))))
 
 let handle_envelope t conn ~bin (env : Protocol.envelope) =
   let id = env.Protocol.id in
@@ -490,43 +488,9 @@ let handle_envelope t conn ~bin (env : Protocol.envelope) =
     | Ok Wire.V1 -> ()
     | Error reply -> send_doc t conn ~defer:true reply)
   | Protocol.Search _ | Protocol.Simulate _ | Protocol.Replay _ ->
-    let deadline_ms = Protocol.deadline_ms env.Protocol.req in
-    if Atomic.get t.draining then
-      send_doc t conn ~defer:true
-        (Protocol.error_reply ~id ~code:"draining" ~detail:"server is draining")
-    else if match deadline_ms with Some d -> d <= 0 | None -> false then
-      deadline_exceeded_reply t conn ~id
-    else if not (Limiter.try_admit t.limiter) then begin
-      Atomic.incr t.n_shed;
-      Obs.Metrics.incr m_shed;
-      send_doc t conn ~defer:true
-        (Protocol.error_reply ~id ~code:"overloaded"
-           ~detail:
-             (Printf.sprintf "admission limit reached (%d inflight)"
-                (Limiter.limit t.limiter)))
-    end
-    else begin
-      let rid = Atomic.fetch_and_add t.next_id 1 in
-      let budget = Engine.Budget.make ?deadline_ms () in
-      locked t.inflight_lock (fun () -> Hashtbl.replace t.inflight rid budget);
-      let job =
-        { rid; env; budget; jconn = conn; enqueued_at = Unix.gettimeofday (); sf = None }
-      in
-      if Admission.try_push t.queue job then begin
-        Atomic.incr t.n_accepted;
-        Obs.Metrics.incr m_accepted;
-        Obs.Metrics.set_gauge g_queue_depth (float_of_int (Admission.length t.queue))
-      end
-      else begin
-        unregister t rid;
-        Limiter.release t.limiter ~latency_ms:Float.infinity;
-        Atomic.incr t.n_shed;
-        Obs.Metrics.incr m_shed;
-        send_doc t conn ~defer:true
-          (Protocol.error_reply ~id ~code:"overloaded"
-             ~detail:(Printf.sprintf "queue full (%d requests)" t.cfg.queue_capacity))
-      end
-    end
+    if not (refused t conn ~id (Protocol.deadline_ms env.Protocol.req)) then
+      admit t conn env ~sf:None ~shed:(fun detail ->
+          send_doc t conn ~defer:true (Protocol.error_reply ~id ~code:"overloaded" ~detail))
 
 (* ------------------------------ create ------------------------------ *)
 

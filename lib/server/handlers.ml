@@ -80,6 +80,14 @@ let resolve_s s_opt default_s =
   | None, Some s -> s
   | None, None -> badf "no default space mapping for this algorithm; pass \"s\""
 
+let schedules_fields ~s schedules best =
+  [
+    ("mode", Json.Str "schedules");
+    ("s", json_of_mat s);
+    ("schedules", Json.Arr (List.map json_of_vec schedules));
+    ("best_by_buffers", Json.option json_of_buffer_minimal best);
+  ]
+
 let search ~pool ~budget ~algorithm ~mu ~s:s_opt ~pareto ~array_dim =
   let alg, default_s = builtin_algorithm algorithm mu in
   let base =
@@ -96,13 +104,7 @@ let search ~pool ~budget ~algorithm ~mu ~s:s_opt ~pareto ~array_dim =
     else begin
       let s = resolve_s s_opt default_s in
       let schedules = Search.all_optimal_schedules ~pool ~budget alg ~s in
-      let best = Search.buffer_minimal ~pool alg ~s schedules in
-      [
-        ("mode", Json.Str "schedules");
-        ("s", json_of_mat s);
-        ("schedules", Json.Arr (List.map json_of_vec schedules));
-        ("best_by_buffers", Json.option json_of_buffer_minimal best);
-      ]
+      schedules_fields ~s schedules (Search.buffer_minimal ~pool alg ~s schedules)
     end
   in
   base @ fields
@@ -110,19 +112,7 @@ let search ~pool ~budget ~algorithm ~mu ~s:s_opt ~pareto ~array_dim =
 
 (* ----------------------------- simulate ----------------------------- *)
 
-let simulate ~algorithm ~mu ~s:s_opt ~pi =
-  let alg, default_s = builtin_algorithm algorithm mu in
-  let s = resolve_s s_opt default_s in
-  let tm =
-    match Tmap.make ~s ~pi with
-    | tm -> tm
-    | exception Invalid_argument msg -> badf "bad mapping: %s" msg
-  in
-  let r =
-    match Exec.run alg Dataflow.semantics tm with
-    | r -> r
-    | exception (Invalid_argument msg | Failure msg) -> badf "simulation rejected: %s" msg
-  in
+let simulate_fields ~algorithm ~mu ~s ~pi (r : _ Exec.report) =
   [
     ("algorithm", Json.Str algorithm);
     ("mu", Json.Int mu);
@@ -139,6 +129,21 @@ let simulate ~algorithm ~mu ~s:s_opt ~pi =
     ("verification", Json.Str (Exec.verification_name r.Exec.verified));
     ("utilization", Json.Float r.Exec.utilization);
   ]
+
+let simulate ~algorithm ~mu ~s:s_opt ~pi =
+  let alg, default_s = builtin_algorithm algorithm mu in
+  let s = resolve_s s_opt default_s in
+  let tm =
+    match Tmap.make ~s ~pi with
+    | tm -> tm
+    | exception Invalid_argument msg -> badf "bad mapping: %s" msg
+  in
+  let r =
+    match Exec.run alg Dataflow.semantics tm with
+    | r -> r
+    | exception (Invalid_argument msg | Failure msg) -> badf "simulation rejected: %s" msg
+  in
+  simulate_fields ~algorithm ~mu ~s ~pi r
 
 (* ------------------------------ replay ------------------------------ *)
 

@@ -18,6 +18,12 @@ val builtin_algorithm : string -> int -> Algorithm.t * Intmat.t option
     mapping.  Shared with the CLI subcommands.
     @raise Bad_request on an unknown name. *)
 
+val json_of_vec : Intvec.t -> Json.t
+val json_of_mat : Intmat.t -> Json.t
+val json_of_int_array : int array -> Json.t
+(** The array renderings every reply and CLI report uses (a matrix
+    row-major, as nested arrays). *)
+
 val json_of_pareto_point : Search.pareto_point -> Json.t
 (** [{"total_time", "processors", "pi", "s"}]: one point of a Pareto
     front, as every [pareto]/[search] reply renders it. *)
@@ -28,6 +34,17 @@ val json_of_routing : Tmap.routing -> Json.t
 val json_of_buffer_minimal : Intvec.t * Tmap.routing -> Json.t
 (** [{"pi", "registers", "routing"}]: a {!Search.buffer_minimal} pick,
     as every [search] reply renders it. *)
+
+val schedules_fields :
+  s:Intmat.t -> Intvec.t list -> (Intvec.t * Tmap.routing) option -> (string * Json.t) list
+(** [mode], [s], [schedules] and [best_by_buffers]: the schedules-mode
+    fields of the [search] reply and of the CLI [search] report. *)
+
+val simulate_fields :
+  algorithm:string -> mu:int -> s:Intmat.t -> pi:Intvec.t -> _ Exec.report ->
+  (string * Json.t) list
+(** The fourteen fields of the [simulate] reply and of the CLI
+    [simulate --format json] report, in their schema order. *)
 
 val analyze_wire :
   store:Store.t option ->

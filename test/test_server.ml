@@ -377,6 +377,28 @@ let test_live_load_verified () =
   Alcotest.(check int) "all replies ok" 200 r.Client.ok;
   shutdown server
 
+let test_load_unreachable_address () =
+  (* Every connection opens before the first request: one address with
+     no listener fails the whole run at once, on either transport,
+     however the connections would have been scheduled. *)
+  let server = boot () in
+  let _, _, sock = server in
+  List.iter
+    (fun transport ->
+      let t0 = Unix.gettimeofday () in
+      let r =
+        Client.load_any
+          [ `Unix sock; `Unix (fresh_path ".sock") ]
+          { Client.default_load with requests = 100; concurrency = 4; transport }
+      in
+      let name = Wire.version_name transport in
+      Alcotest.(check bool) (name ^ ": returns promptly") true
+        (Unix.gettimeofday () -. t0 < 5.);
+      Alcotest.(check int) (name ^ ": nothing ok") 0 r.Client.ok;
+      Alcotest.(check int) (name ^ ": every request an error") 100 r.Client.errors)
+    [ Wire.V1; Wire.V2 ];
+  shutdown server
+
 (* --------------------------- fault injection ------------------------ *)
 
 (* Every test that arms a plan must disarm it on all paths, or the
@@ -522,6 +544,27 @@ let test_client_retry_conn_faults () =
       Alcotest.(check bool) "plan fired" true (Fault.Plan.faults_injected plan > 0));
   shutdown server;
   Sys.remove store_path
+
+let test_load_conn_faults () =
+  (* Connections die under seeded connection faults: what they had in
+     flight counts as errors, what they had not sent moves to the
+     survivors, and every request is accounted for exactly once.  At
+     this rate a few connections die and the rest carry the run. *)
+  let server = boot () in
+  let _, _, sock = server in
+  let plan = Fault.Plan.make ~rate:0.005 ~seed:7 ~classes:[ "conn" ] () in
+  let r =
+    with_plan plan (fun () ->
+        Client.load (`Unix sock)
+          { Client.default_load with requests = 200; concurrency = 4; distinct = 16 })
+  in
+  Alcotest.(check int) "every request accounted for" 200
+    (r.Client.ok + r.Client.shed + r.Client.draining + r.Client.deadline_exceeded
+   + r.Client.errors);
+  Alcotest.(check bool) "faults cost requests" true (r.Client.errors > 0);
+  Alcotest.(check bool) "survivors answered" true (r.Client.ok > 0);
+  Alcotest.(check int) "no disagreements" 0 r.Client.disagreements;
+  shutdown server
 
 let test_worker_supervision () =
   (* Killed batcher workers respawn without losing queued requests:
@@ -1266,6 +1309,8 @@ let suite =
     Alcotest.test_case "live bad requests" `Quick test_live_bad_requests;
     Alcotest.test_case "live drain rejects" `Quick test_live_drain_rejects;
     Alcotest.test_case "live verified load" `Quick test_live_load_verified;
+    Alcotest.test_case "load unreachable address" `Quick test_load_unreachable_address;
+    Alcotest.test_case "load under conn faults" `Quick test_load_conn_faults;
     Alcotest.test_case "fault plan determinism" `Quick test_fault_plan_determinism;
     Alcotest.test_case "budget clock skew" `Quick test_budget_clock_skew;
     Alcotest.test_case "admission drain race" `Quick test_admission_drain_race;
