@@ -34,7 +34,7 @@ let format_arg =
         ~doc:"Output format: plain (default) or json (versioned, schema_version 2).")
 
 let json_of_vec = Server.Handlers.json_of_vec
-let json_of_mat = Server.Handlers.json_of_mat
+let json_of_mat = Server.Protocol.json_of_mat
 let json_of_int_array = Server.Handlers.json_of_int_array
 
 (* --------------------- shared: observability ----------------------- *)

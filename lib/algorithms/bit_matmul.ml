@@ -59,6 +59,7 @@ let semantics ~a ~b =
         { a_bit; b_bit; sum = prev + (a_bit * b_bit * (1 lsl (j.(3) + j.(4)))) });
     equal_value = (fun x y -> x.a_bit = y.a_bit && x.b_bit = y.b_bit && x.sum = y.sum);
     pp_value = (fun fmt v -> Format.fprintf fmt "{sum=%d}" v.sum);
+    lowered = None;
   }
 
 let product_of_values ~mu_word ~mu_bit value =

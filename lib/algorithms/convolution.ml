@@ -39,6 +39,7 @@ let semantics ~ker ~img =
         { y = prev_y + (k * x); k; x });
     equal_value = (fun a b -> a.y = b.y && a.k = b.k && a.x = b.x);
     pp_value = (fun fmt v -> Format.fprintf fmt "{y=%d}" v.y);
+    lowered = None;
   }
 
 let output_of_values ~mu_ij ~mu_pq value =

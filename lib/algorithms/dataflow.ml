@@ -18,6 +18,7 @@ let semantics =
     compute = (fun j ops -> Array.fold_left combine (point_tag j) ops);
     equal_value = Int.equal;
     pp_value = (fun fmt v -> Format.fprintf fmt "%x" (v land 0xffffff));
+    lowered = None;
   }
 
 let fingerprint_all alg =

@@ -22,6 +22,7 @@ let semantics ~w ~x =
         { y = ops.(0).y + (w * x); w; x });
     equal_value = (fun a b -> a.y = b.y && a.w = b.w && a.x = b.x);
     pp_value = (fun fmt v -> Format.fprintf fmt "{y=%d}" v.y);
+    lowered = None;
   }
 
 let output_of_values ~mu_i ~mu_k value =

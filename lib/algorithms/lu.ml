@@ -47,6 +47,7 @@ let semantics ~a:matrix =
         { a; u; l });
     equal_value = (fun x y -> Qnum.equal x.a y.a && Qnum.equal x.u y.u && Qnum.equal x.l y.l);
     pp_value = (fun fmt v -> Format.fprintf fmt "{a=%a}" Qnum.pp v.a);
+    lowered = None;
   }
 
 let factors_of_values ~mu value =

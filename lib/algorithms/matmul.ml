@@ -24,6 +24,7 @@ let semantics ~a ~b =
         { a = from_a.a; b = from_b.b; c = from_c.c + (from_a.a * from_b.b) });
     equal_value = (fun x y -> x.a = y.a && x.b = y.b && x.c = y.c);
     pp_value = (fun fmt v -> Format.fprintf fmt "{a=%d;b=%d;c=%d}" v.a v.b v.c);
+    lowered = None;
   }
 
 let product_of_values ~mu value =

@@ -18,6 +18,7 @@ let semantics ~initial =
         else ops.(1));
     equal_value = Int.equal;
     pp_value = Format.pp_print_int;
+    lowered = None;
   }
 
 let row_of_values ~steps ~cells value =

@@ -13,6 +13,7 @@ let semantics ~coeffs:(cl, cc, cr) ~initial =
         else (cl * ops.(0)) + (cc * ops.(1)) + (cr * ops.(2)));
     equal_value = Int.equal;
     pp_value = Format.pp_print_int;
+    lowered = None;
   }
 
 let row_of_values ~mu_t ~mu_i value =

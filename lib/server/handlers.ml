@@ -15,7 +15,6 @@ let builtin_algorithm name mu =
   | other -> badf "unknown algorithm: %s (matmul|tc|convolution|bitmm|lu)" other
 
 let json_of_vec v = Json.ints (Intvec.to_ints v)
-let json_of_mat m = Json.Arr (List.map Json.ints (Intmat.to_ints m))
 let json_of_int_array a = Json.ints (Array.to_list a)
 
 (* ------------------------------ analyze ----------------------------- *)
@@ -63,7 +62,7 @@ let json_of_pareto_point (p : Search.pareto_point) =
       ("total_time", Json.Int p.Search.total_time);
       ("processors", Json.Int p.Search.processors);
       ("pi", json_of_vec p.Search.pi);
-      ("s", json_of_mat p.Search.s);
+      ("s", Protocol.json_of_mat p.Search.s);
     ]
 
 let json_of_buffer_minimal (pi, (rt : Tmap.routing)) =
@@ -83,7 +82,7 @@ let resolve_s s_opt default_s =
 let schedules_fields ~s schedules best =
   [
     ("mode", Json.Str "schedules");
-    ("s", json_of_mat s);
+    ("s", Protocol.json_of_mat s);
     ("schedules", Json.Arr (List.map json_of_vec schedules));
     ("best_by_buffers", Json.option json_of_buffer_minimal best);
   ]
@@ -116,7 +115,7 @@ let simulate_fields ~algorithm ~mu ~s ~pi (r : _ Exec.report) =
   [
     ("algorithm", Json.Str algorithm);
     ("mu", Json.Int mu);
-    ("s", json_of_mat s);
+    ("s", Protocol.json_of_mat s);
     ("pi", json_of_vec pi);
     ("makespan", Json.Int r.Exec.makespan);
     ("processors", Json.Int r.Exec.num_processors);

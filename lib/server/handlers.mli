@@ -19,10 +19,9 @@ val builtin_algorithm : string -> int -> Algorithm.t * Intmat.t option
     @raise Bad_request on an unknown name. *)
 
 val json_of_vec : Intvec.t -> Json.t
-val json_of_mat : Intmat.t -> Json.t
 val json_of_int_array : int array -> Json.t
-(** The array renderings every reply and CLI report uses (a matrix
-    row-major, as nested arrays). *)
+(** The array renderings every reply and CLI report uses (matrices:
+    {!Protocol.json_of_mat}). *)
 
 val json_of_pareto_point : Search.pareto_point -> Json.t
 (** [{"total_time", "processors", "pi", "s"}]: one point of a Pareto

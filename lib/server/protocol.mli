@@ -88,6 +88,10 @@ val parse_request : Json.t -> (envelope, string) result
     transport's business: hand it to {!Wire.encode} as a {!Wire.Text}
     frame (or use {!Client}, which does). *)
 
+val json_of_mat : Intmat.t -> Json.t
+(** A matrix row-major, as nested arrays: the rendering every request,
+    reply and CLI report uses. *)
+
 val analyze : ?id:Json.t -> ?deadline_ms:int -> mu:int array -> Intmat.t -> Json.t
 
 val search :

@@ -3,28 +3,37 @@
     Where {!Exec} is a cycle-accurate {e simulator} (hashtables over
     firings, movement checks, per-cycle bookkeeping), this module is an
     {e executor}: {!compile} lowers the schedule once into flat arrays
-    — point table, predecessor ids per dependence, execution order
-    grouped by hyperplane [Pi j = t] — and {!run} then walks the
-    hyperplanes in time order, computing every point of a wavefront
+    numbered by {e sweep position} — the order [(Pi j, S j)] in which
+    {!run} fires the points — and {!run} then walks the hyperplanes
+    [Pi j = t] in time order, computing every point of a wavefront
     before the next one starts.
+
+    The plan: [Pi j] and [S j] as native-int dot products; LSD counting
+    sorts (the PE rows, then time) put each level in its own bucket in
+    PE order, in time linear in [|J|] plus the key ranges; the point
+    coordinates and each dependence's predecessor position are flat
+    arrays in sweep order, so operands are read a few levels back in
+    the same arrays; an id → position table serves [lookup].
 
     Because a linear schedule satisfies [Pi D > 0] (enforced at compile
     time, as in {!Exec.run}), all operands of a wavefront were produced
     on strictly earlier hyperplanes, so the points of one wavefront are
     independent: wide wavefronts are split into blocks of adjacent PEs
-    (the order is sorted by PE within a level) and fanned across
-    {!Engine.Pool} domains; a level no wider than one block runs
-    inline, as a single task.  A fan-out wakes the pool's parked
-    helper domains, which the bench's [engine.pool_map_ns] leaf puts
-    at under a microsecond per map, while a 256-point block is tens
-    of microseconds of cell work (140-250 ns per cell at mu=32 on a
-    2-core Xeon).  The wavefront sweep is the cross-level barrier —
-    exactly the array's cycle structure.
+    and fanned across {!Engine.Pool} domains; a level no wider than one
+    block runs inline, as a single task.  A fan-out wakes the pool's
+    parked helper domains, which the bench's [engine.pool_map_ns] leaf
+    puts at under a microsecond per map, while a 256-point block of
+    lowered work is several microseconds (15-30 ns per point at mu=64,
+    jobs 1, on a 2-vCPU Xeon VM).  The paper's linear arrays have level
+    widths [O(mu)] (at most 67 points at mu=64), so their levels run
+    inline.  The wavefront sweep is the cross-level barrier — exactly
+    the array's cycle structure.
 
-    The executor is generic in the value type through
-    {!Algorithm.semantics}, so one compiled plan runs the same schedule
-    over int, int32, or float cells (see {!Scenario} for the dtype
-    modules and the differential test matrix).
+    {!run} executes the semantics' lowered form
+    ({!Algorithm.semantics}[.lowered]), one call per level or block;
+    a semantics without one runs a default lowering of its [boundary]
+    and [compute] closures, one point at a time.  {!Scenario}'s
+    semantics carry one allocation-free loop per dtype.
 
     Hot-path observability: [exec.compile] and [exec.wavefront] spans,
     plus the [exec.cells] counter (docs/SCHEMA.md). *)
@@ -63,7 +72,9 @@ type 'v result = {
 }
 
 val run : ?pool:Engine.Pool.t -> plan -> 'v Algorithm.semantics -> 'v result
-(** Execute the plan.  [pool] defaults to a fresh
-    [Engine.Pool.create ()]; pass an explicit pool to pin [jobs].
-    Deterministic: the returned values do not depend on the pool size
-    or the block parameter (tested in [test_systolic.ml]). *)
+(** Execute the plan: allocate the lowered form's storage, then sweep.
+    [pool] defaults to a fresh [Engine.Pool.create ()]; pass an
+    explicit pool to pin [jobs].  Deterministic: the returned values
+    do not depend on the pool size or the block parameter, and equal
+    those of the default lowering (tested in [test_systolic.ml]).
+    [lookup] boxes one value per call. *)

@@ -1,8 +1,11 @@
 (* ------------------------------ dtypes ----------------------------- *)
 
+type _ dtype = Int : int dtype | Int32 : int32 dtype | Float : float dtype
+
 module type TYPE = sig
   type t
 
+  val dtype : t dtype
   val name : string
   val of_int : int -> t
   val add : t -> t -> t
@@ -26,6 +29,7 @@ let ulp_distance x y =
 module Int_type = struct
   type t = int
 
+  let dtype = Int
   let name = "int"
   let of_int x = x
   let add = ( + )
@@ -38,6 +42,7 @@ end
 module Int32_type = struct
   type t = int32
 
+  let dtype = Int32
   let name = "int32"
   let of_int = Int32.of_int
   let add = Int32.add
@@ -50,6 +55,7 @@ end
 module Float_type = struct
   type t = float
 
+  let dtype = Float
   let name = "float"
   let of_int = float_of_int
   let add = ( +. )
@@ -136,6 +142,50 @@ let instantiate spec =
 
 type 'v streams = { va : 'v; vb : 'v; vc : 'v }
 
+(* The lowered loops: each semantics' arithmetic written again over
+   flat streams in sweep position order (Algorithm.sweep), one loop per
+   machine type so no value is boxed and no operation is an indirect
+   call.  n = 3 for both case studies, so point p's coordinates start
+   at 3p.  int32 runs the int loop: its ring operations are int's
+   modulo 2^32, so boxing a value through [Int32.of_int] yields what
+   Int32 arithmetic would have computed. *)
+
+let matmul_int_sweep ~box a b card =
+  let sa = Array.make card 0 and sb = Array.make card 0 and sc = Array.make card 0 in
+  let range ~coords ~preds lo hi =
+    for p = lo to hi - 1 do
+      let q = 3 * p in
+      let pb = preds.(q) and pa = preds.(q + 1) and pc = preds.(q + 2) in
+      let vb = if pb >= 0 then sb.(pb) else b.(coords.(q + 2)).(coords.(q + 1)) in
+      let va = if pa >= 0 then sa.(pa) else a.(coords.(q)).(coords.(q + 2)) in
+      let vc = if pc >= 0 then sc.(pc) else 0 in
+      sa.(p) <- va;
+      sb.(p) <- vb;
+      sc.(p) <- vc + (va * vb)
+    done
+  in
+  { Algorithm.range; get = (fun p -> { va = box sa.(p); vb = box sb.(p); vc = box sc.(p) }) }
+
+let matmul_float_sweep a b =
+  let a = Array.map (Array.map float_of_int) a and b = Array.map (Array.map float_of_int) b in
+  fun card ->
+    let sa = Float.Array.make card 0. and sb = Float.Array.make card 0. in
+    let sc = Float.Array.make card 0. in
+    let range ~coords ~preds lo hi =
+      for p = lo to hi - 1 do
+        let q = 3 * p in
+        let pb = preds.(q) and pa = preds.(q + 1) and pc = preds.(q + 2) in
+        let vb = if pb >= 0 then Float.Array.get sb pb else b.(coords.(q + 2)).(coords.(q + 1)) in
+        let va = if pa >= 0 then Float.Array.get sa pa else a.(coords.(q)).(coords.(q + 2)) in
+        let vc = if pc >= 0 then Float.Array.get sc pc else 0. in
+        Float.Array.set sa p va;
+        Float.Array.set sb p vb;
+        Float.Array.set sc p (vc +. (va *. vb))
+      done
+    in
+    let get p = { va = Float.Array.get sa p; vb = Float.Array.get sb p; vc = Float.Array.get sc p } in
+    { Algorithm.range; get }
+
 let matmul_semantics (type a) (module M : TYPE with type t = a) ~mu ~seed :
     a streams Algorithm.semantics =
   let rng = Random.State.make [| 0x7e57; seed; mu |] in
@@ -145,6 +195,12 @@ let matmul_semantics (type a) (module M : TYPE with type t = a) ~mu ~seed :
   in
   let a = matrix () and b = matrix () in
   let zero = M.of_int 0 in
+  let lowered : int -> a streams Algorithm.sweep =
+    match M.dtype with
+    | Int -> matmul_int_sweep ~box:Fun.id a b
+    | Int32 -> matmul_int_sweep ~box:Int32.of_int a b
+    | Float -> matmul_float_sweep a b
+  in
   {
     Algorithm.boundary =
       (fun j i ->
@@ -166,31 +222,85 @@ let matmul_semantics (type a) (module M : TYPE with type t = a) ~mu ~seed :
     pp_value =
       (fun fmt v ->
         Format.fprintf fmt "{a=%a;b=%a;c=%a}" M.pp v.va M.pp v.vb M.pp v.vc);
+    lowered = Some lowered;
   }
 
 (* Transitive closure over an arbitrary dtype.  The paper evaluates the
    reindexed algorithm structurally (the recurrence arithmetic lives in
    [17]), so execution uses a fixed polynomial recurrence over the five
    dependence streams: deterministic per point, sensitive to any
-   misrouted operand, and — thanks to [damp] — bounded for float. *)
+   misrouted operand, and — thanks to [damp] — bounded for float.
+   [tc_input] and [tc_offset] are the recurrence's inputs, as ints. *)
 
 let tc_coefficients = [| 2; -3; 1; -1; 2 |]
+let tc_input j0 j1 j2 i = (((i + 1) * (j0 + (2 * j1) + (3 * j2) + 5)) mod 17) - 8
+let tc_offset j0 j1 j2 = ((j0 + j1 + j2) mod 5) - 2
+
+(* One operand of the recurrence: the value at its predecessor's
+   position, or the boundary input. *)
+let[@inline] tc_int_operand s preds q i j0 j1 j2 =
+  let x = preds.(q + i) in
+  if x >= 0 then s.(x) else tc_input j0 j1 j2 i
+
+let tc_int_sweep ~box card =
+  let s = Array.make card 0 and c = tc_coefficients in
+  let range ~coords ~preds lo hi =
+    for p = lo to hi - 1 do
+      let r = 3 * p and q = 5 * p in
+      let j0 = coords.(r) and j1 = coords.(r + 1) and j2 = coords.(r + 2) in
+      let acc = tc_int_operand s preds q 0 j0 j1 j2 * c.(0) in
+      let acc = acc + (tc_int_operand s preds q 1 j0 j1 j2 * c.(1)) in
+      let acc = acc + (tc_int_operand s preds q 2 j0 j1 j2 * c.(2)) in
+      let acc = acc + (tc_int_operand s preds q 3 j0 j1 j2 * c.(3)) in
+      let acc = acc + (tc_int_operand s preds q 4 j0 j1 j2 * c.(4)) in
+      s.(p) <- acc + tc_offset j0 j1 j2
+    done
+  in
+  { Algorithm.range; get = (fun p -> box s.(p)) }
+
+let[@inline] tc_float_operand s preds q i j0 j1 j2 =
+  let x = preds.(q + i) in
+  if x >= 0 then Float.Array.get s x else float_of_int (tc_input j0 j1 j2 i)
+
+(* Float_type's sum starts from 0. and adds each product in dependence
+   order; the same order here keeps the results bit-identical. *)
+let tc_float_sweep card =
+  let s = Float.Array.make card 0. in
+  let c = Float.Array.map_from_array float_of_int tc_coefficients in
+  let range ~coords ~preds lo hi =
+    for p = lo to hi - 1 do
+      let r = 3 * p and q = 5 * p in
+      let j0 = coords.(r) and j1 = coords.(r + 1) and j2 = coords.(r + 2) in
+      let acc = 0. +. (tc_float_operand s preds q 0 j0 j1 j2 *. Float.Array.get c 0) in
+      let acc = acc +. (tc_float_operand s preds q 1 j0 j1 j2 *. Float.Array.get c 1) in
+      let acc = acc +. (tc_float_operand s preds q 2 j0 j1 j2 *. Float.Array.get c 2) in
+      let acc = acc +. (tc_float_operand s preds q 3 j0 j1 j2 *. Float.Array.get c 3) in
+      let acc = acc +. (tc_float_operand s preds q 4 j0 j1 j2 *. Float.Array.get c 4) in
+      Float.Array.set s p (Float_type.damp acc +. float_of_int (tc_offset j0 j1 j2))
+    done
+  in
+  { Algorithm.range; get = Float.Array.get s }
 
 let tc_semantics (type a) (module M : TYPE with type t = a) :
     a Algorithm.semantics =
+  let lowered : int -> a Algorithm.sweep =
+    match M.dtype with
+    | Int -> tc_int_sweep ~box:Fun.id
+    | Int32 -> tc_int_sweep ~box:Int32.of_int
+    | Float -> tc_float_sweep
+  in
   {
-    Algorithm.boundary =
-      (fun j i ->
-        M.of_int ((((i + 1) * (j.(0) + (2 * j.(1)) + (3 * j.(2)) + 5)) mod 17) - 8));
+    Algorithm.boundary = (fun j i -> M.of_int (tc_input j.(0) j.(1) j.(2) i));
     compute =
       (fun j ops ->
         let acc = ref (M.of_int 0) in
         Array.iteri
           (fun i v -> acc := M.add !acc (M.mul v (M.of_int tc_coefficients.(i))))
           ops;
-        M.add (M.damp !acc) (M.of_int (((j.(0) + j.(1) + j.(2)) mod 5) - 2)));
+        M.add (M.damp !acc) (M.of_int (tc_offset j.(0) j.(1) j.(2))));
     equal_value = M.equal;
     pp_value = M.pp;
+    lowered = Some lowered;
   }
 
 (* ------------------------------ cells ------------------------------ *)

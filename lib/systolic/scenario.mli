@@ -30,8 +30,17 @@
 
 (** {1 Dtypes} *)
 
+(** The machine type of a dtype and its arithmetic: [Int] is native
+    [int] arithmetic, [Int32] is [int] arithmetic modulo 2^32, [Float]
+    is IEEE double arithmetic with {!Float_type}'s [damp].  The generic
+    semantics pick their lowered loop by it. *)
+type _ dtype = Int : int dtype | Int32 : int32 dtype | Float : float dtype
+
 module type TYPE = sig
   type t
+
+  val dtype : t dtype
+  (** A module with this witness promises the arithmetic it names. *)
 
   val name : string
   val of_int : int -> t
@@ -94,7 +103,16 @@ val instantiate : spec -> Algorithm.t * Tmap.t
 (** {1 Generic semantics}
 
     The same cell arithmetic as the case studies' reference semantics,
-    lifted over an arbitrary dtype. *)
+    lifted over an arbitrary dtype.  Each carries a lowered form
+    ({!Algorithm.semantics}[.lowered]): the arithmetic written again as
+    one allocation-free loop per machine type over [int array] or
+    [Float.Array] streams, chosen by [TYPE.dtype] ([int32] shares the
+    [int] loop and truncates when boxing).  {!Kernel.run} executes the
+    loop; {!Algorithm.evaluate_all} still runs the [compute] closures,
+    so verification compares the two.  The loops read the plan layout
+    of their own case study (three coordinates, and three or five
+    dependences, per point): run each semantics on a plan of its own
+    algorithm. *)
 
 type 'v streams = { va : 'v; vb : 'v; vc : 'v }
 (** Matmul's three data streams (the [B], [A] and accumulator flows of

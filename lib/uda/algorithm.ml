@@ -23,37 +23,62 @@ let predecessor a j i =
   let d = dependence a i in
   Array.mapi (fun r x -> x - d.(r)) j
 
+type 'v sweep = {
+  range : coords:int array -> preds:int array -> int -> int -> unit;
+  get : int -> 'v;
+}
+
 type 'v semantics = {
   boundary : int array -> int -> 'v;
   compute : int array -> 'v array -> 'v;
   equal_value : 'v -> 'v -> bool;
   pp_value : Format.formatter -> 'v -> unit;
+  lowered : (int -> 'v sweep) option;
 }
 
-type status = In_progress | Done
+(* Memo marks, one byte per point of the box. *)
+let unseen = '\000'
+let in_progress = '\001'
+let finished = '\002'
 
+(* Values and marks live in flat arrays at the point's dense box id
+   [sum_i j_i * stride_i]; the values array is made at the first
+   computed value, which also serves as its fill. *)
 let evaluate_memo a sem =
-  let table : (int list, 'v) Hashtbl.t = Hashtbl.create 1024 in
-  let state : (int list, status) Hashtbl.t = Hashtbl.create 1024 in
-  let m = num_dependences a in
+  let mu = Index_set.bounds a.index_set in
+  let n = Array.length mu in
+  let stride = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    stride.(i) <- stride.(i + 1) * (mu.(i + 1) + 1)
+  done;
+  let card = Index_set.cardinal a.index_set in
+  let marks = Bytes.make card unseen in
+  let values = ref [||] in
+  let deps = Array.init (num_dependences a) (dependence a) in
   let rec value j =
-    let key = Array.to_list j in
-    match Hashtbl.find_opt table key with
-    | Some v -> v
-    | None ->
-      (match Hashtbl.find_opt state key with
-      | Some In_progress -> failwith "Algorithm.evaluate: cyclic dependences"
-      | Some Done | None -> ());
-      Hashtbl.replace state key In_progress;
+    let id = ref 0 in
+    for i = 0 to n - 1 do
+      id := !id + (j.(i) * stride.(i))
+    done;
+    let id = !id in
+    let mark = Bytes.get marks id in
+    if mark = finished then !values.(id)
+    else begin
+      if mark = in_progress then failwith "Algorithm.evaluate: cyclic dependences";
+      Bytes.set marks id in_progress;
       let operands =
-        Array.init m (fun i ->
-            let p = predecessor a j i in
+        Array.mapi
+          (fun i d ->
+            let p = Array.mapi (fun r x -> x - d.(r)) j in
             if Index_set.contains a.index_set p then value p else sem.boundary j i)
+          deps
       in
       let v = sem.compute j operands in
-      Hashtbl.replace state key Done;
-      Hashtbl.replace table key v;
+      if Array.length !values = 0 then values := Array.make card v;
+      !values.(id) <- v;
+      Bytes.set marks id finished;
       v
+    end
   in
   value
 

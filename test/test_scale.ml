@@ -86,6 +86,7 @@ let test_deep_accumulation_chain () =
       compute = (fun j ops -> ops.(0) + j.(0));
       equal_value = Int.equal;
       pp_value = Format.pp_print_int;
+      lowered = None;
     }
   in
   Alcotest.(check int) "sum 0..n" (n * (n + 1) / 2) (Algorithm.evaluate alg sem [| n |])

@@ -207,18 +207,59 @@ let prop_makespan_equals_formula =
 
 (* --------------- compiled kernel + scenario matrix ---------------- *)
 
+let prop_kernel_plan_shape =
+  QCheck.Test.make ~name:"kernel plan: Equation 2.7, PEs, hyperplanes" ~count:100 QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let mu = 2 + Random.State.int rng 3 in
+      let alg =
+        if Random.State.bool rng then Matmul.algorithm ~mu
+        else Transitive_closure.algorithm ~mu
+      in
+      (* A scale of 1000 spreads the keys over ranges hundreds of
+         times |J|: most buckets of the counting sorts stay empty. *)
+      let scale = if Random.State.bool rng then 1 else 1000 in
+      let rec causal () =
+        let pi = Array.init 3 (fun _ -> Zint.of_int (scale * (Random.State.int rng 9 - 2))) in
+        if Schedule.respects pi alg.Algorithm.dependences then pi else causal ()
+      in
+      let pi = causal () in
+      let rows = 1 + Random.State.int rng 2 in
+      let s =
+        Intmat.make rows 3 (fun _ _ -> Zint.of_int (scale * (Random.State.int rng 5 - 2)))
+      in
+      let tm = Tmap.make ~s ~pi in
+      let iset = alg.Algorithm.index_set in
+      let plan = Kernel.compile alg tm in
+      let times = Index_set.fold (fun acc j -> Schedule.time_of pi j :: acc) [] iset in
+      Kernel.makespan plan = Schedule.total_time ~mu:(Index_set.bounds iset) pi
+      && Kernel.processors plan = List.length (Tmap.processors tm iset)
+      && Kernel.levels plan = List.length (List.sort_uniq compare times))
+
+(* Every cell of a kernel run against the reference evaluator. *)
+let check_against_reference name alg (sem : 'v Algorithm.semantics) (kr : 'v Kernel.result) =
+  let reference = Algorithm.evaluate_all alg sem in
+  Index_set.iter
+    (fun j ->
+      Alcotest.(check bool) (name ^ ": cell = reference") true
+        (sem.Algorithm.equal_value (kr.Kernel.lookup j) (reference j)))
+    alg.Algorithm.index_set
+
 let test_kernel_matches_reference () =
   let spec = Scenario.scenario "matmul" ~mu:4 in
   let alg, tm = Scenario.instantiate spec in
   let plan = Kernel.compile alg tm in
   let sem = Scenario.matmul_semantics (module Scenario.Int_type) ~mu:4 ~seed:7 in
-  let kr = Kernel.run plan sem in
-  let reference = Algorithm.evaluate_all alg sem in
-  Index_set.iter
-    (fun j ->
-      Alcotest.(check bool) "cell = reference" true
-        (sem.Algorithm.equal_value (kr.Kernel.lookup j) (reference j)))
-    alg.Algorithm.index_set;
+  check_against_reference "lowered" alg sem (Kernel.run plan sem);
+  (* Matmul.semantics carries no lowered form: the default lowering of
+     its boundary/compute closures runs it. *)
+  let rng = Random.State.make [| 7 |] in
+  let a = Matmul.random_matrix ~rng 5 and b = Matmul.random_matrix ~rng 5 in
+  let msem = Matmul.semantics ~a ~b in
+  let kr = Kernel.run plan msem in
+  check_against_reference "default lowering" alg msem kr;
+  Alcotest.(check bool) "C = A B" true
+    (Matmul.product_of_values ~mu:4 kr.Kernel.lookup = Matmul.reference_product a b);
   Alcotest.(check int) "makespan = Equation 2.7"
     (Schedule.total_time ~mu:(Index_set.bounds alg.Algorithm.index_set) tm.Tmap.pi)
     (Kernel.makespan plan);
@@ -226,20 +267,47 @@ let test_kernel_matches_reference () =
   Alcotest.(check int) "125 cells" 125 (Kernel.cells plan)
 
 let test_kernel_block_invariance () =
-  (* Same values at block = 1 (maximal fan-out) and the default, under
-     a multi-domain pool — float, so any ordering bug shows up. *)
-  let alg, tm = Scenario.instantiate (Scenario.scenario "tc" ~mu:4) in
-  let sem = Scenario.tc_semantics (module Scenario.Float_type) in
-  let pool = Engine.Pool.create ~jobs:4 () in
-  let r1 = Kernel.run ~pool (Kernel.compile ~block:1 alg tm) sem in
-  let r2 = Kernel.run ~pool (Kernel.compile alg tm) sem in
-  Index_set.iter
-    (fun j ->
-      Alcotest.(check (float 0.)) "block-size independent"
-        (r1.Kernel.lookup j) (r2.Kernel.lookup j))
-    alg.Algorithm.index_set;
-  Alcotest.(check bool) "block=1 actually fanned out" true
-    (r1.Kernel.parallel_levels > 0)
+  (* Both case studies x every dtype x jobs 1/2 x block 1 (maximal
+     fan-out)/default: every run gives the first run's values bit for
+     bit, the lowered loop gives those of the default lowering of the
+     same closures, and both agree with the reference evaluator. *)
+  let check (type v) name alg tm (sem : v Algorithm.semantics) =
+    Alcotest.(check bool) (name ^ " carries a lowered form") true
+      (Option.is_some sem.Algorithm.lowered);
+    let closures = { sem with Algorithm.lowered = None } in
+    let first = ref None in
+    let same_values what (a : v Kernel.result) (b : v Kernel.result) =
+      Index_set.iter
+        (fun j ->
+          Alcotest.(check bool) (name ^ ": " ^ what) true
+            (a.Kernel.lookup j = b.Kernel.lookup j))
+        alg.Algorithm.index_set
+    in
+    List.iter
+      (fun jobs ->
+        let pool = Engine.Pool.create ~jobs () in
+        List.iter
+          (fun block ->
+            let plan = Kernel.compile ?block alg tm in
+            let lowered = Kernel.run ~pool plan sem in
+            (match !first with
+             | None -> first := Some lowered
+             | Some r -> same_values "jobs- and block-independent" r lowered);
+            same_values "lowered = default lowering" lowered (Kernel.run ~pool plan closures);
+            check_against_reference name alg sem lowered;
+            if jobs > 1 && block = Some 1 then
+              Alcotest.(check bool) (name ^ ": block=1 actually fanned out") true
+                (lowered.Kernel.parallel_levels > 0))
+          [ Some 1; None ])
+      [ 1; 2 ]
+  in
+  let ma, mt = Scenario.instantiate (Scenario.scenario "matmul" ~mu:4) in
+  let ta, tt = Scenario.instantiate (Scenario.scenario "tc" ~mu:4) in
+  List.iter
+    (fun (module M : Scenario.TYPE) ->
+      check ("matmul/" ^ M.name) ma mt (Scenario.matmul_semantics (module M) ~mu:4 ~seed:7);
+      check ("tc/" ^ M.name) ta tt (Scenario.tc_semantics (module M)))
+    Scenario.types
 
 let test_kernel_rejects_non_causal () =
   let alg = Matmul.algorithm ~mu:2 in
@@ -419,4 +487,5 @@ let suite =
         prop_linkcheck_matches_simulator;
         prop_clean_iff_conflict_free;
         prop_makespan_equals_formula;
+        prop_kernel_plan_shape;
       ]

@@ -71,6 +71,18 @@ let test_evaluator_outside_point () =
        false
      with Invalid_argument _ -> true)
 
+let test_evaluator_cycle () =
+  (* A zero dependence makes every point its own operand. *)
+  let alg =
+    Algorithm.make ~name:"self" ~index_set:(Index_set.cube ~n:2 ~mu:2)
+      ~dependences:[ [ 1; 0 ]; [ 0; 0 ] ]
+  in
+  Alcotest.(check bool) "cycle rejected" true
+    (try
+       ignore (Algorithm.evaluate_all alg Dataflow.semantics : int array -> int);
+       false
+     with Failure _ -> true)
+
 let test_evaluator_deterministic () =
   let alg = Transitive_closure.algorithm ~mu:3 in
   Alcotest.(check int) "fingerprint stable" (Dataflow.fingerprint_all alg) (Dataflow.fingerprint_all alg)
@@ -103,6 +115,7 @@ let suite =
     Alcotest.test_case "acyclic witness" `Quick test_acyclic_witness;
     Alcotest.test_case "evaluator computes matmul" `Quick test_evaluator_matmul;
     Alcotest.test_case "evaluator outside point" `Quick test_evaluator_outside_point;
+    Alcotest.test_case "evaluator rejects cycles" `Quick test_evaluator_cycle;
     Alcotest.test_case "evaluator deterministic" `Quick test_evaluator_deterministic;
     Alcotest.test_case "fingerprint distinguishes" `Quick test_fingerprint_distinguishes;
   ]
