@@ -890,8 +890,8 @@ let chaos_bench ?(quick = false) () =
 
 (* Exec bench: the compiled multicore kernel over the scenario x dtype
    matrix.  Verification stays on (it is part of the contract — the
-   section asserts it), the simulator cross-check stays off (covered
-   by tests and the exec CLI).  Per-cell timing is the best of a few
+   section asserts it), and so do the movement checks, which run
+   outside the timed sweep.  Per-cell timing is the best of a few
    kernel runs so the section's elapsed_ms leaves gate kernel
    regressions via `diff --section exec` (docs/SCHEMA.md). *)
 
@@ -910,7 +910,7 @@ let exec_bench ?(quick = false) () =
           (fun dtype ->
             let runs =
               List.init reps (fun _ ->
-                  Scenario.run_cell ~pool ~sim_limit:0 spec dtype)
+                  Scenario.run_cell ~pool spec dtype)
             in
             let best =
               List.fold_left
@@ -918,7 +918,7 @@ let exec_bench ?(quick = false) () =
                   if c.Scenario.elapsed_s < acc.Scenario.elapsed_s then c else acc)
                 (List.hd runs) (List.tl runs)
             in
-            assert best.Scenario.verified;
+            assert (Scenario.cell_ok best);
             best)
           Scenario.types)
       specs

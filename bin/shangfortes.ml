@@ -624,16 +624,7 @@ let exec_cmd =
       & info [ "block" ] ~docv:"N"
           ~doc:"Points of one wavefront executed per domain task (default 256).")
   in
-  let sim_limit_arg =
-    Arg.(
-      value
-      & opt int 8192
-      & info [ "sim-limit" ] ~docv:"N"
-          ~doc:
-            "Largest cell count still cross-checked against the cycle-accurate \
-             simulator (0 disables the cross-check).")
-  in
-  let run algorithm scenarios dtype mu_s jobs block sim_limit fmt obs =
+  let run algorithm scenarios dtype mu_s jobs block fmt obs =
     obs_begin obs;
     let algorithms =
       match algorithm with
@@ -675,7 +666,7 @@ let exec_cmd =
           (String.split_on_char ',' names)
     in
     let pool = Engine.Pool.create ?jobs () in
-    let cells = Scenario.run_matrix ~pool ?block ~sim_limit specs dtypes in
+    let cells = Scenario.run_matrix ~pool ?block specs dtypes in
     let all_ok = List.for_all Scenario.cell_ok cells in
     (match fmt with
     | Json_v2 ->
@@ -684,13 +675,12 @@ let exec_cmd =
            (obs_fields obs
               [
                 ("jobs", Json.Int (Engine.Pool.jobs pool));
-                ("sim_limit", Json.Int sim_limit);
                 ("cells", Json.Arr (List.map Scenario.json_of_cell cells));
                 ("all_verified", Json.Bool all_ok);
               ]))
     | Plain ->
       Printf.printf "%-14s %-6s %9s %6s %8s %6s %11s %6s %s\n" "scenario" "dtype"
-        "cells" "PEs" "cycles" "util" "GFLOP/s" "check" "sim";
+        "cells" "PEs" "cycles" "util" "GFLOP/s" "check" "movement";
       List.iter
         (fun (c : Scenario.cell) ->
           Printf.printf "%-14s %-6s %9d %6d %8d %5.3f %11.4f %6s %s\n"
@@ -699,11 +689,7 @@ let exec_cmd =
             c.Scenario.gflops
             (if c.Scenario.verified then "ok"
              else Printf.sprintf "%d!" c.Scenario.mismatches)
-            (match c.Scenario.sim with
-            | None -> "-"
-            | Some s ->
-              if s.Scenario.sim_clean && s.Scenario.makespan_agrees then "agrees"
-              else "DISAGREES"))
+            (if Scenario.movement_clean c.Scenario.movement then "clean" else "NOT CLEAN"))
         cells;
       Printf.printf "%d cells, %d domains: %s\n" (List.length cells)
         (Engine.Pool.jobs pool)
@@ -716,10 +702,10 @@ let exec_cmd =
        ~doc:
          "Execute the paper's case studies through the compiled multicore kernel over \
           the SCENARIOS x TYPES matrix, verifying every cell against the reference \
-          evaluator (docs/EXECUTOR.md)")
+          evaluator and checking its data movement (docs/EXECUTOR.md)")
     Term.(
       const run $ exec_algorithm_arg $ scenario_arg $ dtype_arg $ exec_mu_arg
-      $ jobs_arg $ block_arg $ sim_limit_arg $ format_arg $ obs_term)
+      $ jobs_arg $ block_arg $ format_arg $ obs_term)
 
 (* ------------------------------ parse ------------------------------ *)
 

@@ -44,7 +44,8 @@ let random_matrix ~rng n =
   Array.init n (fun _ -> Array.init n (fun _ -> Random.State.int rng 19 - 9))
 
 let paper_s = Intmat.of_ints [ [ 1; 1; -1 ] ]
-let optimal_pi ~mu = Intvec.of_ints [ 1; mu; 1 ]
+let optimal_pi ~mu =
+  Intvec.of_ints (if mu mod 2 = 0 then [ 1; mu; 1 ] else [ 1; 2; max 1 (mu - 1) ])
 let lee_kedem_pi ~mu = Intvec.of_ints [ 2; 1; mu ]
 let optimal_total_time ~mu = (mu * (mu + 2)) + 1
 let lee_kedem_total_time ~mu = (mu * (mu + 3)) + 1

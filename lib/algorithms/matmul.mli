@@ -29,7 +29,11 @@ val paper_s : Intmat.t
 (** [S = [1, 1, -1]], the space mapping of [23] reused by the paper. *)
 
 val optimal_pi : mu:int -> Intvec.t
-(** [Pi° = [1, mu, 1]] — total time [mu(mu+2) + 1]. *)
+(** A conflict-free schedule for {!paper_s} of total time [mu(mu+2) + 1]:
+    the paper's [Pi° = [1, mu, 1]] at even [mu].  At odd [mu], Pi°'s
+    conflict vector [((mu+1)/2, -1, (mu-1)/2)] lies in the box
+    (EXPERIMENTS.md, Observation 1), so it is [[1, 2, mu-1]], conflict
+    vector [(mu+1, -mu, 1)]; at [mu = 1], [[1, 2, 1]] (5 cycles). *)
 
 val lee_kedem_pi : mu:int -> Intvec.t
 (** [Pi' = [2, 1, mu]] of [23] — total time [mu(mu+3) + 1]. *)

@@ -129,6 +129,11 @@ let simulate_fields ~algorithm ~mu ~s ~pi (r : _ Exec.report) =
     ("utilization", Json.Float r.Exec.utilization);
   ]
 
+(* The largest simulate request: its cost is linear in |J| and in the
+   spans of [Pi j] and [S j] over J, the ranges of its counting sorts. *)
+let max_simulate_points = 1 lsl 18
+let max_simulate_span = 1 lsl 20
+
 let simulate ~algorithm ~mu ~s:s_opt ~pi =
   let alg, default_s = builtin_algorithm algorithm mu in
   let s = resolve_s s_opt default_s in
@@ -137,6 +142,16 @@ let simulate ~algorithm ~mu ~s:s_opt ~pi =
     | tm -> tm
     | exception Invalid_argument msg -> badf "bad mapping: %s" msg
   in
+  let bounds = Intvec.of_int_array (Index_set.bounds alg.Algorithm.index_set) in
+  let over limit x = Zint.compare x (Zint.of_int limit) > 0 in
+  let points = Array.fold_left (fun acc m -> Zint.mul acc (Zint.add m Zint.one)) Zint.one bounds in
+  if over max_simulate_points points then
+    badf "simulate: more than %d index points" max_simulate_points;
+  (* A [pi] of the wrong length is left for [Exec.run] to reject. *)
+  let span w = Intvec.dot (Array.map Zint.abs w) bounds in
+  if Intvec.dim pi = Intvec.dim bounds
+     && List.exists (fun w -> over max_simulate_span (span w)) (pi :: List.init (Intmat.rows s) (Intmat.row s))
+  then badf "simulate: Pi or a row of S spans more than %d over the index set" max_simulate_span;
   let r =
     match Exec.run alg Dataflow.semantics tm with
     | r -> r

@@ -79,7 +79,9 @@ val execute :
   Protocol.request ->
   (string * Json.t) list
 (** Dispatch one queued request: [analyze], [search], [simulate] or
-    [replay].
+    [replay].  A [simulate] of more than 2^18 index points, or whose
+    [Pi] or a row of [S] spans more than 2^20 over the index set, is a
+    bad request.
     @raise Bad_request as above.
     @raise Invalid_argument on [Ping]/[Stats]/[Drain], which the
     connection loop answers inline. *)

@@ -22,6 +22,13 @@ let verification_name = function
   | Skipped_no_routing -> "skipped-no-routing"
   | Mismatch _ -> "mismatch"
 
+type movement = {
+  routing : Tmap.routing option;
+  causality_violations : (int array * int) list;
+  collisions : collision list;
+  max_buffer_occupancy : int array;
+}
+
 type 'v report = {
   makespan : int;
   num_processors : int;
@@ -35,21 +42,19 @@ type 'v report = {
   utilization : float;
 }
 
+(* Walk the sweep backwards, so each level's events come out in sweep
+   order: by PE, then by point. *)
 let schedule_table (alg : Algorithm.t) tm =
-  let events = ref [] in
-  Index_set.iter
-    (fun j ->
-      let j = Array.copy j in
-      events := (Tmap.time_of tm j, (Tmap.space_of tm j, j)) :: !events)
-    alg.Algorithm.index_set;
-  let by_time = Hashtbl.create 64 in
-  List.iter
-    (fun (t, ev) ->
-      let prev = try Hashtbl.find by_time t with Not_found -> [] in
-      Hashtbl.replace by_time t (ev :: prev))
-    !events;
-  Hashtbl.fold (fun t evs acc -> (t, List.sort compare evs) :: acc) by_time []
-  |> List.sort compare
+  let plan = Kernel.lower alg tm in
+  let table = ref [] in
+  for p = Kernel.cells plan - 1 downto 0 do
+    let j = Kernel.point plan p in
+    let t = Tmap.time_of tm j and ev = (Tmap.space_of tm j, j) in
+    match !table with
+    | (t', evs) :: rest when t' = t -> table := (t, ev :: evs) :: rest
+    | rows -> table := (t, [ ev ]) :: rows
+  done;
+  !table
 
 (* Expand column [i] of the routing matrix into the ordered list of
    primitive indices the datum traverses (one per cycle). *)
@@ -60,168 +65,181 @@ let route_primitives (routing : Tmap.routing) i =
     (List.init r (fun prim ->
          List.init (Zint.to_int (Intmat.get k prim i)) (fun _ -> prim)))
 
-let primitive_vector p prim =
-  Array.init (Intmat.rows p) (fun r -> Zint.to_int (Intmat.get p r prim))
+(* A run of [Kernel.shared] positions, with the position before it, is
+   one (time, PE) cell that fires several points. *)
+let conflicts plan tm =
+  List.fold_left
+    (fun runs p ->
+      match runs with
+      | (lo, hi) :: rest when hi = p - 1 -> (lo, p) :: rest
+      | _ -> (p - 1, p) :: runs)
+    [] (Kernel.shared plan)
+  |> List.rev_map (fun (lo, hi) ->
+         let j = Kernel.point plan lo in
+         {
+           time = Tmap.time_of tm j;
+           pe = Tmap.space_of tm j;
+           points = List.init (hi - lo + 1) (fun x -> Kernel.point plan (lo + x));
+         })
 
-let run ?p (alg : Algorithm.t) (sem : 'v Algorithm.semantics) tm =
-  let iset = alg.Algorithm.index_set in
-  let d = alg.Algorithm.dependences in
+(* The positions whose operand along [d_i] is produced inside J, in
+   sweep order. *)
+let consumers plan i =
+  let out = Array.make (Kernel.cells plan) 0 and k = ref 0 in
+  for q = 0 to Kernel.cells plan - 1 do
+    if Kernel.pred plan q i >= 0 then begin
+      out.(!k) <- q;
+      incr k
+    end
+  done;
+  Array.sub out 0 !k
+
+(* Stream [i]'s datum from the point [j] at position [p] leaves PE
+   [S j + D_l] over primitive [route.(l)] at cycle [Pi j + l + 1],
+   where [D_l] sums the first [l] primitives.  One LSD sort of every
+   (hop, producer) entry on (primitive, cycle, PE) puts the data that
+   share a link side by side. *)
+let link_collisions plan tm ~time ~pe prims route i producers =
+  let h = Array.length route and np = Array.length producers in
+  let disp = Array.make_matrix (h + 1) (Intmat.rows tm.Tmap.s) 0 in
+  for l = 0 to h - 1 do
+    Array.iteri (fun r x -> disp.(l + 1).(r) <- disp.(l).(r) + x) prims.(route.(l))
+  done;
+  let len = h * np in
+  (* Entry [l * np + x] is hop [l] of the datum of [producers.(x)]. *)
+  let column f range =
+    let key = Array.make len 0 in
+    for l = 0 to h - 1 do
+      for x = 0 to np - 1 do
+        key.((l * np) + x) <- f l producers.(x)
+      done
+    done;
+    (key, range)
+  in
+  let pe_column r (key, range) =
+    let d = Array.init h (fun l -> disp.(l).(r)) in
+    let lo = Array.fold_left min 0 d and hi = Array.fold_left max 0 d in
+    column (fun l p -> key.(p) + d.(l) - lo) (range + hi - lo)
+  in
+  let columns =
+    column (fun l _ -> route.(l)) (Array.length prims)
+    :: column (fun l p -> (fst time).(p) + l) (snd time + h)
+    :: List.mapi pe_column pe
+  in
+  let ids = Kernel.sort_lex columns len in
+  let out = ref [] and a = ref 0 in
+  while !a < len do
+    let b = ref (!a + 1) in
+    while !b < len && Kernel.same_keys columns ids.(!a) ids.(!b) do
+      incr b
+    done;
+    if !b - !a > 1 then begin
+      let j = Kernel.point plan producers.(ids.(!a) mod np) and l = ids.(!a) / np in
+      out :=
+        {
+          link_pe = Array.mapi (fun r x -> x + disp.(l).(r)) (Tmap.space_of tm j);
+          primitive = prims.(route.(l));
+          stream = i;
+          at_time = Tmap.time_of tm j + l + 1;
+          count = !b - !a;
+        }
+        :: !out
+    end;
+    a := !b
+  done;
+  List.rev !out
+
+(* A datum waits at its consumer's PE from [hops_i] cycles after it is
+   produced until its use [Pi d_i] cycles after, so in the [len] cycles
+   before its consumer fires.  Over one PE's consumers in time order,
+   the peak is the most consumer times in a window of [len] cycles.
+   The consumers come in time order, and the sort by PE is stable. *)
+let peak_buffer ~time ~pe len consumers =
+  let nq = Array.length consumers in
+  let at (key, range) = (Array.map (fun q -> key.(q)) consumers, range) in
+  let t = fst (at time) and pe = List.map at pe in
+  let idx = Kernel.sort_lex pe nq in
+  let best = ref 0 and b = ref 0 in
+  for a = 0 to nq - 1 do
+    b := max !b a;
+    while
+      !b < nq
+      && Kernel.same_keys pe idx.(a) idx.(!b)
+      && t.(idx.(!b)) < t.(idx.(a)) + len
+    do
+      incr b
+    done;
+    best := max !best (!b - a)
+  done;
+  !best
+
+let movement (alg : Algorithm.t) tm plan =
   let m = Algorithm.num_dependences alg in
-  if not (Schedule.respects tm.Tmap.pi d) then
+  let pmat = Tmap.nearest_neighbor_primitives (Tmap.k tm - 1) in
+  match Tmap.find_routing ~p:pmat tm ~d:alg.Algorithm.dependences with
+  | None ->
+    { routing = None; causality_violations = []; collisions = []; max_buffer_occupancy = Array.make m 0 }
+  | Some r as routing ->
+    let time = Kernel.keys plan tm.Tmap.pi in
+    let pe = List.init (Intmat.rows tm.Tmap.s) (fun r -> Kernel.keys plan (Intmat.row tm.Tmap.s r)) in
+    let prims = Array.init (Intmat.cols pmat) (fun c -> Array.map Zint.to_int (Intmat.col pmat c)) in
+    let delay i = Zint.to_int (Intvec.dot tm.Tmap.pi (Intmat.col alg.Algorithm.dependences i)) in
+    let streams = List.init m (fun i -> (i, consumers plan i)) in
+    let late (i, qs) =
+      if r.Tmap.hops.(i) <= delay i then []
+      else List.map (fun q -> (Kernel.point plan q, i)) (Array.to_list qs)
+    in
+    let links (i, qs) =
+      link_collisions plan tm ~time ~pe prims
+        (Array.of_list (route_primitives r i))
+        i
+        (Array.map (fun q -> Kernel.pred plan q i) qs)
+    in
+    let buffer (i, qs) =
+      let len = delay i - r.Tmap.hops.(i) in
+      if len <= 0 then 0 else peak_buffer ~time ~pe len qs
+    in
+    {
+      routing;
+      causality_violations = List.concat_map late streams;
+      collisions = List.concat_map links streams;
+      max_buffer_occupancy = Array.of_list (List.map buffer streams);
+    }
+
+let run (alg : Algorithm.t) (sem : 'v Algorithm.semantics) tm =
+  if not (Schedule.respects tm.Tmap.pi alg.Algorithm.dependences) then
     failwith "Exec.run: Pi D > 0 fails; the mapping is not causal";
-  let pmat =
-    match p with
-    | Some p -> p
-    | None -> Tmap.nearest_neighbor_primitives (Tmap.k tm - 1)
-  in
-  let routing = Tmap.find_routing ~p:pmat tm ~d in
-  (* Per-dependence schedule delay Pi d_i. *)
-  let delay = Array.init m (fun i -> Zint.to_int (Intvec.dot tm.Tmap.pi (Intmat.col d i))) in
-  (* Gather all firings. *)
-  let firings = ref [] in
-  Index_set.iter
-    (fun j ->
-      let j = Array.copy j in
-      firings := (Tmap.time_of tm j, Tmap.space_of tm j, j) :: !firings)
-    iset;
-  let firings = List.sort compare !firings in
-  let computations = List.length firings in
-  let makespan =
-    match (firings, List.rev firings) with
-    | (t0, _, _) :: _, (t1, _, _) :: _ -> t1 - t0 + 1
-    | _ -> 0
-  in
-  (* Computational conflicts. *)
-  let cell = Hashtbl.create 1024 in
-  List.iter
-    (fun (t, pe, j) ->
-      let key = (t, Array.to_list pe) in
-      let prev = try Hashtbl.find cell key with Not_found -> [] in
-      Hashtbl.replace cell key (j :: prev))
-    firings;
-  let conflicts =
-    Hashtbl.fold
-      (fun (time, pe) points acc ->
-        if List.length points > 1 then
-          { time; pe = Array.of_list pe; points } :: acc
-        else acc)
-      cell []
-  in
-  let num_processors =
-    let pes = Hashtbl.create 256 in
-    List.iter (fun (_, pe, _) -> Hashtbl.replace pes (Array.to_list pe) ()) firings;
-    Hashtbl.length pes
-  in
-  (* Execute in time order, checking operand availability and values. *)
-  let store : (int list, 'v) Hashtbl.t = Hashtbl.create 1024 in
-  let causality = ref [] in
-  List.iter
-    (fun (t, _, j) ->
-      let operands =
-        Array.init m (fun i ->
-            let pred = Algorithm.predecessor alg j i in
-            if Index_set.contains iset pred then begin
-              let tp = Tmap.time_of tm pred in
-              let hops =
-                match routing with
-                | Some r -> r.Tmap.hops.(i)
-                | None -> 0
-              in
-              if tp + hops > t || tp >= t then causality := (Array.copy j, i) :: !causality;
-              match Hashtbl.find_opt store (Array.to_list pred) with
-              | Some v -> v
-              | None ->
-                (* Should not happen when causality holds; fall back to
-                   the reference evaluator to keep the run total. *)
-                Algorithm.evaluate alg sem pred
-            end
-            else sem.Algorithm.boundary j i)
-      in
-      Hashtbl.replace store (Array.to_list j) (sem.Algorithm.compute j operands))
-    firings;
-  (* Value correctness against the reference evaluator.  Mismatching
-     points are reported explicitly (capped) so a wrong value is never
-     confused with a movement check that was merely skipped. *)
+  let plan = Kernel.lower alg tm in
+  let mv = movement alg tm plan in
+  (* Values: the plan's own sweep, on one domain, against the
+     schedule-independent reference evaluator.  Mismatching points are
+     reported explicitly (capped), so a wrong value is never confused
+     with a movement check that was merely skipped. *)
+  let kr = Kernel.run ~pool:(Engine.Pool.create ~jobs:1 ()) plan sem in
   let reference = Algorithm.evaluate_all alg sem in
-  let max_reported_mismatches = 16 in
   let mismatches =
     List.rev
       (Index_set.fold
          (fun acc j ->
-           if List.length acc >= max_reported_mismatches then acc
-           else
-             match Hashtbl.find_opt store (Array.to_list j) with
-             | Some v when sem.Algorithm.equal_value v (reference j) -> acc
-             | _ -> Array.copy j :: acc)
-         [] iset)
+           if List.length acc >= 16
+              || sem.Algorithm.equal_value (kr.Kernel.lookup j) (reference j)
+           then acc
+           else Array.copy j :: acc)
+         [] alg.Algorithm.index_set)
   in
-  (* Data movement: link occupancy and destination buffers. *)
-  let collisions = ref [] in
-  let max_buffer = Array.make m 0 in
-  (match routing with
-  | None -> ()
-  | Some r ->
-    let link_load = Hashtbl.create 4096 in
-    let buffer_load = Hashtbl.create 4096 in
-    let deps = Array.init m (fun i -> Algorithm.dependence alg i) in
-    let prim_vecs = Array.init (Intmat.cols pmat) (fun p -> primitive_vector pmat p) in
-    let routes = Array.init m (fun i -> route_primitives r i) in
-    List.iter
-      (fun (tprod, pe_src, j) ->
-        for i = 0 to m - 1 do
-          let consumer = Array.mapi (fun rr x -> x + deps.(i).(rr)) j in
-          if Index_set.contains iset consumer then begin
-            (* Walk the route, one primitive per cycle. *)
-            let pos = ref (Array.copy pe_src) in
-            List.iteri
-              (fun l prim ->
-                let key =
-                  (Array.to_list !pos, prim, i, tprod + l + 1)
-                in
-                let c = (try Hashtbl.find link_load key with Not_found -> 0) + 1 in
-                Hashtbl.replace link_load key c;
-                pos := Array.mapi (fun rr x -> x + prim_vecs.(prim).(rr)) !pos)
-              routes.(i);
-            (* Wait in the destination buffer until use. *)
-            let arrival = tprod + r.Tmap.hops.(i) in
-            let use = tprod + delay.(i) in
-            for tt = arrival to use - 1 do
-              let key = (Array.to_list !pos, i, tt) in
-              let c = (try Hashtbl.find buffer_load key with Not_found -> 0) + 1 in
-              Hashtbl.replace buffer_load key c;
-              if c > max_buffer.(i) then max_buffer.(i) <- c
-            done
-          end
-        done)
-      firings;
-    Hashtbl.iter
-      (fun (pe, prim, stream, at_time) count ->
-        if count > 1 then
-          collisions :=
-            {
-              link_pe = Array.of_list pe;
-              primitive = primitive_vector pmat prim;
-              stream;
-              at_time;
-              count;
-            }
-            :: !collisions)
-      link_load);
   {
-    makespan;
-    num_processors;
-    computations;
-    conflicts;
-    causality_violations = !causality;
-    collisions = !collisions;
-    max_buffer_occupancy = max_buffer;
-    routing;
+    makespan = Kernel.makespan plan;
+    num_processors = Kernel.processors plan;
+    computations = Kernel.cells plan;
+    conflicts = conflicts plan tm;
+    causality_violations = mv.causality_violations;
+    collisions = mv.collisions;
+    max_buffer_occupancy = mv.max_buffer_occupancy;
+    routing = mv.routing;
     verified =
       (if mismatches <> [] then Mismatch mismatches
-       else match routing with None -> Skipped_no_routing | Some _ -> Values_ok);
-    utilization =
-      (if num_processors = 0 || makespan = 0 then 0.
-       else float_of_int computations /. float_of_int (num_processors * makespan));
+       else match mv.routing with None -> Skipped_no_routing | Some _ -> Values_ok);
+    utilization = Kernel.utilization plan;
   }
 
 let values_agree r = match r.verified with Mismatch _ -> false | _ -> true

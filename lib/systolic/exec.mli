@@ -1,23 +1,22 @@
-(** Cycle-accurate simulation of a uniform dependence algorithm on the
-    processor array defined by a mapping matrix [T = [S; Pi]].
+(** Cycle-accurate checks of a uniform dependence algorithm on the
+    array of a mapping [T = [S; Pi]]: [j ∈ J] fires at time [Pi j] on
+    PE [S j], and each datum moves to its consumer along the routing
+    [K], one interconnection primitive per cycle, then waits in a
+    buffer until use.  Every check runs on {!Kernel.lower}'s
+    sweep-order plan, in time linear in [|J|] times the hop counts
+    plus the key ranges:
 
-    The simulator executes every computation [j ∈ J] at time [Pi j] on
-    PE [S j], moves each produced datum to its consumer along the
-    routing [K] (one interconnection primitive per cycle, then a
-    destination buffer until use), and checks every structural claim
-    the paper makes about a mapping:
-
-    - {b computational conflicts} (Definition 2.2, condition 3): two
-      points on the same PE at the same cycle;
-    - {b causality}: every operand has been produced (and has arrived)
-      before its use;
-    - {b link collisions} (the [23] condition discussed in Section 5):
-      two data of the same stream crossing the same directed link of
-      the same PE in the same cycle;
-    - {b buffer occupancy} per dependence stream, to compare with the
-      paper's [Pi d_i - Σ_j k_ji] register counts;
-    - {b value correctness}: the final values equal the reference
-      evaluator of {!Algorithm.evaluate_all}. *)
+    - {b computational conflicts} (Definition 2.2, condition 3): points
+      on one PE in one cycle, adjacent in the sweep;
+    - {b causality}: every operand has arrived before its use;
+    - {b link collisions} (the [23] condition of Section 5): two data of
+      one stream on one directed link in one cycle, by one counting
+      sort per stream;
+    - {b buffer occupancy} per stream, against the paper's
+      [Pi d_i - Σ_j k_ji] registers, by a sliding window over each
+      PE's consumers in time order;
+    - {b value correctness}: the plan's sweep ({!Kernel.run}, one
+      domain) against {!Algorithm.evaluate_all}. *)
 
 type conflict = {
   time : int;
@@ -51,33 +50,41 @@ type verification =
 val verification_name : verification -> string
 (** ["values-ok" | "skipped-no-routing" | "mismatch"]. *)
 
-type 'v report = {
-  makespan : int;              (** Cycles between first and last firing,
-                                   inclusive — compare Equation 2.7. *)
-  num_processors : int;
-  computations : int;
-  conflicts : conflict list;
+(** The data-movement checks under the nearest-neighbour routing. *)
+type movement = {
+  routing : Tmap.routing option;
+  (** [None] when no routing fits the schedule slack; the other checks
+      are then empty. *)
   causality_violations : (int array * int) list;
   (** (point, dependence index) whose operand had not arrived. *)
   collisions : collision list;
   max_buffer_occupancy : int array;
   (** Per dependence stream, max data waiting in any one PE's buffer. *)
-  routing : Tmap.routing option;  (** [None] when no routing was found;
-                                      movement checks are then skipped. *)
-  verified : verification;
-  utilization : float;
-  (** computations / (processors * makespan). *)
 }
 
-val run :
-  ?p:Intmat.t ->
-  Algorithm.t ->
-  'v Algorithm.semantics ->
-  Tmap.t ->
-  'v report
-(** @raise Invalid_argument when dimensions disagree.
-    @raise Failure when [Pi D > 0] fails (the simulation would not be
-    causal by construction). *)
+val movement : Algorithm.t -> Tmap.t -> Kernel.plan -> movement
+(** Route every dependence over {!Tmap.nearest_neighbor_primitives},
+    then check links, buffers and arrivals on a plan of the same
+    algorithm and mapping.  [Pi D > 0] is assumed. *)
+
+type 'v report = {
+  makespan : int;  (** First to last firing, inclusive (Equation 2.7). *)
+  num_processors : int;
+  computations : int;
+  conflicts : conflict list;
+  causality_violations : (int array * int) list;
+  collisions : collision list;
+  max_buffer_occupancy : int array;
+  routing : Tmap.routing option;  (** As in {!type-movement}. *)
+  verified : verification;
+  utilization : float;  (** computations / (processors * makespan). *)
+}
+
+val run : Algorithm.t -> 'v Algorithm.semantics -> Tmap.t -> 'v report
+(** Every check above, on the unchecked plan: conflicts are reported,
+    in (time, PE) order with their points sorted, not refused.
+    @raise Invalid_argument when dimensions disagree.
+    @raise Failure when [Pi D > 0] fails. *)
 
 val values_agree : 'v report -> bool
 (** The computed values match the reference evaluator (i.e. [verified]
@@ -93,7 +100,8 @@ val fully_verified : 'v report -> bool
     actually exercised, nothing skipped. *)
 
 val schedule_table : Algorithm.t -> Tmap.t -> (int * (int array * int array) list) list
-(** For rendering: time -> [(pe, point); ...] sorted by time then PE. *)
+(** For rendering: time -> [(pe, point); ...] sorted by time, then PE,
+    then point — {!Kernel.lower}'s sweep order.  Any [Pi] is accepted. *)
 
 val route_primitives : Tmap.routing -> int -> int list
 (** The canonical hop sequence (primitive indices, one per cycle) used

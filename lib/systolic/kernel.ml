@@ -9,11 +9,13 @@ type plan = {
   n : int;                  (* algorithm dimension *)
   m : int;                  (* dependences *)
   card : int;
+  mu : int array;           (* box bounds *)
   stride : int array;       (* id = sum_i j_i * stride_i *)
   pos_of_id : int array;    (* id -> sweep position *)
   coords : int array;       (* pos*n + r -> coordinate r *)
   preds : int array;        (* pos*m + i -> position of j - d_i, -1 = boundary *)
   level_off : int array;    (* levels+1 offsets into the sweep *)
+  shared : int list;        (* positions firing on the PE and cycle of the previous one *)
   makespan : int;
   processors : int;
   peak_width : int;
@@ -25,6 +27,31 @@ let levels p = Array.length p.level_off - 1
 let makespan p = p.makespan
 let processors p = p.processors
 let peak_width p = p.peak_width
+let utilization p = float_of_int p.card /. float_of_int (p.processors * p.makespan)
+let shared p = p.shared
+let point p pos = Array.sub p.coords (pos * p.n) p.n
+let pred p pos i = p.preds.((pos * p.m) + i)
+
+(* [w j] for each of the [card] points of [coords], [n] ints a point,
+   shifted into [0, range) by the box's least value. *)
+let dot_keys mu coords card w =
+  let w = Array.map Zint.to_int w and n = Array.length mu in
+  let lo = ref 0 and range = ref 1 in
+  Array.iteri
+    (fun r x ->
+      lo := !lo + min 0 (x * mu.(r));
+      range := !range + abs (x * mu.(r)))
+    w;
+  let key i =
+    let acc = ref (- !lo) in
+    for r = 0 to n - 1 do
+      acc := !acc + (w.(r) * coords.((i * n) + r))
+    done;
+    !acc
+  in
+  (Array.init card key, !range)
+
+let keys p w = dot_keys p.mu p.coords p.card w
 
 (* [ids] stably sorted by [key.(id)], keys in [0, range): a counting
    sort, O(|ids| + range). *)
@@ -43,16 +70,23 @@ let sort_by key range ids =
     ids;
   out
 
-let compile ?(block = 256) (alg : Algorithm.t) tm =
+(* LSD passes, last column first. *)
+let sort_lex columns len =
+  List.fold_right (fun (key, range) ids -> sort_by key range ids) columns (Array.init len Fun.id)
+
+let rec same_keys columns a b =
+  match columns with
+  | [] -> true
+  | (key, _) :: rest -> key.(a) = key.(b) && same_keys rest a b
+
+let lower ?(block = 256) (alg : Algorithm.t) tm =
   Obs.Trace.with_span "exec.compile" @@ fun () ->
-  if block < 1 then invalid_arg "Kernel.compile: block must be >= 1";
+  if block < 1 then invalid_arg "Kernel.lower: block must be >= 1";
   let iset = alg.Algorithm.index_set in
   let mu = Index_set.bounds iset in
   let n = Array.length mu in
   if Tmap.n tm <> n then
-    invalid_arg "Kernel.compile: the mapping and the algorithm disagree on n";
-  if not (Schedule.respects tm.Tmap.pi alg.Algorithm.dependences) then
-    failwith "Kernel.compile: Pi D > 0 fails; the mapping is not causal";
+    invalid_arg "Kernel.lower: the mapping and the algorithm disagree on n";
   let stride = Array.make n 1 in
   for i = n - 2 downto 0 do
     stride.(i) <- stride.(i + 1) * (mu.(i + 1) + 1)
@@ -66,48 +100,26 @@ let compile ?(block = 256) (alg : Algorithm.t) tm =
       Array.blit j 0 jid !next n;
       next := !next + n)
     iset;
-  (* [w j] per id, shifted into [0, range) by the box's least value. *)
-  let keys w =
-    let w = Array.map Zint.to_int w in
-    let lo = ref 0 and range = ref 1 in
-    Array.iteri
-      (fun r x ->
-        lo := !lo + min 0 (x * mu.(r));
-        range := !range + abs (x * mu.(r)))
-      w;
-    let key =
-      Array.init card (fun id ->
-          let acc = ref (- !lo) in
-          for r = 0 to n - 1 do
-            acc := !acc + (w.(r) * jid.((id * n) + r))
-          done;
-          !acc)
-    in
-    (key, !range)
-  in
-  let pe = Array.init (Intmat.rows tm.Tmap.s) (fun r -> keys (Intmat.row tm.Tmap.s r)) in
+  let keys = dot_keys mu jid card in
+  let pe = List.init (Intmat.rows tm.Tmap.s) (fun r -> keys (Intmat.row tm.Tmap.s r)) in
   let time, time_range = keys tm.Tmap.pi in
-  (* LSD passes: PE rows last to first, then time, so each level's
-     bucket ends in PE order. *)
-  let by_pe =
-    Array.fold_right (fun (key, range) ids -> sort_by key range ids) pe
-      (Array.init card Fun.id)
-  in
+  (* PE rows, then time, so each level's bucket ends in PE order. *)
+  let by_pe = sort_lex pe card in
   let processors = ref 0 in
   Array.iteri
-    (fun i id ->
-      if i = 0 || Array.exists (fun (key, _) -> key.(id) <> key.(by_pe.(i - 1))) pe
-      then incr processors)
+    (fun i id -> if i = 0 || not (same_keys pe id by_pe.(i - 1)) then incr processors)
     by_pe;
   let order = sort_by time time_range by_pe in
-  let offs = ref [ card ] and peak = ref 0 in
-  let lo = ref card in
+  (* One pass over adjacent positions: level bounds, and the points
+     that share a (time, PE), which sit next to each other. *)
+  let offs = ref [ card ] and peak = ref 0 and lo = ref card and shared = ref [] in
   for p = card - 1 downto 0 do
     if p = 0 || time.(order.(p - 1)) <> time.(order.(p)) then begin
       peak := max !peak (!lo - p);
       lo := p;
       offs := p :: !offs
     end
+    else if same_keys pe order.(p - 1) order.(p) then shared := p :: !shared
   done;
   let pos_of_id = Array.make card 0 in
   Array.iteri (fun p id -> pos_of_id.(id) <- p) order;
@@ -132,16 +144,30 @@ let compile ?(block = 256) (alg : Algorithm.t) tm =
     n;
     m;
     card;
+    mu;
     stride;
     pos_of_id;
     coords;
     preds;
     level_off = Array.of_list !offs;
+    shared = !shared;
     makespan = time.(order.(card - 1)) - time.(order.(0)) + 1;
     processors = !processors;
     peak_width = !peak;
     block;
   }
+
+let compile ?block (alg : Algorithm.t) tm =
+  if not (Schedule.respects tm.Tmap.pi alg.Algorithm.dependences) then
+    failwith "Kernel.compile: Pi D > 0 fails; the mapping is not causal";
+  let plan = lower ?block alg tm in
+  match plan.shared with
+  | [] -> plan
+  | p :: _ ->
+    let j = point plan p and ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+    Printf.ksprintf failwith
+      "Kernel.compile: computational conflict at t=%d pe=(%s): points (%s) and (%s)"
+      (Tmap.time_of tm j) (ints (Tmap.space_of tm j)) (ints (point plan (p - 1))) (ints j)
 
 type 'v result = {
   lookup : int array -> 'v;

@@ -1,52 +1,45 @@
 (** Compiled execution of a verified mapping [T = [S; Pi]].
 
-    Where {!Exec} is a cycle-accurate {e simulator} (hashtables over
-    firings, movement checks, per-cycle bookkeeping), this module is an
-    {e executor}: {!compile} lowers the schedule once into flat arrays
-    numbered by {e sweep position} — the order [(Pi j, S j)] in which
-    {!run} fires the points — and {!run} then walks the hyperplanes
-    [Pi j = t] in time order, computing every point of a wavefront
-    before the next one starts.
+    {!lower} numbers the index points by {e sweep position}, the order
+    [(Pi j, S j)] in which {!run} fires them: [Pi j] and [S j] are
+    native-int dot products, and LSD counting sorts (the PE rows, then
+    time) put each level in its own bucket in PE order, in time linear
+    in [|J|] plus the key ranges.  Point coordinates and each
+    dependence's predecessor position are flat arrays in sweep order;
+    an id → position table serves [lookup].  Points that share a
+    (time, PE) are adjacent in the sweep, so one pass over adjacent
+    positions finds every conflict.  {!compile} refuses a mapping that
+    is not causal ([Pi D > 0]) or not conflict-free (Definition 2.2);
+    {!Exec} checks any causal mapping on the unchecked plan.
 
-    The plan: [Pi j] and [S j] as native-int dot products; LSD counting
-    sorts (the PE rows, then time) put each level in its own bucket in
-    PE order, in time linear in [|J|] plus the key ranges; the point
-    coordinates and each dependence's predecessor position are flat
-    arrays in sweep order, so operands are read a few levels back in
-    the same arrays; an id → position table serves [lookup].
-
-    Because a linear schedule satisfies [Pi D > 0] (enforced at compile
-    time, as in {!Exec.run}), all operands of a wavefront were produced
-    on strictly earlier hyperplanes, so the points of one wavefront are
-    independent: wide wavefronts are split into blocks of adjacent PEs
-    and fanned across {!Engine.Pool} domains; a level no wider than one
-    block runs inline, as a single task.  A fan-out wakes the pool's
-    parked helper domains, which the bench's [engine.pool_map_ns] leaf
-    puts at under a microsecond per map, while a 256-point block of
-    lowered work is several microseconds (15-30 ns per point at mu=64,
-    jobs 1, on a 2-vCPU Xeon VM).  The paper's linear arrays have level
-    widths [O(mu)] (at most 67 points at mu=64), so their levels run
-    inline.  The wavefront sweep is the cross-level barrier — exactly
-    the array's cycle structure.
-
-    {!run} executes the semantics' lowered form
-    ({!Algorithm.semantics}[.lowered]), one call per level or block;
-    a semantics without one runs a default lowering of its [boundary]
-    and [compute] closures, one point at a time.  {!Scenario}'s
-    semantics carry one allocation-free loop per dtype.
+    {!run} walks the hyperplanes [Pi j = t] in time order.  Under
+    [Pi D > 0] every operand of a wavefront comes from an earlier
+    one, so a wavefront wider than one block is split into blocks of
+    adjacent PEs fanned across {!Engine.Pool} domains; narrower levels
+    run inline (the paper's linear arrays are at most 67 points wide
+    at mu=64, against 15-30 ns per point and under a microsecond per
+    pool map on a 2-vCPU Xeon VM).  {!run} executes the semantics'
+    lowered form ({!Algorithm.semantics}[.lowered]), one call per level
+    or block, or else a default lowering of its [boundary] and
+    [compute] closures, one point at a time.
 
     Hot-path observability: [exec.compile] and [exec.wavefront] spans,
     plus the [exec.cells] counter (docs/SCHEMA.md). *)
 
 type plan
 
-val compile : ?block:int -> Algorithm.t -> Tmap.t -> plan
-(** Lower the schedule of [tm] over the algorithm's index set.
+val lower : ?block:int -> Algorithm.t -> Tmap.t -> plan
+(** The plan of any [Pi], conflicts included; {!run} needs [Pi D > 0].
     [block] (default 256) is the number of points of one wavefront a
-    single domain executes as a unit; a wavefront wider than [block]
-    is fanned across the pool by {!run}.
-    @raise Failure when [Pi D > 0] fails (not a causal schedule).
+    domain executes as a unit.
     @raise Invalid_argument when dimensions disagree or [block < 1]. *)
+
+val compile : ?block:int -> Algorithm.t -> Tmap.t -> plan
+(** {!lower}, gated.
+    @raise Failure when [Pi D > 0] fails, or when two points fire on
+    one PE in one cycle; the message names the time, the PE and two
+    such points.
+    @raise Invalid_argument as {!lower}. *)
 
 val cells : plan -> int
 (** Number of index points (= computations executed per {!run}). *)
@@ -55,8 +48,7 @@ val levels : plan -> int
 (** Number of distinct hyperplanes [Pi j = t] (barriers per run). *)
 
 val makespan : plan -> int
-(** Last minus first firing time plus one — equals the simulator's
-    [Exec.report.makespan] for the same mapping by construction. *)
+(** Last minus first firing time plus one (Equation 2.7). *)
 
 val processors : plan -> int
 (** Distinct PEs [S j] over the index set. *)
@@ -64,6 +56,34 @@ val processors : plan -> int
 val peak_width : plan -> int
 (** Points on the widest hyperplane — an upper bound on the useful
     domain parallelism of {!run}. *)
+
+val utilization : plan -> float
+(** [cells / (processors * makespan)]. *)
+
+(** {1 Reading a plan}
+
+    Positions run from [0] to [cells - 1] in time order, each level in
+    lexicographic PE order, ties in lexicographic point order. *)
+
+val point : plan -> int -> int array
+(** The index point at a position (a fresh array). *)
+
+val pred : plan -> int -> int -> int
+(** [pred plan p i]: the position of [j - d_i], or [-1] outside [J]. *)
+
+val shared : plan -> int list
+(** The positions, ascending, that fire on the PE and in the cycle of
+    the position before: empty iff the mapping is conflict-free on J. *)
+
+val keys : plan -> Intvec.t -> int array * int
+(** [w j] per position, shifted into [0 .. range - 1], and [range]. *)
+
+val sort_lex : (int array * int) list -> int -> int array
+(** [0 .. len - 1] stably sorted by the [(key, range)] columns, keys in
+    [0 .. range - 1]: LSD counting sorts, linear in [len] and the ranges. *)
+
+val same_keys : (int array * int) list -> int -> int -> bool
+(** Two ids agree on every column. *)
 
 type 'v result = {
   lookup : int array -> 'v;  (** Value computed at an index point. *)

@@ -305,12 +305,6 @@ let tc_semantics (type a) (module M : TYPE with type t = a) :
 
 (* ------------------------------ cells ------------------------------ *)
 
-type sim_check = {
-  sim_makespan : int;
-  sim_clean : bool;
-  makespan_agrees : bool;
-}
-
 type cell = {
   spec : spec;
   dtype : string;
@@ -322,7 +316,7 @@ type cell = {
   peak_width : int;
   mismatches : int;
   verified : bool;
-  sim : sim_check option;
+  movement : Exec.movement;
   elapsed_s : float;
   gflops : float;
   utilization : float;
@@ -331,85 +325,59 @@ type cell = {
 let mismatch_counter = Obs.Metrics.counter "exec.verify.mismatches"
 
 (* The dtype-polymorphic core: execute, verify cell-for-cell, and
-   cross-check the simulator; only monomorphic measurements escape. *)
-let measure (type v) ~pool ~sim_limit alg tm plan
-    (sem : v Algorithm.semantics) =
+   check data movement on the plan; only monomorphic measurements
+   escape. *)
+let measure (type v) ~pool alg tm plan (sem : v Algorithm.semantics) =
   let kr = Kernel.run ~pool plan sem in
-  let mismatches, sim =
-    Obs.Trace.with_span "exec.verify" @@ fun () ->
-    let reference = Algorithm.evaluate_all alg sem in
-    let mismatches =
-      Index_set.fold
-        (fun acc j ->
-          if sem.Algorithm.equal_value (kr.Kernel.lookup j) (reference j) then acc
-          else acc + 1)
-        0 alg.Algorithm.index_set
-    in
-    if mismatches > 0 then
-      Obs.Metrics.add mismatch_counter mismatches;
-    let sim =
-      if Kernel.cells plan > sim_limit then None
-      else begin
-        let r = Exec.run alg sem tm in
-        Some
-          {
-            sim_makespan = r.Exec.makespan;
-            sim_clean = Exec.is_clean r;
-            makespan_agrees = r.Exec.makespan = Kernel.makespan plan;
-          }
-      end
-    in
-    (mismatches, sim)
+  Obs.Trace.with_span "exec.verify" @@ fun () ->
+  let reference = Algorithm.evaluate_all alg sem in
+  let mismatches =
+    Index_set.fold
+      (fun acc j ->
+        if sem.Algorithm.equal_value (kr.Kernel.lookup j) (reference j) then acc
+        else acc + 1)
+      0 alg.Algorithm.index_set
   in
-  (kr.Kernel.elapsed_s, mismatches, sim)
+  if mismatches > 0 then Obs.Metrics.add mismatch_counter mismatches;
+  (kr.Kernel.elapsed_s, mismatches, Exec.movement alg tm plan)
 
-let run_cell ?pool ?block ?(sim_limit = 8192) spec (module M : TYPE) =
+let run_cell ?pool ?block spec (module M : TYPE) =
   let pool = match pool with Some p -> p | None -> Engine.Pool.create () in
   let alg, tm = instantiate spec in
   let plan = Kernel.compile ?block alg tm in
-  let elapsed_s, mismatches, sim =
+  let elapsed_s, mismatches, movement =
     match spec.algorithm with
     | "matmul" ->
-      measure ~pool ~sim_limit alg tm plan
-        (matmul_semantics (module M) ~mu:spec.mu ~seed:2025)
-    | _ -> measure ~pool ~sim_limit alg tm plan (tc_semantics (module M))
+      measure ~pool alg tm plan (matmul_semantics (module M) ~mu:spec.mu ~seed:2025)
+    | _ -> measure ~pool alg tm plan (tc_semantics (module M))
   in
   let cells = Kernel.cells plan in
-  let makespan = Kernel.makespan plan in
-  let processors = Kernel.processors plan in
   {
     spec;
     dtype = M.name;
     jobs = Engine.Pool.jobs pool;
     cells;
     levels = Kernel.levels plan;
-    makespan;
-    processors;
+    makespan = Kernel.makespan plan;
+    processors = Kernel.processors plan;
     peak_width = Kernel.peak_width plan;
     mismatches;
     verified = mismatches = 0;
-    sim;
+    movement;
     elapsed_s;
     gflops =
       (if elapsed_s <= 0. then 0.
        else float_of_int (spec.flops_per_cell * cells) /. elapsed_s /. 1e9);
-    utilization =
-      (if processors = 0 || makespan = 0 then 0.
-       else float_of_int cells /. float_of_int (processors * makespan));
+    utilization = Kernel.utilization plan;
   }
 
-let run_matrix ?pool ?block ?sim_limit specs dtypes =
-  let pool = match pool with Some p -> p | None -> Engine.Pool.create () in
-  List.concat_map
-    (fun spec -> List.map (run_cell ~pool ?block ?sim_limit spec) dtypes)
-    specs
+let run_matrix ?pool ?block specs dtypes =
+  List.concat_map (fun spec -> List.map (run_cell ?pool ?block spec) dtypes) specs
 
-let cell_ok c =
-  c.verified
-  &&
-  match c.sim with
-  | None -> true
-  | Some s -> s.sim_clean && s.makespan_agrees
+let movement_clean (mv : Exec.movement) =
+  mv.Exec.routing <> None && mv.Exec.causality_violations = [] && mv.Exec.collisions = []
+
+let cell_ok c = c.verified && movement_clean c.movement
 
 let json_of_cell c =
   Json.Obj
@@ -427,16 +395,16 @@ let json_of_cell c =
       ("peak_width", Json.Int c.peak_width);
       ("verified", Json.Bool c.verified);
       ("mismatches", Json.Int c.mismatches);
-      ( "sim",
-        (match c.sim with
-        | None -> Json.Null
-        | Some s ->
-          Json.Obj
-            [
-              ("makespan", Json.Int s.sim_makespan);
-              ("clean", Json.Bool s.sim_clean);
-              ("makespan_agrees", Json.Bool s.makespan_agrees);
-            ]) );
+      ( "movement",
+        let mv = c.movement in
+        Json.Obj
+          [
+            ("routed", Json.Bool (mv.Exec.routing <> None));
+            ("causality_violations", Json.Int (List.length mv.Exec.causality_violations));
+            ("link_collisions", Json.Int (List.length mv.Exec.collisions));
+            ("buffers", Json.ints (Array.to_list mv.Exec.max_buffer_occupancy));
+            ("clean", Json.Bool (movement_clean mv));
+          ] );
       ("elapsed_ms", Json.Float (c.elapsed_s *. 1000.));
       ("gflops", Json.Float c.gflops);
       ("utilization", Json.Float c.utilization);

@@ -16,10 +16,9 @@
     + verifies every cell against the schedule-independent reference
       evaluator {!Algorithm.evaluate_all} — exactly for the integer
       dtypes, within a 2-ULP tolerance for float;
-    + at small sizes additionally cross-checks the {!Exec}
-      cycle-accurate simulator: same makespan, clean run (the
-      simulator itself checks values against the same reference, so
-      agreement is transitive);
+    + checks data movement on the same plan ({!Exec.val-movement}) at every
+      size: a routing exists, with no link collision and no late
+      operand ({!Kernel.compile} has refused conflicting mappings);
     + reports throughput (GFLOP/s over the per-cell flop count) and
       PE utilization.
 
@@ -133,12 +132,6 @@ val tc_semantics : (module TYPE with type t = 'a) -> 'a Algorithm.semantics
 
 (** {1 Running} *)
 
-type sim_check = {
-  sim_makespan : int;
-  sim_clean : bool;     (** {!Exec.is_clean} on the simulator report. *)
-  makespan_agrees : bool;  (** Simulator makespan = kernel makespan. *)
-}
-
 type cell = {
   spec : spec;
   dtype : string;
@@ -150,34 +143,25 @@ type cell = {
   peak_width : int;
   mismatches : int;     (** Cells disagreeing with the reference. *)
   verified : bool;      (** [mismatches = 0]. *)
-  sim : sim_check option;  (** [None] above the simulator size cutoff. *)
+  movement : Exec.movement;  (** Movement checks on the compiled plan. *)
   elapsed_s : float;
   gflops : float;
   utilization : float;  (** cells / (processors * makespan). *)
 }
 
-val run_cell :
-  ?pool:Engine.Pool.t ->
-  ?block:int ->
-  ?sim_limit:int ->
-  spec ->
-  (module TYPE) ->
-  cell
-(** One cell of the matrix.  [sim_limit] (default 8192) is the largest
-    cell count still cross-checked against {!Exec.run}. *)
+val run_cell : ?pool:Engine.Pool.t -> ?block:int -> spec -> (module TYPE) -> cell
+(** One cell of the matrix.
+    @raise Failure when {!Kernel.compile} refuses the spec's mapping. *)
 
 val run_matrix :
-  ?pool:Engine.Pool.t ->
-  ?block:int ->
-  ?sim_limit:int ->
-  spec list ->
-  (module TYPE) list ->
-  cell list
+  ?pool:Engine.Pool.t -> ?block:int -> spec list -> (module TYPE) list -> cell list
 (** The cross product, scenario-major. *)
 
+val movement_clean : Exec.movement -> bool
+(** A routing exists, with no link collision and no late operand. *)
+
 val cell_ok : cell -> bool
-(** Verified against the reference, and — when the simulator ran —
-    clean with an agreeing makespan. *)
+(** Verified against the reference, and {!movement_clean}. *)
 
 val json_of_cell : cell -> Json.t
 (** The per-cell object of the [exec] CLI report and bench section

@@ -9,53 +9,33 @@ type t = {
   wire_length : int;
 }
 
-let pe_loads (alg : Algorithm.t) tm =
-  let counts = Hashtbl.create 256 in
-  Index_set.iter
-    (fun j ->
-      let pe = Tmap.space_of tm j in
-      let key = Array.to_list pe in
-      Hashtbl.replace counts key (1 + try Hashtbl.find counts key with Not_found -> 0))
-    alg.Algorithm.index_set;
-  List.sort compare
-    (Hashtbl.fold (fun key c acc -> (Array.of_list key, c) :: acc) counts [])
+(* Runs of one PE in the plan's positions sorted by PE. *)
+let loads plan tm =
+  let pe = List.init (Intmat.rows tm.Tmap.s) (fun r -> Kernel.keys plan (Intmat.row tm.Tmap.s r)) in
+  Array.fold_right
+    (fun p loads ->
+      match loads with
+      | (q, c) :: rest when Kernel.same_keys pe p q -> (p, c + 1) :: rest
+      | _ -> (p, 1) :: loads)
+    (Kernel.sort_lex pe (Kernel.cells plan))
+    []
+  |> List.map (fun (p, c) -> (Tmap.space_of tm (Kernel.point plan p), c))
+
+let pe_loads alg tm = loads (Kernel.lower alg tm) tm
 
 let compute (alg : Algorithm.t) tm =
-  let loads = pe_loads alg tm in
-  let processors = List.length loads in
-  let computations = Index_set.cardinal alg.Algorithm.index_set in
-  let mu = Index_set.bounds alg.Algorithm.index_set in
-  let makespan = Schedule.total_time ~mu tm.Tmap.pi in
-  let per_cycle = Hashtbl.create 256 in
-  Index_set.iter
-    (fun j ->
-      let time = Tmap.time_of tm j in
-      Hashtbl.replace per_cycle time (1 + try Hashtbl.find per_cycle time with Not_found -> 0))
-    alg.Algorithm.index_set;
-  let peak_parallelism = Hashtbl.fold (fun _ c acc -> max acc c) per_cycle 0 in
-  let max_pe_load = List.fold_left (fun acc (_, c) -> max acc c) 0 loads in
-  let min_pe_load = List.fold_left (fun acc (_, c) -> min acc c) max_int loads in
-  let sd = Intmat.mul tm.Tmap.s alg.Algorithm.dependences in
-  let wire_length =
-    let acc = ref 0 in
-    for i = 0 to Intmat.cols sd - 1 do
-      for r = 0 to Intmat.rows sd - 1 do
-        acc := !acc + abs (Zint.to_int (Intmat.get sd r i))
-      done
-    done;
-    !acc
-  in
+  let plan = Kernel.lower alg tm in
+  let loads = List.map snd (loads plan tm) in
+  let sd = Intmat.to_ints (Intmat.mul tm.Tmap.s alg.Algorithm.dependences) in
   {
-    processors;
-    makespan;
-    computations;
-    utilization =
-      (if processors = 0 || makespan = 0 then 0.
-       else float_of_int computations /. float_of_int (processors * makespan));
-    max_pe_load;
-    min_pe_load;
-    peak_parallelism;
-    wire_length;
+    processors = Kernel.processors plan;
+    makespan = Kernel.makespan plan;
+    computations = Kernel.cells plan;
+    utilization = Kernel.utilization plan;
+    max_pe_load = List.fold_left max 0 loads;
+    min_pe_load = List.fold_left min max_int loads;
+    peak_parallelism = Kernel.peak_width plan;
+    wire_length = List.fold_left (List.fold_left (fun acc x -> acc + abs x)) 0 sd;
   }
 
 let pp fmt s =

@@ -3,117 +3,88 @@ let point_to_string j =
   ^ String.concat "," (Array.to_list (Array.map string_of_int j))
   ^ ")"
 
+(* The text of every fired cell: [label t pe j] for each event of the
+   schedule, the last one winning on a conflict. *)
+let cells (alg : Algorithm.t) tm label =
+  let cells = Hashtbl.create 256 in
+  List.iter
+    (fun (t, evs) -> List.iter (fun (pe, j) -> label cells t pe j) evs)
+    (Exec.schedule_table alg tm);
+  cells
+
+let width cells least = Hashtbl.fold (fun _ s acc -> max acc (String.length s)) cells least
+
 let linear_array_table (alg : Algorithm.t) tm =
   if Tmap.k tm <> 2 then
     invalid_arg "Trace.linear_array_table: array is not 1-dimensional";
-  let table = Exec.schedule_table alg tm in
-  let times = List.map fst table in
-  let tmin = List.fold_left min max_int times in
-  let tmax = List.fold_left max min_int times in
-  let pes =
-    List.sort_uniq compare
-      (List.concat_map (fun (_, evs) -> List.map (fun (pe, _) -> pe.(0)) evs) table)
-  in
-  let cell = Hashtbl.create 256 in
-  List.iter
-    (fun (t, evs) ->
-      List.iter (fun (pe, j) -> Hashtbl.replace cell (t, pe.(0)) (point_to_string j)) evs)
-    table;
-  let width =
-    Hashtbl.fold (fun _ s acc -> max acc (String.length s)) cell 4
-  in
+  let cell = cells alg tm (fun c t pe j -> Hashtbl.replace c (t, pe.(0)) (point_to_string j)) in
+  let times = Hashtbl.fold (fun (t, _) _ acc -> t :: acc) cell [] in
+  let tmin = List.fold_left min max_int times and tmax = List.fold_left max min_int times in
+  let pes = List.sort_uniq compare (Hashtbl.fold (fun (_, pe) _ acc -> pe :: acc) cell []) in
+  let width = width cell 4 in
   let buf = Buffer.create 4096 in
-  let pad s = Printf.sprintf "%*s" width s in
-  Buffer.add_string buf (Printf.sprintf "%6s |" "PE\\t");
-  for t = tmin to tmax do
-    Buffer.add_string buf (" " ^ pad (string_of_int t))
-  done;
-  Buffer.add_char buf '\n';
+  let row label text =
+    Buffer.add_string buf label;
+    for t = tmin to tmax do
+      Printf.bprintf buf " %*s" width (text t)
+    done;
+    Buffer.add_char buf '\n'
+  in
+  row (Printf.sprintf "%6s |" "PE\\t") string_of_int;
   Buffer.add_string buf (String.make (8 + ((tmax - tmin + 1) * (width + 1))) '-');
   Buffer.add_char buf '\n';
   List.iter
     (fun pe ->
-      Buffer.add_string buf (Printf.sprintf "%6d |" pe);
-      for t = tmin to tmax do
-        let s = try Hashtbl.find cell (t, pe) with Not_found -> "" in
-        Buffer.add_string buf (" " ^ pad s)
-      done;
-      Buffer.add_char buf '\n')
+      row (Printf.sprintf "%6d |" pe) (fun t ->
+          Option.value ~default:"" (Hashtbl.find_opt cell (t, pe))))
     pes;
   Buffer.contents buf
 
-let grid_bounds cells =
-  List.fold_left
-    (fun (x0, x1, y0, y1) (pe : int array) ->
-      (min x0 pe.(0), max x1 pe.(0), min y0 pe.(1), max y1 pe.(1)))
-    (max_int, min_int, max_int, min_int)
-    cells
-
-let render_grid ~cell_width cells lookup =
-  let x0, x1, y0, y1 = grid_bounds cells in
+(* A 2-D array's PE grid over the bounding box of the PEs that [label]
+   gives a text, every other cell showing a dot. *)
+let render_grid name (alg : Algorithm.t) tm ~least label =
+  if Tmap.k tm <> 3 then invalid_arg (name ^ ": array is not 2-dimensional");
+  let cell = cells alg tm (fun c t pe j -> label c t (pe.(0), pe.(1)) j) in
+  let x0, x1, y0, y1 =
+    Hashtbl.fold
+      (fun (x, y) _ (x0, x1, y0, y1) -> (min x0 x, max x1 x, min y0 y, max y1 y))
+      cell (max_int, min_int, max_int, min_int)
+  in
+  let cell_width = width cell least in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "%*s" (cell_width + 1) "");
   for y = y0 to y1 do
-    Buffer.add_string buf (Printf.sprintf " %*d" cell_width y)
+    Printf.bprintf buf " %*d" cell_width y
   done;
   Buffer.add_char buf '\n';
   for x = x0 to x1 do
-    Buffer.add_string buf (Printf.sprintf "%*d " cell_width x);
+    Printf.bprintf buf "%*d " cell_width x;
     for y = y0 to y1 do
-      Buffer.add_string buf (Printf.sprintf " %*s" cell_width (lookup x y))
+      Printf.bprintf buf " %*s"
+        cell_width (Option.value ~default:"." (Hashtbl.find_opt cell (x, y)))
     done;
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
 
-let require_2d tm name = if Tmap.k tm <> 3 then invalid_arg (name ^ ": array is not 2-dimensional")
+let grid_snapshot alg tm ~time =
+  render_grid "Trace.grid_snapshot" alg tm ~least:3 (fun c t pe j ->
+      if t = time then Hashtbl.replace c pe (point_to_string j)
+      else if not (Hashtbl.mem c pe) then Hashtbl.replace c pe ".")
 
-let grid_snapshot (alg : Algorithm.t) tm ~time =
-  require_2d tm "Trace.grid_snapshot";
-  let table = Exec.schedule_table alg tm in
-  let all_pes =
-    List.concat_map (fun (_, evs) -> List.map (fun (pe, _) -> pe) evs) table
-  in
-  let firing = Hashtbl.create 64 in
-  (match List.assoc_opt time table with
-  | Some evs ->
-    List.iter (fun (pe, j) -> Hashtbl.replace firing (pe.(0), pe.(1)) (point_to_string j)) evs
-  | None -> ());
-  let width =
-    Hashtbl.fold (fun _ s acc -> max acc (String.length s)) firing 3
-  in
-  render_grid ~cell_width:width all_pes (fun x y ->
-      match Hashtbl.find_opt firing (x, y) with Some s -> s | None -> ".")
-
-let grid_activity (alg : Algorithm.t) tm =
-  require_2d tm "Trace.grid_activity";
-  let table = Exec.schedule_table alg tm in
-  let counts = Hashtbl.create 64 in
-  let all_pes =
-    List.concat_map (fun (_, evs) -> List.map (fun (pe, _) -> pe) evs) table
-  in
-  List.iter
-    (fun pe ->
-      let key = (pe.(0), pe.(1)) in
-      Hashtbl.replace counts key (1 + try Hashtbl.find counts key with Not_found -> 0))
-    all_pes;
-  let width =
-    Hashtbl.fold (fun _ c acc -> max acc (String.length (string_of_int c))) counts 1
-  in
-  render_grid ~cell_width:width all_pes (fun x y ->
-      match Hashtbl.find_opt counts (x, y) with Some c -> string_of_int c | None -> ".")
+let grid_activity alg tm =
+  render_grid "Trace.grid_activity" alg tm ~least:1 (fun c _ pe _ ->
+      let n = Option.fold ~none:0 ~some:int_of_string (Hashtbl.find_opt c pe) in
+      Hashtbl.replace c pe (string_of_int (n + 1)))
 
 let firing_list (alg : Algorithm.t) tm =
-  let table = Exec.schedule_table alg tm in
   let buf = Buffer.create 4096 in
   List.iter
     (fun (t, evs) ->
-      Buffer.add_string buf (Printf.sprintf "t=%3d:" t);
+      Printf.bprintf buf "t=%3d:" t;
       List.iter
-        (fun (pe, j) ->
-          Buffer.add_string buf
-            (Printf.sprintf " %s<-%s" (point_to_string pe) (point_to_string j)))
+        (fun (pe, j) -> Printf.bprintf buf " %s<-%s" (point_to_string pe) (point_to_string j))
         evs;
       Buffer.add_char buf '\n')
-    table;
+    (Exec.schedule_table alg tm);
   Buffer.contents buf

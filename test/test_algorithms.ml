@@ -13,6 +13,18 @@ let test_matmul_times () =
   Alcotest.(check int) "lee-kedem mu=3" 19 (Matmul.lee_kedem_total_time ~mu:3);
   Alcotest.(check int) "optimal mu=3" 16 (Matmul.optimal_total_time ~mu:3)
 
+(* Pi° = (1, mu, 1) conflicts at odd mu; optimal_pi switches to
+   (1, 2, mu-1) there.  Both branches, mu = 2..40. *)
+let test_matmul_optimal_pi_every_mu () =
+  for mu = 2 to 40 do
+    let pi = Matmul.optimal_pi ~mu in
+    let name what = Printf.sprintf "mu=%d %s" mu what in
+    Alcotest.(check bool) (name "conflict-free") true
+      (Conflict.is_conflict_free ~mu:[| mu; mu; mu |] (Intmat.append_row Matmul.paper_s pi));
+    Alcotest.(check int) (name "total time") (Matmul.optimal_total_time ~mu)
+      (Schedule.total_time ~mu:[| mu; mu; mu |] pi)
+  done
+
 let test_tc_structure () =
   (* Equation 3.6. *)
   let a = Transitive_closure.algorithm ~mu:4 in
@@ -290,3 +302,4 @@ let suite =
     Alcotest.test_case "all instances schedulable" `Quick test_all_instances_schedulable;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_sorter_sorts_random ]
+  @ [ Alcotest.test_case "matmul optimal Pi at every mu" `Quick test_matmul_optimal_pi_every_mu ]

@@ -399,6 +399,27 @@ let test_live_bad_requests () =
   Client.close conn;
   shutdown server
 
+let test_live_simulate_bounded () =
+  (* Pi = (10^12, 1, 1) on 27 points: its counting sort would span
+     2 * 10^12 cycles, so the daemon refuses it and keeps serving. *)
+  let server = boot () in
+  let _, _, sock = server in
+  let conn = Client.connect (`Unix sock) in
+  let simulate pi =
+    Client.request conn (Protocol.simulate ~id:(Json.Int 1) ~algorithm:"matmul" ~mu:2 ~pi:(Intvec.of_ints pi) ())
+  in
+  let reply = simulate [ 1_000_000_000_000; 1; 1 ] in
+  Alcotest.(check (option string)) "oversized simulate is bad_request" (Some "bad_request")
+    (Protocol.error_code reply);
+  Alcotest.(check (option string)) "a Pi of the wrong length is bad_request" (Some "bad_request")
+    (Protocol.error_code (simulate [ 1; 1 ]));
+  let reply = Client.request conn (Protocol.ping ~id:(Json.Int 2) ()) in
+  Alcotest.(check bool) "still serving" true (Protocol.reply_ok reply);
+  let reply = simulate [ 1; 2; 1 ] in
+  Alcotest.(check bool) "a small simulate still runs" true (Protocol.reply_ok reply);
+  Client.close conn;
+  shutdown server
+
 let test_live_drain_rejects () =
   let server = boot () in
   let d, _, sock = server in
@@ -1391,4 +1412,5 @@ let suite =
     Alcotest.test_case "limiter aimd property" `Quick test_limiter_aimd;
     Alcotest.test_case "retry token bucket" `Quick test_retry_token_bucket;
     Alcotest.test_case "gray chaos determinism" `Quick test_gray_chaos_determinism;
+    Alcotest.test_case "live simulate bounded" `Quick test_live_simulate_bounded;
   ]
