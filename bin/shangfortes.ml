@@ -923,10 +923,12 @@ let search_cmd =
     let alg, default_s = builtin_algorithm name mu in
     let pool = Engine.Pool.create ?jobs () in
     let budget = Engine.Budget.make ?deadline_ms () in
-    (* Ctrl-C cancels the budget instead of killing the process: the
-       scan winds down on the bounded path and the partial report
-       still goes out with "interrupted": true — the same mechanism
-       the server uses to drain in-flight requests. *)
+    (* Ctrl-C cancels the budget instead of killing the process, the
+       mechanism the server uses to drain in-flight requests.  A screen
+       that consults the budget (the Analysis.decide of a k < n-1
+       search) then takes the bounded path, and the report goes out
+       with "interrupted": true.  A k = n-1 search never consults it
+       and runs to its exact end. *)
     let previous_sigint =
       Sys.signal Sys.sigint
         (Sys.Signal_handle (fun _ -> Engine.Budget.cancel budget))
@@ -955,7 +957,7 @@ let search_cmd =
                     ("metrics", Obs.Export.metrics snap);
                     ("budget_elapsed_ms", Json.Float (Engine.Budget.elapsed_ms budget));
                     ("budget_pressed", Json.Bool (Engine.Budget.pressed budget));
-                    ("interrupted", Json.Bool (Engine.Budget.cancelled budget));
+                    ("interrupted", Json.Bool (Engine.Budget.degraded budget));
                   ])))
       | Plain ->
         plain ();
@@ -993,8 +995,11 @@ let search_cmd =
           | None -> ())
     end;
     restore_sigint ();
-    if fmt = Plain && Engine.Budget.cancelled budget then
-      prerr_endline "search interrupted; results above are partial (bounded)";
+    if fmt = Plain then
+      if Engine.Budget.degraded budget then
+        prerr_endline "search bounded by its budget; results above are partial (bounded)"
+      else if Engine.Budget.cancelled budget then
+        prerr_endline "search interrupted, but no screen consulted the budget; results above are complete";
     obs_end obs fmt
   in
   Cmd.v

@@ -7,6 +7,7 @@ type path =
   | Analysis_decide
   | Budget_degraded
   | Family_path
+  | Search_screen
   | Exec_simulate
 
 let path_name = function
@@ -18,6 +19,7 @@ let path_name = function
   | Analysis_decide -> "analysis-decide"
   | Budget_degraded -> "budget-degraded"
   | Family_path -> "family"
+  | Search_screen -> "search-screen"
   | Exec_simulate -> "exec-simulate"
 
 type disagreement = {
@@ -92,8 +94,8 @@ let check_instance inst =
     || v2.Analysis.full_rank <> v1.Analysis.full_rank
     || not (Option.equal Intvec.equal v2.Analysis.witness v1.Analysis.witness)
   then add Analysis_cached "warm-cache verdict differs from the cold one";
-  (* The same cascade without the memo tables (Search's screen) must
-     give v1 field for field. *)
+  (* The same cascade without the memo tables (Search's screen for
+     k < n-1) must give v1 field for field. *)
   let vd = Analysis.decide ~mu t in
   if
     vd.Analysis.conflict_free <> v1.Analysis.conflict_free
@@ -162,7 +164,17 @@ let check_instance inst =
     | Some w when not (Oracle.valid_witness inst w) ->
       add Family_path (Printf.sprintf "invalid witness %s" (Intvec.to_string w))
     | _ -> ()));
-  (* 7. Close the loop on execution: run the instance through the
+  (* 7. Search's screen: on a k = n-1 instance it is Theorem 3.1's
+     closed form, with no family and no oracle behind it, so it must
+     say exactly "full rank and conflict-free". *)
+  if Intmat.rows t = Intmat.cols t - 1 then begin
+    let expected = Intmat.rank t = Intmat.rows t && oracle_free in
+    let screened = Search.screen ~mu t in
+    if screened <> expected then
+      add Search_screen
+        (Printf.sprintf "screen says %b but full rank and the oracle say %b" screened expected)
+  end;
+  (* 8. Close the loop on execution: run the instance through the
      cycle-accurate simulator.  Conflicts there are pairs of points
      with [T j1 = T j2], i.e. exactly the oracle's notion, so a
      conflict-free verdict must mean a conflict-free (and causal)

@@ -123,6 +123,7 @@ let cascade ~family ~lattice ~memo ~budget ~mu t =
        oracle entirely; one lattice-oracle call settles the query,
        reported as bounded.  Bounded verdicts are never memoized. *)
     Obs.Metrics.incr m_budget_degraded;
+    Engine.Budget.degrade budget;
     Engine.Budget.charge_oracle budget;
     let w = lattice ~mu t in
     finish (Option.is_none w, Lattice_fallback, w, Intmat.rank t = Intmat.rows t) Bounded

@@ -20,7 +20,8 @@
 
     - {e budgets}: under an expired {!Engine.Budget} the cascade is
       replaced by the lattice oracle and the verdict is reported with
-      [exactness = Bounded] instead of blocking;
+      [exactness = Bounded] instead of blocking, and the budget is
+      marked {!Engine.Budget.degraded};
     - {e observability}: every call bumps the [analysis.*] counters of
       {!Obs.Metrics}, feeds the [analysis.check_ms] histogram and opens
       an [analysis.check] trace span (see [docs/SCHEMA.md] for the

@@ -5,6 +5,7 @@ module Budget = struct
     used_oracle : int Atomic.t;
     started : float;
     cancelled : bool Atomic.t;
+    degraded : bool Atomic.t;
   }
 
   (* All wall-clock reads go through [Fault.clock_now] so an armed
@@ -18,6 +19,7 @@ module Budget = struct
       used_oracle = Atomic.make 0;
       started;
       cancelled = Atomic.make false;
+      degraded = Atomic.make false;
     }
 
   let unlimited = make ()
@@ -29,6 +31,10 @@ module Budget = struct
      every caller that passed no budget at all. *)
   let cancel t = if t != unlimited then Atomic.set t.cancelled true
   let cancelled t = Atomic.get t.cancelled
+
+  (* [unlimited] is never pressed, so no query degrades under it. *)
+  let degrade t = if t != unlimited then Atomic.set t.degraded true
+  let degraded t = Atomic.get t.degraded
 
   let pressed t =
     Atomic.get t.cancelled

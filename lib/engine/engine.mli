@@ -41,6 +41,17 @@ module Budget : sig
 
   val cancelled : t -> bool
 
+  val degrade : t -> unit
+  (** Record that a query answered bounded under this budget (the
+      pressed-budget path of [Analysis]'s cascade).  A no-op on
+      {!unlimited}. *)
+
+  val degraded : t -> bool
+  (** True once some query answered bounded under this budget, so its
+      caller's results may be partial.  A pressed budget need not be
+      degraded: a caller whose queries never consult it, such as a
+      k = n-1 search, stays exact to its end. *)
+
   val pressed : t -> bool
   (** True once the deadline passed, the oracle budget is spent, or
       the budget was {!cancel}led. *)

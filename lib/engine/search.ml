@@ -9,21 +9,26 @@ let get_pool = function
   | Some p -> p
   | None -> Engine.Pool.create ()
 
-(* The engine's mapping-matrix screen: rank condition plus
-   conflict-freedom.  Every candidate of a scan is a distinct matrix,
-   so it goes to the uncached cascade. *)
-let valid_screen ?budget ~mu t =
+(* Conditions 3 and 4 of Definition 2.2 on one candidate.  Every
+   candidate of a scan is a distinct matrix, so nothing is memoized: a
+   k = n-1 matrix takes Family's adjugate arm directly, any other the
+   uncached cascade. *)
+let screen ?budget ~mu t =
   Obs.Trace.with_span "search.screen" @@ fun () ->
-  let v = Analysis.decide ?budget ~mu t in
-  v.Analysis.full_rank && v.Analysis.conflict_free
+  if Intmat.rows t = Intmat.cols t - 1 then Family.adjugate_free ~mu t
+  else
+    let v = Analysis.decide ?budget ~mu t in
+    v.Analysis.full_rank && v.Analysis.conflict_free
 
-(* One cost level of Procedure 5.1 under its own span: [f] applied on
-   the pool to every candidate of that cost, paired with its candidate
-   in enumeration order.  [f] checks [Pi D > 0] itself, so that check
-   runs on the pool too. *)
-let level ~pool ~mu f cost =
+(* One cost level of Procedure 5.1 under its own span: the walk keeps a
+   copy of each candidate with [Pi D > 0], and [f] runs on the pool
+   over those, each paired with its candidate in enumeration order. *)
+let level ~pool ~mu ~d f cost =
   Obs.Trace.with_span ~args:[ ("cost", string_of_int cost) ] "search.level" @@ fun () ->
-  let cands = Procedure51.candidates_at_cost ~mu cost in
+  let cands = ref [] in
+  Procedure51.walk ~mu cost (fun pi ->
+      if Schedule.respects pi d then cands := Array.copy pi :: !cands);
+  let cands = List.rev !cands in
   List.combine cands (Engine.Pool.map pool f cands)
 
 let all_optimal_schedules ?pool ?budget ?max_objective (alg : Algorithm.t) ~s =
@@ -31,11 +36,8 @@ let all_optimal_schedules ?pool ?budget ?max_objective (alg : Algorithm.t) ~s =
   let mu = Index_set.bounds alg.Algorithm.index_set in
   let d = alg.Algorithm.dependences in
   Obs.Trace.with_span "search.schedule-scan" @@ fun () ->
-  let screen pi =
-    Schedule.respects pi d && valid_screen ?budget ~mu (Intmat.append_row s pi)
-  in
   Procedure51.first_level ?max_objective ~mu (fun cost ->
-      level ~pool ~mu screen cost
+      level ~pool ~mu ~d (fun pi -> screen ?budget ~mu (Intmat.append_row s pi)) cost
       |> List.filter_map (fun (pi, ok) -> if ok then Some pi else None)
       |> function [] -> None | winners -> Some winners)
   |> Option.value ~default:[]
@@ -65,15 +67,13 @@ let pareto_front ?pool ?budget ?entry_bound ?(time_slack = 8)
   let pool = get_pool pool in
   let mu = Index_set.bounds alg.Algorithm.index_set in
   let d = alg.Algorithm.dependences in
-  let valid t = valid_screen ?budget ~mu t in
   Obs.Trace.with_span "search.space-scan" @@ fun () ->
   (* One pool task per schedule candidate: the whole space-family scan
-     for that Pi, with the engine's screen plugged into Space_opt. *)
+     for that Pi, with the search's screen plugged into Space_opt. *)
   let level =
-    level ~pool ~mu (fun pi ->
-        if Schedule.respects pi d then
-          Space_opt.optimize ?entry_bound ~objective:Space_opt.Processors ~valid alg ~pi ~k
-        else None)
+    level ~pool ~mu ~d (fun pi ->
+        Space_opt.optimize ?entry_bound ~objective:Space_opt.Processors
+          ~valid:(screen ?budget ~mu) alg ~pi ~k)
   in
   (* The joint optimum's level: the first cost where any candidate
      admits a conflict-free space mapping at all.  [accept] is applied

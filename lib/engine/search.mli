@@ -11,21 +11,36 @@
 
     Every query walks Procedure 5.1's cost levels
     ({!Procedure51.first_level}) smallest-first with a full barrier per
-    level.  Within a level the per-candidate work is fanned out over an
-    {!Engine.Pool}, and every mapping-matrix decision goes through
-    {!Analysis.decide}, the conflict-freedom cascade without its memo
-    tables: every candidate a scan screens is a distinct matrix, so a
-    table would cost a hash and a lock per candidate and never hit.  A
-    query leaves {!Engine.Cache} as it found it.  The pool preserves
-    input order, so results are merged deterministically: the answer
-    is the same at every width, and a 1-domain pool is the sequential
-    search.
+    level.  Each level is one {!Procedure51.walk} over the candidates
+    of its cost, which copies out only those with [Pi D > 0]; the
+    per-candidate work on those is fanned out over an {!Engine.Pool}.
+    Every mapping-matrix decision is one {!screen}: for [k = n-1],
+    the case of every paper example, Theorem 3.1's closed form
+    ({!Family.adjugate_free}), and for any other [k] {!Analysis.decide},
+    the conflict-freedom cascade without its memo tables.  Every
+    candidate a scan screens is a distinct matrix, so a table would
+    cost a hash and a lock per candidate and never hit; a query leaves
+    {!Engine.Cache} as it found it.  Routing uses
+    {!Tmap.find_routing}'s nearest-neighbour closed form.  The pool
+    preserves input order, so results are merged deterministically:
+    the answer is the same at every width, and a 1-domain pool is the
+    sequential search.
 
     Why parallelism preserves exactness: candidates are screened
     independently (no shared state), the screen is a sound decision
     procedure, and "first level with winners" is decided only after
     the whole level has been screened — so it means the same thing
     under any domain count. *)
+
+val screen : ?budget:Engine.Budget.t -> mu:int array -> Intmat.t -> bool
+(** The screen of every candidate [T = [S; Pi]] of a scan: [rank T =
+    k] and conflict-free on the box [mu], under a [search.screen]
+    span.  A [k = n-1] matrix is decided by {!Family.adjugate_free}
+    (exact, so [budget] does not apply and is never marked
+    {!Engine.Budget.degraded}); any other by
+    {!Analysis.decide}[ ?budget], whose [analysis.*] counters it
+    feeds.  [Check.Diff] compares it with the brute-force oracle on
+    every fuzzed [k = n-1] instance. *)
 
 val all_optimal_schedules :
   ?pool:Engine.Pool.t ->

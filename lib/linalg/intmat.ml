@@ -131,18 +131,19 @@ let bareiss work =
   done;
   (!pivots, !sign)
 
-let det m =
-  let n = rows m in
-  if n <> cols m then invalid_arg "Intmat.det: non-square matrix";
+let det_in_place work =
+  let n = rows work in
+  if n <> cols work then invalid_arg "Intmat.det: non-square matrix";
   if n = 0 then Zint.one
   else begin
-    let work = copy m in
     let pivots, sign = bareiss work in
     if pivots < n then Zint.zero
     else
       let d = work.(n - 1).(n - 1) in
       if sign < 0 then Zint.neg d else d
   end
+
+let det m = det_in_place (copy m)
 
 let rank m =
   let work = copy m in

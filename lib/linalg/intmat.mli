@@ -1,7 +1,7 @@
 (** Dense integer matrices over {!Zint}.
 
     Row-major [Zint.t array array]; matrices are treated as immutable by
-    every function here.  Determinant and rank use fraction-free Bareiss
+    every function here but {!det_in_place}.  Determinant and rank use fraction-free Bareiss
     elimination, which keeps intermediate entries bounded by minors of
     the input and never leaves the integers. *)
 
@@ -53,6 +53,14 @@ val scale : Zint.t -> t -> t
 
 val det : t -> Zint.t
 (** Determinant by fraction-free Bareiss elimination.
+    @raise Invalid_argument on a non-square matrix. *)
+
+val det_in_place : t -> Zint.t
+(** {!det} on a scratch matrix that it overwrites (its rows are
+    permuted and reduced): the one exception to immutability, for a
+    caller that refills one matrix per determinant.  Entries that fit
+    a native int stay immediate, so it allocates nothing unless an
+    intermediate passes 62 bits.
     @raise Invalid_argument on a non-square matrix. *)
 
 val rank : t -> int

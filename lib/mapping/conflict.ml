@@ -1,11 +1,11 @@
 let is_feasible ~mu gamma =
   if Array.length mu <> Intvec.dim gamma then
     invalid_arg "Conflict.is_feasible: arity mismatch";
-  let ok = ref false in
-  Array.iteri
-    (fun i g -> if Zint.compare (Zint.abs g) (Zint.of_int mu.(i)) > 0 then ok := true)
-    gamma;
-  !ok
+  let rec from i =
+    i < Array.length mu
+    && (Zint.compare (Zint.abs gamma.(i)) (Zint.of_int mu.(i)) > 0 || from (i + 1))
+  in
+  from 0
 
 let kernel_basis t = Hnf.kernel_basis t
 
@@ -225,14 +225,32 @@ let single_conflict_vector t =
   if Intmat.rows t <> n - 1 then
     invalid_arg "Conflict.single_conflict_vector: T must be (n-1) x n";
   (* gamma_i = (-1)^i det(T with column i deleted): the Laplace
-     expansion of the singular square matrix [row; T] gives T gamma = 0. *)
-  let gamma =
-    Array.init n (fun i ->
-        let d = Intmat.det (Intmat.make (n - 1) (n - 1) (fun r c -> Intmat.get t r (if c < i then c else c + 1))) in
-        if i mod 2 = 0 then d else Zint.neg d)
-  in
-  if Intvec.is_zero gamma then None
-  else Some (Intvec.normalize_sign (Intvec.primitive_part gamma))
+     expansion of the singular square matrix [row; T] gives T gamma = 0.
+     Each minor is loaded into one scratch matrix and reduced in place. *)
+  let m = n - 1 in
+  let w = Intmat.zero m m and gamma = Array.make n Zint.zero in
+  for i = 0 to n - 1 do
+    for r = 0 to m - 1 do
+      for c = 0 to m - 1 do
+        w.(r).(c) <- Intmat.get t r (if c < i then c else c + 1)
+      done
+    done;
+    let d = Intmat.det_in_place w in
+    gamma.(i) <- (if i land 1 = 0 then d else Zint.neg d)
+  done;
+  (* Primitive and sign-normalized, in place: divide by the content,
+     then negate when the first nonzero entry is negative. *)
+  let g = Array.fold_left Zint.gcd Zint.zero gamma in
+  if Zint.is_zero g then None
+  else begin
+    let rec first i = if Zint.is_zero gamma.(i) then first (i + 1) else i in
+    let g = if Zint.sign gamma.(first 0) < 0 then Zint.neg g else g in
+    if not (Zint.is_one g) then
+      for i = 0 to n - 1 do
+        gamma.(i) <- Zint.divexact gamma.(i) g
+      done;
+    Some gamma
+  end
 
 let f_coefficient_matrix ~s =
   let n = Intmat.cols s in

@@ -70,7 +70,10 @@ val single_conflict_vector : Intmat.t -> Intvec.t option
 (** Theorem 3.1: for [T ∈ Z^{(n-1)×n}] with [rank T = n-1], the unique
     conflict vector whose first nonzero entry is positive, via the
     signed maximal minors of [T] (Equation 3.2 up to the scalar
-    [lambda]).  [None] when [rank T < n-1]. *)
+    [lambda]).  [None] exactly when [rank T < n-1], so the call is
+    also the rank test.  The minors are reduced by
+    {!Intmat.det_in_place} in one scratch matrix, on {!Zint} values
+    that stay immediate while they fit a native int. *)
 
 val f_coefficient_matrix : s:Intmat.t -> Intmat.t
 (** Proposition 3.2 made explicit: the n×n integer matrix [C] such that

@@ -240,10 +240,11 @@ let build t =
     if r = n then { k; n; full_rank = r = k; shape = Const_free }
     else { k; n; full_rank = r = k; shape = Always_residual }
   end
-  else if k = n - 1 && Intmat.rank t = n - 1 then
+  else if k = n - 1 then
+    (* The maximal minors all vanish exactly when rank T < n-1. *)
     match Conflict.single_conflict_vector t with
     | Some gamma -> { k; n; full_rank = true; shape = Adjugate gamma }
-    | None -> assert false (* full rank guarantees a nonzero minor *)
+    | None -> { k; n; full_rank = false; shape = Always_residual }
   else begin
     let h = Hnf.compute t in
     let rank = h.Hnf.rank in
@@ -301,6 +302,17 @@ let decide ~mu t =
   match eval (build t) ~mu with
   | Decided { conflict_free; _ } -> conflict_free
   | Residual -> Conflict.is_conflict_free ~mu t
+
+(* The [Adjugate] arm of [build] and [eval] with no family in between:
+   a rank-deficient T has no conflict vector and is not valid. *)
+let adjugate_free ~mu t =
+  match Conflict.single_conflict_vector t with
+  | Some gamma -> Conflict.is_feasible ~mu gamma
+  | None -> false
+
+let valid ~mu t =
+  if Intmat.rows t = Intmat.cols t - 1 then adjugate_free ~mu t
+  else Intmat.rank t = Intmat.rows t && decide ~mu t
 
 (* ------------------------------- codec ------------------------------ *)
 

@@ -134,10 +134,24 @@ val decide : mu:int array -> Intmat.t -> bool
 (** Conflict-freedom of [T] on the box [0 <= j_i <= mu_i], uncached:
     {!build}, {!eval}, and {!Conflict.is_conflict_free} when the
     instance is {!Residual}.  Always agrees with
-    {!Conflict.is_conflict_free}; this is the default screen of
-    [Procedure51] and [Space_opt] ([Search] screens through the
-    memoized [Analysis.check] instead).
+    {!Conflict.is_conflict_free}.  {!valid} runs it for every [k]
+    other than [n-1].
     @raise Invalid_argument when [mu] and [T] disagree on arity. *)
+
+val adjugate_free : mu:int array -> Intmat.t -> bool
+(** For [T ∈ Z^{(n-1)×n}]: [rank T = n-1] and conflict-free, decided
+    as the {!Adjugate} arm decides it, without building a family:
+    {!Conflict.single_conflict_vector}, then {!Conflict.is_feasible}
+    on its [gamma].  [false] when [rank T < n-1].  Every [k = n-1]
+    candidate of a [Search] scan is screened by this call.
+    @raise Invalid_argument unless [T] is (n-1)×n, or when [mu] and
+    [T] disagree on arity. *)
+
+val valid : mu:int array -> Intmat.t -> bool
+(** Conditions 3 and 4 of Definition 2.2 for a [k]×[n] [T]: [rank T
+    = k] and conflict-free.  {!adjugate_free} when [k = n-1], else
+    [Intmat.rank] and {!decide}.  The default screen of [Procedure51]
+    and [Space_opt]. *)
 
 (** {1 Codec}
 

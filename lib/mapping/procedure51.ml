@@ -5,35 +5,44 @@ type result = {
   routing : Tmap.routing option;
 }
 
-(* Enumerate all pi with Sigma |pi_i| * mu_i = cost.  Components are
-   chosen left to right; each nonzero magnitude branches on sign. *)
-let candidates_at_cost ~mu cost =
+(* Every pi with Sigma |pi_i| * mu_i = cost, on one buffer.  Components
+   are chosen left to right, each nonzero magnitude branching on sign,
+   + first.  The last component is solved, not searched: the remainder
+   must be a multiple of its weight. *)
+let walk ~mu cost visit =
   let n = Array.length mu in
-  let acc = ref [] in
-  let pi = Array.make n 0 in
+  let pi = Array.make n Zint.zero in
   let rec go i remaining =
-    if i = n then begin
-      if remaining = 0 then acc := Intvec.of_int_array pi :: !acc
+    let w = mu.(i) in
+    if i = n - 1 then begin
+      if remaining >= 0 && remaining mod w = 0 then begin
+        let mag = remaining / w in
+        if mag = 0 then visit pi
+        else begin
+          pi.(i) <- Zint.of_int mag;
+          visit pi;
+          pi.(i) <- Zint.of_int (-mag);
+          visit pi;
+          pi.(i) <- Zint.zero
+        end
+      end
     end
     else begin
-      let w = mu.(i) in
-      let max_mag = remaining / w in
-      for mag = 0 to max_mag do
-        if mag = 0 then begin
-          pi.(i) <- 0;
-          go (i + 1) remaining
-        end
-        else begin
-          pi.(i) <- mag;
-          go (i + 1) (remaining - (mag * w));
-          pi.(i) <- -mag;
-          go (i + 1) (remaining - (mag * w));
-          pi.(i) <- 0
-        end
-      done
+      go (i + 1) remaining;
+      for mag = 1 to remaining / w do
+        pi.(i) <- Zint.of_int mag;
+        go (i + 1) (remaining - (mag * w));
+        pi.(i) <- Zint.of_int (-mag);
+        go (i + 1) (remaining - (mag * w))
+      done;
+      pi.(i) <- Zint.zero
     end
   in
-  go 0 cost;
+  if n = 0 then (if cost = 0 then visit pi) else go 0 cost
+
+let candidates_at_cost ~mu cost =
+  let acc = ref [] in
+  walk ~mu cost (fun pi -> acc := Array.copy pi :: !acc);
   List.rev !acc
 
 let default_max_objective mu =
@@ -43,14 +52,14 @@ let first_level ?(from = 1) ?max_objective ~mu level =
   let max_objective =
     match max_objective with Some m -> m | None -> default_max_objective mu
   in
-  let rec walk cost =
+  let rec scan cost =
     if cost > max_objective then None
     else
       match level cost with
       | Some _ as hit -> hit
-      | None -> walk (cost + 1)
+      | None -> scan (cost + 1)
   in
-  walk from
+  scan from
 
 let minimal_schedule ?max_objective (alg : Algorithm.t) =
   let mu = Index_set.bounds alg.Algorithm.index_set in
@@ -63,14 +72,10 @@ let optimize ?valid ?p ?(require_routing = false) ?max_objective
   Obs.Trace.with_span "p51.optimize" @@ fun () ->
   let mu = Index_set.bounds alg.Algorithm.index_set in
   let d = alg.Algorithm.dependences in
-  let k = Intmat.rows s + 1 in
   let valid =
     match valid with
     | Some f -> f
-    | None ->
-      fun t ->
-        Obs.Trace.with_span "p51.screen" @@ fun () ->
-        Intmat.rank t = k && Family.decide ~mu t
+    | None -> fun t -> Obs.Trace.with_span "p51.screen" @@ fun () -> Family.valid ~mu t
   in
   let tried = ref 0 in
   let candidates_metric = Obs.Metrics.counter "p51.candidates" in

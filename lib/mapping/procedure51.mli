@@ -32,9 +32,9 @@ val optimize :
     (default nearest-neighbor links) are rejected — condition 2 of
     Definition 2.2.
 
-    [valid] replaces the default mapping-matrix screen ([rank T = k]
-    and {!Family.decide}) — the hook the cached engine
-    ([Analysis.check]) plugs into. *)
+    [valid] replaces the default mapping-matrix screen,
+    {!Family.valid} ([rank T = k] and conflict-free; Theorem 3.1's
+    closed form when [k = n-1]). *)
 
 val default_max_objective : int array -> int
 (** The default search bound [Σ mu_i * (mu_i + 1)]. *)
@@ -49,9 +49,18 @@ val first_level :
     time, so "first level with a winner" is decided before any costlier
     candidate is generated. *)
 
+val walk : mu:int array -> int -> (Intvec.t -> unit) -> unit
+(** [walk ~mu cost visit] calls [visit] on every integral [Pi] with
+    [Σ |pi_i| mu_i = cost] — the paper's candidate set [C_l] — in
+    enumeration order: components left to right, each magnitude
+    ascending from 0, [+m] before [-m].  The last component is solved
+    rather than searched: it exists only when the remainder is a
+    multiple of [mu_{n-1}].  [visit] sees one buffer, rewritten in
+    place between calls, so a caller that keeps a candidate copies
+    it; a walk allocates nothing else. *)
+
 val candidates_at_cost : mu:int array -> int -> Intvec.t list
-(** All integral [Pi] with [Σ |pi_i| mu_i] equal to the given cost —
-    the paper's candidate set [C_l], exposed for tests. *)
+(** The candidates of {!walk}, copied into a list in its order. *)
 
 val minimal_schedule : ?max_objective:int -> Algorithm.t -> Intvec.t option
 (** The cost-minimal [Pi] with [Pi D > 0] and nothing else — the

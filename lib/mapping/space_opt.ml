@@ -52,7 +52,7 @@ let optimize ?(entry_bound = 1) ?(objective = Processors_plus_wire) ?valid
   let valid =
     match valid with
     | Some f -> f
-    | None -> fun t -> Intmat.rank t = k && Family.decide ~mu t
+    | None -> Family.valid ~mu
   in
   let slack = Array.init m (fun i -> Zint.to_int (Intvec.dot pi (Intmat.col d i))) in
   let tried = ref 0 in
@@ -61,34 +61,21 @@ let optimize ?(entry_bound = 1) ?(objective = Processors_plus_wire) ?valid
     incr tried;
     let t = Intmat.append_row s pi in
     if valid t then begin
-      (* Routability and wire length: one nearest-neighbor hop per unit
-         of |S d_i| per array dimension, within the schedule slack. *)
-      let sd = Intmat.mul s d in
-      let hops i =
-        let acc = ref 0 in
-        for r = 0 to k - 2 do
-          acc := !acc + abs (Zint.to_int (Intmat.get sd r i))
-        done;
-        !acc
-      in
-      let routable = ref true in
-      let wire = ref 0 in
-      for i = 0 to m - 1 do
-        let h = hops i in
-        if h > slack.(i) then routable := false;
-        wire := !wire + h
-      done;
-      if !routable then begin
+      (* Routability and wire length: the nearest-neighbour routing of
+         Tmap.find_routing, ||S d_i||_1 hops within the schedule slack. *)
+      let hops = Tmap.nearest_neighbor_hops ~s ~d in
+      let wire = Array.fold_left ( + ) 0 hops in
+      if not (Array.exists2 ( > ) hops slack) then begin
         let tm = Tmap.make ~s ~pi in
         let procs = List.length (Tmap.processors tm alg.Algorithm.index_set) in
         let cost =
           match objective with
           | Processors -> procs
-          | Processors_plus_wire -> procs + !wire
+          | Processors_plus_wire -> procs + wire
         in
         match !best with
         | Some (bcost, _) when bcost <= cost -> ()
-        | Some _ | None -> best := Some (cost, { s; processors = procs; wire_length = !wire; candidates_tried = 0 })
+        | Some _ | None -> best := Some (cost, { s; processors = procs; wire_length = wire; candidates_tried = 0 })
       end
     end
   in

@@ -36,9 +36,10 @@ val optimize :
     Returns [None] if no conflict-free routable [S] exists in the
     searched family.
 
-    [valid] replaces the default mapping-matrix screen ([rank T = k]
-    plus {!Family.decide}) on each candidate [T = [S; Pi]] — the hook
-    the cached engine ([Analysis.check]) plugs into.
+    [valid] replaces the default mapping-matrix screen,
+    {!Family.valid}, on each candidate [T = [S; Pi]] — the hook
+    [Search] plugs its screen into.  A candidate is routable when
+    {!Tmap.nearest_neighbor_hops} stays within [Pi D].
     @raise Invalid_argument when [Pi] does not respect the dependences
     or [k] is out of range (needs [2 <= k <= n]). *)
 

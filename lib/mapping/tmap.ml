@@ -124,31 +124,50 @@ let route_column p sd slack =
     | Ilp.Unbounded -> assert false (* objective is a sum of nonnegative vars *)
   end
 
-let find_routing ?p t ~d =
-  let dim = k t - 1 in
-  let p = match p with Some p -> p | None -> nearest_neighbor_primitives dim in
-  if Intmat.rows p <> dim then invalid_arg "Tmap.find_routing: P has wrong height";
-  let m = Intmat.cols d in
+(* The 1-norm of each of the [m] columns of the [rows]-row [sd]. *)
+let column_norms sd rows m =
+  Array.init m (fun i ->
+      let acc = ref 0 in
+      for r = 0 to rows - 1 do
+        acc := !acc + abs (Zint.to_int (Intmat.get sd r i))
+      done;
+      !acc)
+
+let nearest_neighbor_hops ~s ~d = column_norms (Intmat.mul s d) (Intmat.rows s) (Intmat.cols d)
+
+(* With the nearest-neighbour primitives, P k = S d_i reads
+   k_2r - k_2r+1 = (S d_i)_r in each array dimension r, so the fewest
+   hops take k_2r = max ((S d_i)_r, 0) and k_2r+1 = max (-(S d_i)_r, 0):
+   ||S d_i||_1 hops, the unique optimum of [route_column]'s ILP. *)
+let nearest_neighbor_routing t ~d ~slack =
   let sd = Intmat.mul t.s d in
-  let slack i =
-    let pid = Intvec.dot t.pi (Intmat.col d i) in
-    Zint.to_int pid
-  in
-  let cols =
-    List.init m (fun i -> route_column p (Intmat.col sd i) (slack i))
-  in
-  if List.exists (fun c -> c = None) cols then None
+  let hops = column_norms sd (Intmat.rows t.s) (Intmat.cols d) in
+  if Array.exists2 ( > ) hops slack then None
   else begin
-    let r = Intmat.cols p in
-    let kcols = List.map Option.get cols in
     let k_matrix =
-      if r = 0 then Intmat.zero 0 m
-      else Intmat.of_cols kcols
+      Intmat.make (2 * Intmat.rows t.s) (Intmat.cols d) (fun j i ->
+          let x = Intmat.get sd (j / 2) i in
+          Zint.max Zint.zero (if j land 1 = 0 then x else Zint.neg x))
     in
-    let hops =
-      Array.of_list
-        (List.map (fun c -> Array.fold_left (fun a x -> a + Zint.to_int x) 0 c) kcols)
-    in
-    let buffers = Array.init m (fun i -> slack i - hops.(i)) in
-    Some { k_matrix; hops; buffers }
+    Some { k_matrix; hops; buffers = Array.map2 ( - ) slack hops }
   end
+
+let find_routing ?p t ~d =
+  let m = Intmat.cols d in
+  let slack = Array.init m (fun i -> Zint.to_int (Intvec.dot t.pi (Intmat.col d i))) in
+  match p with
+  | None -> nearest_neighbor_routing t ~d ~slack
+  | Some p ->
+    if Intmat.rows p <> k t - 1 then invalid_arg "Tmap.find_routing: P has wrong height";
+    let sd = Intmat.mul t.s d in
+    let cols = List.init m (fun i -> route_column p (Intmat.col sd i) slack.(i)) in
+    if List.exists (fun c -> c = None) cols then None
+    else begin
+      let kcols = List.map Option.get cols in
+      let k_matrix = if Intmat.cols p = 0 then Intmat.zero 0 m else Intmat.of_cols kcols in
+      let hops =
+        Array.of_list
+          (List.map (fun c -> Array.fold_left (fun a x -> a + Zint.to_int x) 0 c) kcols)
+      in
+      Some { k_matrix; hops; buffers = Array.init m (fun i -> slack.(i) - hops.(i)) }
+    end

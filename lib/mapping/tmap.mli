@@ -5,8 +5,9 @@
 
     Also implements condition 2 of Definition 2.2: the interconnection
     feasibility [SD = PK] with hop counts bounded by the schedule
-    ([Σ_j k_ji <= Pi d_i]), solved exactly per dependence with the
-    {!Ilp} substrate. *)
+    ([Σ_j k_ji <= Pi d_i]): in closed form on nearest-neighbour links,
+    and exactly per dependence with the {!Ilp} substrate for an
+    explicit primitive set. *)
 
 type t = private { s : Intmat.t; pi : Intvec.t }
 
@@ -59,4 +60,17 @@ val nearest_neighbor_primitives : int -> Intmat.t
 val find_routing : ?p:Intmat.t -> t -> d:Intmat.t -> routing option
 (** Minimal-hop routing of every dependence, or [None] when some
     dependence cannot reach its destination within its schedule slack.
-    [p] defaults to {!nearest_neighbor_primitives}[ (k-1)]. *)
+
+    Without [p], the links are {!nearest_neighbor_primitives}[ (k-1)]
+    and the routing is the ILP's unique optimum in closed form: column
+    [i] of [K] splits [S d_i] by sign, [k_2r = max ((S d_i)_r, 0)] and
+    [k_2r+1 = max (-(S d_i)_r, 0)], feasible iff
+    [||S d_i||_1 <= Pi d_i].  An explicit [p], for another link set
+    such as a diagonal one, is routed by the exact {!Ilp}, one
+    dependence at a time (given the nearest-neighbour matrix, it finds
+    the same routing at the ILP's cost). *)
+
+val nearest_neighbor_hops : s:Intmat.t -> d:Intmat.t -> int array
+(** [||S d_i||_1] per dependence: the hops of the nearest-neighbour
+    routing of {!find_routing}, and the wire length [Space_opt]
+    charges. *)

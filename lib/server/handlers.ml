@@ -107,7 +107,7 @@ let search ~pool ~budget ~algorithm ~mu ~s:s_opt ~pareto ~array_dim =
     end
   in
   base @ fields
-  @ [ ("interrupted", Json.Bool (Engine.Budget.cancelled budget || Engine.Budget.pressed budget)) ]
+  @ [ ("interrupted", Json.Bool (Engine.Budget.degraded budget)) ]
 
 (* ----------------------------- simulate ----------------------------- *)
 

@@ -175,13 +175,13 @@ let peak_buffer ~time ~pe len consumers =
 
 let movement (alg : Algorithm.t) tm plan =
   let m = Algorithm.num_dependences alg in
-  let pmat = Tmap.nearest_neighbor_primitives (Tmap.k tm - 1) in
-  match Tmap.find_routing ~p:pmat tm ~d:alg.Algorithm.dependences with
+  match Tmap.find_routing tm ~d:alg.Algorithm.dependences with
   | None ->
     { routing = None; causality_violations = []; collisions = []; max_buffer_occupancy = Array.make m 0 }
   | Some r as routing ->
     let time = Kernel.keys plan tm.Tmap.pi in
     let pe = List.init (Intmat.rows tm.Tmap.s) (fun r -> Kernel.keys plan (Intmat.row tm.Tmap.s r)) in
+    let pmat = Tmap.nearest_neighbor_primitives (Tmap.k tm - 1) in
     let prims = Array.init (Intmat.cols pmat) (fun c -> Array.map Zint.to_int (Intmat.col pmat c)) in
     let delay i = Zint.to_int (Intvec.dot tm.Tmap.pi (Intmat.col alg.Algorithm.dependences i)) in
     let streams = List.init m (fun i -> (i, consumers plan i)) in

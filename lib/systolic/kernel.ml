@@ -55,7 +55,7 @@ let keys p w = dot_keys p.mu p.coords p.card w
 
 (* [ids] stably sorted by [key.(id)], keys in [0, range): a counting
    sort, O(|ids| + range). *)
-let sort_by key range ids =
+let counting_sort key range ids =
   let start = Array.make (range + 1) 0 in
   Array.iter (fun id -> start.(key.(id) + 1) <- start.(key.(id) + 1) + 1) ids;
   for k = 1 to range do
@@ -69,6 +69,16 @@ let sort_by key range ids =
       start.(k) <- start.(k) + 1)
     ids;
   out
+
+(* The same order in O(|ids|) memory whatever the range: a range wider
+   than |ids| goes to a stable merge sort instead. *)
+let sort_by key range ids =
+  if range <= Array.length ids then counting_sort key range ids
+  else begin
+    let out = Array.copy ids in
+    Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) out;
+    out
+  end
 
 (* LSD passes, last column first. *)
 let sort_lex columns len =

@@ -2,9 +2,11 @@
 
     {!lower} numbers the index points by {e sweep position}, the order
     [(Pi j, S j)] in which {!run} fires them: [Pi j] and [S j] are
-    native-int dot products, and LSD counting sorts (the PE rows, then
-    time) put each level in its own bucket in PE order, in time linear
-    in [|J|] plus the key ranges.  Point coordinates and each
+    native-int dot products, and LSD sorts (the PE rows, then time)
+    put each level in its own bucket in PE order: counting sorts,
+    linear in [|J|] plus the key range, for every key whose range is
+    at most [|J|], and merge sorts for wider ones, so a plan takes
+    memory linear in [|J|].  Point coordinates and each
     dependence's predecessor position are flat arrays in sweep order;
     an id → position table serves [lookup].  Points that share a
     (time, PE) are adjacent in the sweep, so one pass over adjacent
@@ -80,7 +82,9 @@ val keys : plan -> Intvec.t -> int array * int
 
 val sort_lex : (int array * int) list -> int -> int array
 (** [0 .. len - 1] stably sorted by the [(key, range)] columns, keys in
-    [0 .. range - 1]: LSD counting sorts, linear in [len] and the ranges. *)
+    [0 .. range - 1]: one LSD pass per column, a counting sort when its
+    range is at most [len] and a stable merge sort when it is wider,
+    so memory stays linear in [len] however wide the ranges. *)
 
 val same_keys : (int array * int) list -> int -> int -> bool
 (** Two ids agree on every column. *)

@@ -324,10 +324,25 @@ type cell = {
 
 let mismatch_counter = Obs.Metrics.counter "exec.verify.mismatches"
 
-(* The dtype-polymorphic core: execute, verify cell-for-cell, and
-   check data movement on the plan; only monomorphic measurements
-   escape. *)
-let measure (type v) ~pool alg tm plan (sem : v Algorithm.semantics) =
+(* What every dtype cell of a scenario shares: its mapping, the
+   compiled plan, and the data-movement checks, which read the
+   schedule and never a value. *)
+type prepared = {
+  spec : spec;
+  alg : Algorithm.t;
+  plan : Kernel.plan;
+  movement : Exec.movement;
+}
+
+let prepare ?block spec =
+  let alg, tm = instantiate spec in
+  let plan = Kernel.compile ?block alg tm in
+  let movement = Obs.Trace.with_span "exec.verify" (fun () -> Exec.movement alg tm plan) in
+  { spec; alg; plan; movement }
+
+(* The dtype-polymorphic core: execute and verify cell-for-cell; only
+   monomorphic measurements escape. *)
+let measure (type v) ~pool alg plan (sem : v Algorithm.semantics) =
   let kr = Kernel.run ~pool plan sem in
   Obs.Trace.with_span "exec.verify" @@ fun () ->
   let reference = Algorithm.evaluate_all alg sem in
@@ -339,17 +354,16 @@ let measure (type v) ~pool alg tm plan (sem : v Algorithm.semantics) =
       0 alg.Algorithm.index_set
   in
   if mismatches > 0 then Obs.Metrics.add mismatch_counter mismatches;
-  (kr.Kernel.elapsed_s, mismatches, Exec.movement alg tm plan)
+  (kr.Kernel.elapsed_s, mismatches)
 
-let run_cell ?pool ?block spec (module M : TYPE) =
+let run_prepared ?pool pr (module M : TYPE) =
   let pool = match pool with Some p -> p | None -> Engine.Pool.create () in
-  let alg, tm = instantiate spec in
-  let plan = Kernel.compile ?block alg tm in
-  let elapsed_s, mismatches, movement =
+  let spec = pr.spec and plan = pr.plan in
+  let elapsed_s, mismatches =
     match spec.algorithm with
     | "matmul" ->
-      measure ~pool alg tm plan (matmul_semantics (module M) ~mu:spec.mu ~seed:2025)
-    | _ -> measure ~pool alg tm plan (tc_semantics (module M))
+      measure ~pool pr.alg plan (matmul_semantics (module M) ~mu:spec.mu ~seed:2025)
+    | _ -> measure ~pool pr.alg plan (tc_semantics (module M))
   in
   let cells = Kernel.cells plan in
   {
@@ -363,7 +377,7 @@ let run_cell ?pool ?block spec (module M : TYPE) =
     peak_width = Kernel.peak_width plan;
     mismatches;
     verified = mismatches = 0;
-    movement;
+    movement = pr.movement;
     elapsed_s;
     gflops =
       (if elapsed_s <= 0. then 0.
@@ -371,15 +385,23 @@ let run_cell ?pool ?block spec (module M : TYPE) =
     utilization = Kernel.utilization plan;
   }
 
+let run_cell ?pool ?block spec ty = run_prepared ?pool (prepare ?block spec) ty
+
+(* One plan and one set of movement checks per scenario, shared by its
+   dtype cells. *)
 let run_matrix ?pool ?block specs dtypes =
-  List.concat_map (fun spec -> List.map (run_cell ?pool ?block spec) dtypes) specs
+  List.concat_map
+    (fun spec ->
+      let pr = prepare ?block spec in
+      List.map (run_prepared ?pool pr) dtypes)
+    specs
 
 let movement_clean (mv : Exec.movement) =
   mv.Exec.routing <> None && mv.Exec.causality_violations = [] && mv.Exec.collisions = []
 
 let cell_ok c = c.verified && movement_clean c.movement
 
-let json_of_cell c =
+let json_of_cell (c : cell) =
   Json.Obj
     [
       ("scenario", Json.Str c.spec.name);

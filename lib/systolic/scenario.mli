@@ -155,7 +155,10 @@ val run_cell : ?pool:Engine.Pool.t -> ?block:int -> spec -> (module TYPE) -> cel
 
 val run_matrix :
   ?pool:Engine.Pool.t -> ?block:int -> spec list -> (module TYPE) list -> cell list
-(** The cross product, scenario-major. *)
+(** The cross product, scenario-major.  Each scenario is compiled and
+    movement-checked ({!Exec.movement}) once, and its dtype cells share
+    the plan and the movement record: only the run and the value check
+    are per cell. *)
 
 val movement_clean : Exec.movement -> bool
 (** A routing exists, with no link collision and no late operand. *)

@@ -3,21 +3,39 @@
    It visits Procedure 5.1's cost levels in the same order, but screens
    each candidate T = [S; Pi] with a rank check and the brute-force
    point-collision oracle of [Check.Oracle] instead of the
-   Family/Analysis cascade, runs without a pool and walks its levels
-   with loops of its own.  The Pareto reference runs the same screen
-   through [Space_opt.optimize ~valid].  Answers are returned as plain
-   ints so tests can compare them structurally. *)
+   Family/Analysis cascade, runs without a pool, and walks its levels
+   and enumerates each level's candidates with loops of its own.  The
+   Pareto reference runs the same screen through
+   [Space_opt.optimize ~valid].  Answers are returned as plain ints so
+   tests can compare them structurally. *)
 
 let oracle_valid ~mu ~k t =
   Intmat.rank t = k && Check.Oracle.is_conflict_free (Check.Instance.make ~mu t)
+
+(* Every Pi with Sigma |pi_i| mu_i = cost, by brute force over the box
+   |pi_i| <= cost / mu_i with no pruning: each component runs through
+   0, 1, -1, 2, -2, ..., the order of Procedure 5.1's walk. *)
+let candidates ~mu cost =
+  let n = Array.length mu in
+  let values i = 0 :: List.concat (List.init (cost / mu.(i)) (fun m -> [ m + 1; -(m + 1) ])) in
+  let rec points i =
+    if i = n then [ [] ]
+    else
+      let tails = points (i + 1) in
+      List.concat_map (fun v -> List.map (fun tail -> v :: tail) tails) (values i)
+  in
+  let weight pi = List.fold_left ( + ) 0 (List.mapi (fun i x -> abs x * mu.(i)) pi) in
+  List.filter (fun pi -> weight pi = cost) (points 0)
 
 (* Every dependence-respecting Pi of total cost [cost] that [keep]
    maps to [Some], in candidate-enumeration order. *)
 let at_cost (alg : Algorithm.t) cost keep =
   let mu = Index_set.bounds alg.Algorithm.index_set in
   List.filter_map
-    (fun pi -> if Schedule.respects pi alg.Algorithm.dependences then keep pi else None)
-    (Procedure51.candidates_at_cost ~mu cost)
+    (fun pi ->
+      let pi = Intvec.of_ints pi in
+      if Schedule.respects pi alg.Algorithm.dependences then keep pi else None)
+    (candidates ~mu cost)
 
 let all_optimal_schedules ?max_objective (alg : Algorithm.t) ~s =
   let mu = Index_set.bounds alg.Algorithm.index_set in

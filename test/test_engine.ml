@@ -169,6 +169,9 @@ let test_search_scans_once () =
     List.filter (fun sp -> sp.Obs.Trace.name = "search.schedule-scan") (Obs.Trace.spans ())
   in
   Alcotest.(check int) "one schedule scan" 1 (List.length scans);
+  (* Its k = n-1 screens never consult the pressed budget. *)
+  Alcotest.(check bool) "complete, not interrupted" true
+    (List.assoc "interrupted" fields = Json.Bool false);
   match (List.assoc "schedules" fields, List.assoc "best_by_buffers" fields) with
   | Json.Arr schedules, Json.Obj best ->
     Alcotest.(check int) "six schedules" 6 (List.length schedules);
@@ -292,11 +295,24 @@ let test_budget_oracle_cap () =
   Alcotest.(check int) "charges recorded" 2 (Engine.Budget.oracle_calls budget);
   Alcotest.(check bool) "pressed at the cap" true (Engine.Budget.pressed budget)
 
+(* Bit-level matmul's 2x5 space mapping: T is 3x5, k < n-1, so every
+   screen of its search runs Analysis.decide.  A k = n-1 search such as
+   matmul's is decided in closed form and feeds no analysis.* counter.
+   At mu_word = mu_bit = 1 its optimal cost is 11, one past
+   Procedure51.default_max_objective, hence the explicit bound. *)
+let bitmm = Bit_matmul.algorithm ~mu_word:1 ~mu_bit:1
+
+let bitmm_search ?budget pool =
+  Search.all_optimal_schedules ~pool ?budget ~max_objective:16 bitmm ~s:Bit_matmul.example_s
+
 let test_budgeted_search_still_correct () =
-  (* Degraded oracles must not change the schedule set on instances the
-     lattice decides (matmul's family is one). *)
+  (* A pressed budget must not change the schedule set.  Matmul's
+     k = n-1 screens never consult it, so its search is exact and not
+     degraded; bit-level matmul's cascade screens degrade to the
+     lattice oracle, which decides them alike. *)
   let alg = Matmul.algorithm ~mu:4 in
   let reference = Reference.all_optimal_schedules alg ~s:Matmul.paper_s in
+  let bitmm_reference = to_ints_l (bitmm_search (Engine.Pool.create ~jobs:1 ())) in
   List.iter
     (fun jobs ->
       let pool = Engine.Pool.create ~jobs () in
@@ -304,7 +320,18 @@ let test_budgeted_search_still_correct () =
       Alcotest.check vec_lists
         (Printf.sprintf "bounded search agrees, jobs=%d" jobs)
         reference
-        (to_ints_l (Search.all_optimal_schedules ~pool ~budget alg ~s:Matmul.paper_s)))
+        (to_ints_l (Search.all_optimal_schedules ~pool ~budget alg ~s:Matmul.paper_s));
+      Alcotest.(check bool)
+        (Printf.sprintf "closed-form screens not degraded, jobs=%d" jobs)
+        false (Engine.Budget.degraded budget);
+      let budget = Engine.Budget.make ~deadline_ms:0 () in
+      Alcotest.check vec_lists
+        (Printf.sprintf "bounded bitmm search agrees, jobs=%d" jobs)
+        bitmm_reference
+        (to_ints_l (bitmm_search ~budget pool));
+      Alcotest.(check bool)
+        (Printf.sprintf "cascade screens degraded, jobs=%d" jobs)
+        true (Engine.Budget.degraded budget))
     [ 1; 2 ]
 
 (* --------------------------- observability ------------------------- *)
@@ -325,9 +352,8 @@ let cache_total snap suffix =
 let test_metrics_counters () =
   Obs.Metrics.reset ();
   Engine.Cache.clear ();
-  let alg = Matmul.algorithm ~mu:3 in
   let pool = Engine.Pool.create ~jobs:2 () in
-  ignore (Search.all_optimal_schedules ~pool alg ~s:Matmul.paper_s);
+  ignore (bitmm_search pool);
   let s = Obs.Metrics.snapshot () in
   let c name = Obs.Metrics.counter_value s name in
   Alcotest.(check bool) "queries counted" true (c "analysis.queries" > 0);
@@ -377,7 +403,9 @@ let test_metrics_cache_hits_observed () =
   Alcotest.(check int) "misses agree with Cache.stats" stats.Engine.Cache.misses misses
 
 (* A search screens every candidate once, so it leaves the verdict and
-   family memo tables untouched. *)
+   family memo tables untouched.  Matmul's k = n-1 screens are Theorem
+   3.1's closed form and run no cascade; bit-level matmul's run
+   Analysis.decide. *)
 let test_search_skips_caches () =
   Obs.Metrics.reset ();
   Engine.Cache.clear ();
@@ -386,6 +414,17 @@ let test_search_skips_caches () =
   Alcotest.(check bool) "schedules found" true
     (Search.all_optimal_schedules ~pool alg ~s:Matmul.paper_s <> []);
   Alcotest.(check bool) "front found" true (Search.pareto_front ~pool alg ~k:2 <> []);
+  Alcotest.(check int) "closed-form screens skip the cascade" 0
+    (Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "analysis.queries");
+  let winners = bitmm_search pool in
+  Alcotest.(check bool) "bitmm schedules found" true (winners <> []);
+  let mu = Index_set.bounds bitmm.Algorithm.index_set in
+  Alcotest.(check bool) "bitmm schedules oracle-valid" true
+    (List.for_all
+       (fun pi -> Reference.oracle_valid ~mu ~k:3 (Intmat.append_row Bit_matmul.example_s pi))
+       winners);
+  Alcotest.check vec_lists "bitmm schedules at one domain" (to_ints_l winners)
+    (to_ints_l (bitmm_search (Engine.Pool.create ~jobs:1 ())));
   let snap = Obs.Metrics.snapshot () in
   List.iter
     (fun name ->

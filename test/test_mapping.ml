@@ -141,6 +141,29 @@ let prop_processors_match_walk =
       Index_set.iter (fun j -> walk := Tmap.space_of tm j :: !walk) iset;
       Tmap.processors tm iset = List.sort_uniq compare !walk)
 
+(* The closed-form nearest-neighbour routing (no [p]) against the ILP
+   on the same primitives passed explicitly: random S of 1 to 3 rows,
+   Pi and D with small entries, so some dependences fit their slack and
+   some do not.  Both answer None, or the same K, hops and buffers. *)
+let prop_routing_closed_form_is_ilp =
+  QCheck.Test.make ~name:"nearest-neighbour routing = ILP" ~count:300 QCheck.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 2 + Random.State.int rng 3 and rows = 1 + Random.State.int rng 3 in
+      let m = 1 + Random.State.int rng 4 in
+      let entry lo hi = Zint.of_int (lo + Random.State.int rng (hi - lo + 1)) in
+      let s = Intmat.make rows n (fun _ _ -> entry (-2) 2) in
+      let tm = Tmap.make ~s ~pi:(Array.init n (fun _ -> entry (-1) 4)) in
+      let d = Intmat.make n m (fun _ _ -> entry (-1) 2) in
+      let ilp = Tmap.find_routing ~p:(Tmap.nearest_neighbor_primitives rows) tm ~d in
+      match (Tmap.find_routing tm ~d, ilp) with
+      | None, None -> true
+      | Some a, Some b ->
+        Intmat.equal a.Tmap.k_matrix b.Tmap.k_matrix
+        && a.Tmap.hops = b.Tmap.hops
+        && a.Tmap.buffers = b.Tmap.buffers
+        && a.Tmap.hops = Tmap.nearest_neighbor_hops ~s ~d
+      | Some _, None | None, Some _ -> false)
+
 let suite =
   [
     Alcotest.test_case "Pi D > 0" `Quick test_respects;
@@ -157,4 +180,10 @@ let suite =
     Alcotest.test_case "routing infeasible" `Quick test_routing_infeasible;
     Alcotest.test_case "routing negative displacement" `Quick test_routing_with_negative_displacement;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_total_time_is_makespan; prop_respects_is_pi_d_positive; prop_processors_match_walk ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_total_time_is_makespan;
+        prop_respects_is_pi_d_positive;
+        prop_processors_match_walk;
+        prop_routing_closed_form_is_ilp;
+      ]

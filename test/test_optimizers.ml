@@ -10,7 +10,34 @@ let test_candidates_at_cost () =
   (* weighted: mu = (2,3), cost 6: |pi1|*2 + |pi2|*3 = 6:
      (3,0),(0,2) and signs: 2 + 2 = 4 *)
   let c = Procedure51.candidates_at_cost ~mu:[| 2; 3 |] 6 in
-  Alcotest.(check int) "weighted" 4 (List.length c)
+  Alcotest.(check int) "weighted" 4 (List.length c);
+  (* The walk solves its last component; the reference enumerates the
+     whole box.  Same candidates, same order. *)
+  let same name mu cost =
+    Alcotest.(check (list (list int)))
+      name (Reference.candidates ~mu cost)
+      (List.map Intvec.to_ints (Procedure51.candidates_at_cost ~mu cost))
+  in
+  (* mu = (2, 3), cost 7: after pi_1 = 0, +-1 or +-3 the remainder (7, 5
+     or 1) is no multiple of 3; only pi_1 = +-2 leaves 3. *)
+  Alcotest.(check (list (list int)))
+    "remainder not divisible" [ [ 2; 1 ]; [ 2; -1 ]; [ -2; 1 ]; [ -2; -1 ] ]
+    (List.map Intvec.to_ints (Procedure51.candidates_at_cost ~mu:[| 2; 3 |] 7));
+  same "remainder not divisible = reference" [| 2; 3 |] 7;
+  Alcotest.(check int) "cost 129 at mu = 10 is empty" 0
+    (List.length (Procedure51.candidates_at_cost ~mu:[| 10; 10; 10 |] 129));
+  same "cost 130 at mu = 10" [| 10; 10; 10 |] 130;
+  (* |pi|_1 = 13 in three dimensions: 4 * 13^2 + 2 points. *)
+  Alcotest.(check int) "cost 130 at mu = 10 counts" 678
+    (List.length (Procedure51.candidates_at_cost ~mu:[| 10; 10; 10 |] 130));
+  (* A zero last component: the remainder is used up before it. *)
+  same "zero last component" [| 1; 2; 3 |] 3;
+  Alcotest.(check bool) "(1, 1, 0) at mu = (1, 2, 3), cost 3" true
+    (List.mem [ 1; 1; 0 ]
+       (List.map Intvec.to_ints (Procedure51.candidates_at_cost ~mu:[| 1; 2; 3 |] 3)));
+  List.iter
+    (fun cost -> same (Printf.sprintf "mu = (2, 3, 1), cost %d" cost) [| 2; 3; 1 |] cost)
+    [ 0; 1; 5; 11 ]
 
 let test_candidates_cover_objective () =
   (* Every candidate at cost c has objective exactly c. *)

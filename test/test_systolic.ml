@@ -549,6 +549,28 @@ let test_exec_report_digest () =
     [ !causal; !conflicting; !colliding; !buffered; !unrouted ];
   Alcotest.(check string) "digest" "2620498b936e43774e88b759131ae2a8" (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Keys that span far more values than J has points: Pi = (10^6, 1, 1)
+   on matmul at mu = 2 puts 27 points on 2,000,005 cycles.  A counting
+   sort sized by that range would allocate 16 MB per time sort, and
+   Exec.run makes one for the plan and one per stream; the plan and
+   the whole simulation must stay within a megabyte. *)
+let test_plan_memory_linear () =
+  let alg = Matmul.algorithm ~mu:2 in
+  let tm = Tmap.make ~s:Matmul.paper_s ~pi:(iv [ 1_000_000; 1; 1 ]) in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    (r, Gc.allocated_bytes () -. before)
+  in
+  let plan, plan_bytes = allocated (fun () -> Kernel.compile alg tm) in
+  Alcotest.(check int) "makespan" 2_000_005 (Kernel.makespan plan);
+  Alcotest.(check int) "levels: 3 values of j0 by 5 of j1 + j2" 15 (Kernel.levels plan);
+  Alcotest.(check bool) "plan under 1 MB" true (plan_bytes < 1e6);
+  let r, run_bytes = allocated (fun () -> Exec.run alg Dataflow.semantics tm) in
+  Alcotest.(check bool) "clean" true (Exec.is_clean r);
+  Alcotest.(check int) "same makespan" 2_000_005 r.Exec.makespan;
+  Alcotest.(check bool) "simulation under 1 MB" true (run_bytes < 1e6)
+
 let suite =
   [
     Alcotest.test_case "Figure 3 execution" `Quick test_figure_3_execution;
@@ -588,4 +610,5 @@ let suite =
   @ [
       Alcotest.test_case "exec report digest" `Quick test_exec_report_digest;
       Alcotest.test_case "kernel rejects conflicting" `Quick test_kernel_rejects_conflicting;
+      Alcotest.test_case "plan memory linear in |J|" `Quick test_plan_memory_linear;
     ]
