@@ -31,7 +31,7 @@ let format_arg =
     value
     & opt (enum [ ("plain", Plain); ("json", Json_v2) ]) Plain
     & info [ "format" ] ~docv:"FMT"
-        ~doc:"Output format: plain (default) or json (versioned, schema_version 2).")
+        ~doc:"Output format: plain (default) or json (versioned, schema_version 3).")
 
 let json_of_vec = Server.Handlers.json_of_vec
 let json_of_mat = Server.Protocol.json_of_mat
@@ -430,6 +430,14 @@ let resolve_s s_opt default_s =
   | None, Some s -> s
   | None, None -> failwith "no default space mapping; pass -s"
 
+(* The objective bound [Σ |pi_i| mu_i] a schedule search walked up to,
+   which an empty answer names: [--max-objective] when given, else
+   Procedure 5.1's default. *)
+let objective_bound ?max_objective (alg : Algorithm.t) =
+  match max_objective with
+  | Some m -> m
+  | None -> Procedure51.default_max_objective (Index_set.bounds alg.Algorithm.index_set)
+
 (* ----------------------------- optimize ---------------------------- *)
 
 let optimize_cmd =
@@ -487,7 +495,9 @@ let optimize_cmd =
       | None ->
         (match fmt with
         | Json_v2 -> emit (base_fields @ [ ("pi", Json.Null) ])
-        | Plain -> print_endline "no conflict-free schedule within the search bound"))
+        | Plain ->
+          Printf.printf "no conflict-free schedule within the search bound (objective up to %d)\n"
+            (objective_bound ?max_objective:bound alg)))
     | "ilp" ->
       (match Ilp_form.optimize alg ~s with
       | Some sol ->
@@ -821,7 +831,9 @@ let parse_cmd =
         | Some (_, Some r) ->
           Printf.printf "optimal Pi = %s, total time = %d\n"
             (Intvec.to_string r.Procedure51.pi) r.Procedure51.total_time
-        | Some (_, None) -> print_endline "no conflict-free schedule found");
+        | Some (_, None) ->
+          Printf.printf "no conflict-free schedule found with objective up to %d\n"
+            (objective_bound alg));
         (match space_result with
         | None -> ()
         | Some (_, Some r) ->
@@ -918,28 +930,15 @@ let search_cmd =
                 front ($(b,--array-dim) sets the dimension).  Default mode enumerates all \
                 time-optimal schedules for the space mapping $(b,-s).")
   in
-  let run name mu s_opt dim pareto_mode collision_free jobs deadline_ms slack fmt obs =
+  let run name mu s_opt dim pareto_mode collision_free jobs slack fmt obs =
     obs_begin obs;
     let alg, default_s = builtin_algorithm name mu in
     let pool = Engine.Pool.create ?jobs () in
-    let budget = Engine.Budget.make ?deadline_ms () in
-    (* Ctrl-C cancels the budget instead of killing the process, the
-       mechanism the server uses to drain in-flight requests.  A screen
-       that consults the budget (the Analysis.decide of a k < n-1
-       search) then takes the bounded path, and the report goes out
-       with "interrupted": true.  A k = n-1 search never consults it
-       and runs to its exact end. *)
-    let previous_sigint =
-      Sys.signal Sys.sigint
-        (Sys.Signal_handle (fun _ -> Engine.Budget.cancel budget))
-    in
-    let restore_sigint () = Sys.set_signal Sys.sigint previous_sigint in
     let base_fields =
       [
         ("algorithm", Json.Str name);
         ("mu", Json.Int mu);
         ("jobs", Json.Int (Engine.Pool.jobs pool));
-        ("deadline_ms", Json.option (fun ms -> Json.Int ms) deadline_ms);
       ]
     in
     (* v2: the v1 "telemetry" blob is gone; search always reports the
@@ -950,22 +949,14 @@ let search_cmd =
       | Json_v2 ->
         Json.print
           (Json.versioned ~command:"search"
-             (obs_fields obs
-                (base_fields
-                @ fields
-                @ [
-                    ("metrics", Obs.Export.metrics snap);
-                    ("budget_elapsed_ms", Json.Float (Engine.Budget.elapsed_ms budget));
-                    ("budget_pressed", Json.Bool (Engine.Budget.pressed budget));
-                    ("interrupted", Json.Bool (Engine.Budget.degraded budget));
-                  ])))
+             (obs_fields obs (base_fields @ fields @ [ ("metrics", Obs.Export.metrics snap) ])))
       | Plain ->
         plain ();
         Format.printf "metrics:@,@[<v 2>  %a@]@." Obs.Metrics.pp snap
     in
     if pareto_mode then begin
       let front =
-        Search.pareto_front ~pool ~budget ~time_slack:slack
+        Search.pareto_front ~pool ~time_slack:slack
           ~accept:(collision_accept alg collision_free) alg ~k:(dim + 1)
       in
       finish
@@ -979,11 +970,13 @@ let search_cmd =
     end
     else begin
       let s = resolve_s s_opt default_s in
-      let schedules = Search.all_optimal_schedules ~pool ~budget alg ~s in
+      let schedules = Search.all_optimal_schedules ~pool alg ~s in
       let best = Search.buffer_minimal ~pool alg ~s schedules in
       finish (Server.Handlers.schedules_fields ~s schedules best) (fun () ->
           (match schedules with
-          | [] -> print_endline "no conflict-free schedule found"
+          | [] ->
+            Printf.printf "no conflict-free schedule found with objective up to %d\n"
+              (objective_bound alg)
           | schedules ->
             Printf.printf "%d time-optimal conflict-free schedule(s):\n"
               (List.length schedules);
@@ -994,12 +987,6 @@ let search_cmd =
               (Array.fold_left ( + ) 0 rt.Tmap.buffers)
           | None -> ())
     end;
-    restore_sigint ();
-    if fmt = Plain then
-      if Engine.Budget.degraded budget then
-        prerr_endline "search bounded by its budget; results above are partial (bounded)"
-      else if Engine.Budget.cancelled budget then
-        prerr_endline "search interrupted, but no screen consulted the budget; results above are complete";
     obs_end obs fmt
   in
   Cmd.v
@@ -1009,7 +996,7 @@ let search_cmd =
           or the time/processor Pareto front (with $(b,--pareto))")
     Term.(
       const run $ algorithm_arg $ mu_int_arg $ s_arg $ dim_arg $ pareto_arg
-      $ collision_free_arg $ jobs_arg $ deadline_arg $ slack_arg $ format_arg $ obs_term)
+      $ collision_free_arg $ jobs_arg $ slack_arg $ format_arg $ obs_term)
 
 (* ------------------------------- fuzz ------------------------------ *)
 

@@ -4,7 +4,6 @@ type path =
   | Lattice_oracle_path
   | Analysis_path
   | Analysis_cached
-  | Analysis_decide
   | Budget_degraded
   | Family_path
   | Search_screen
@@ -16,7 +15,6 @@ let path_name = function
   | Lattice_oracle_path -> "lattice-oracle"
   | Analysis_path -> "analysis"
   | Analysis_cached -> "analysis-cached"
-  | Analysis_decide -> "analysis-decide"
   | Budget_degraded -> "budget-degraded"
   | Family_path -> "family"
   | Search_screen -> "search-screen"
@@ -94,21 +92,6 @@ let check_instance inst =
     || v2.Analysis.full_rank <> v1.Analysis.full_rank
     || not (Option.equal Intvec.equal v2.Analysis.witness v1.Analysis.witness)
   then add Analysis_cached "warm-cache verdict differs from the cold one";
-  (* The same cascade without the memo tables (Search's screen for
-     k < n-1) must give v1 field for field. *)
-  let vd = Analysis.decide ~mu t in
-  if
-    vd.Analysis.conflict_free <> v1.Analysis.conflict_free
-    || vd.Analysis.full_rank <> v1.Analysis.full_rank
-    || vd.Analysis.decided_by <> v1.Analysis.decided_by
-    || not (Option.equal Intvec.equal vd.Analysis.witness v1.Analysis.witness)
-  then
-    add Analysis_decide
-      (Printf.sprintf "uncached verdict (decided by %s) differs from check (%s)"
-         (Analysis.decided_by_name vd.Analysis.decided_by)
-         (Analysis.decided_by_name v1.Analysis.decided_by));
-  if vd.Analysis.exactness <> Analysis.Exact then
-    add Analysis_decide "unlimited budget reported a bounded verdict";
   (* 5. Degradation: a pressed budget must answer bounded — and the
      lattice fallback it switches to is still exact in substance, so
      the boolean must also match the oracle. *)
@@ -125,15 +108,6 @@ let check_instance inst =
   | Some w when not (Oracle.valid_witness inst w) ->
     add Budget_degraded (Printf.sprintf "invalid witness %s" (Intvec.to_string w))
   | _ -> ());
-  let vdb =
-    Analysis.decide ~budget:(Engine.Budget.make ~max_oracle_calls:0 ()) ~mu t
-  in
-  if
-    vdb.Analysis.exactness <> vb.Analysis.exactness
-    || vdb.Analysis.conflict_free <> vb.Analysis.conflict_free
-    || vdb.Analysis.decided_by <> vb.Analysis.decided_by
-    || not (Option.equal Intvec.equal vdb.Analysis.witness vb.Analysis.witness)
-  then add Analysis_decide "uncached degraded verdict differs from check's";
   (* 6. The memoized family tier: whenever the family verdict for this
      T decides the instance, it must byte-match both the oracle and
      the verdict v1 — boolean, method, full-rank flag and witness (the
@@ -164,16 +138,14 @@ let check_instance inst =
     | Some w when not (Oracle.valid_witness inst w) ->
       add Family_path (Printf.sprintf "invalid witness %s" (Intvec.to_string w))
     | _ -> ()));
-  (* 7. Search's screen: on a k = n-1 instance it is Theorem 3.1's
-     closed form, with no family and no oracle behind it, so it must
-     say exactly "full rank and conflict-free". *)
-  if Intmat.rows t = Intmat.cols t - 1 then begin
-    let expected = Intmat.rank t = Intmat.rows t && oracle_free in
-    let screened = Search.screen ~mu t in
-    if screened <> expected then
-      add Search_screen
-        (Printf.sprintf "screen says %b but full rank and the oracle say %b" screened expected)
-  end;
+  (* 7. The screen of every mapping scan: on any k, rank T = k and
+     conflict-free, with no memo table behind it. *)
+  let expected = Intmat.rank t = Intmat.rows t && oracle_free in
+  let screened = Family.valid ~mu t in
+  if screened <> expected then
+    add Search_screen
+      (Printf.sprintf "Family.valid says %b but full rank and the oracle say %b" screened
+         expected);
   (* 8. Close the loop on execution: run the instance through the
      cycle-accurate simulator.  Conflicts there are pairs of points
      with [T j1 = T j2], i.e. exactly the oracle's notion, so a

@@ -17,20 +17,17 @@
       must be reported with [exactness = Bounded], never as a wrong
       [Exact], and its (lattice-backed) answer must still match the
       oracle;
-    - [Analysis.decide], without and with the pressed budget — the
-      uncached cascade that screens {!Search}'s [k < n-1] candidates
-      must give the [Analysis.check] verdict of the same call field
-      for field (boolean, full-rank flag, method, witness, exactness);
     - [Analysis.eval_family] on [Analysis.family] — whenever the
       symbolic family verdict for the instance's [T] decides at its
       [mu], the result must byte-match both the oracle and the
       [Analysis.check] verdict (boolean, method, full-rank flag and
       witness — the soundness contract of [docs/FAMILIES.md]); residual
       instances carry no obligation beyond the other paths;
-    - [Search.screen] on every [k = n-1] instance — Theorem 3.1's
-      closed form, which screens every such candidate of a search
-      with no family and no oracle behind it, must equal [rank T = k]
-      and the oracle's conflict-freedom;
+    - {!Family.valid} on every instance — the uncached screen of
+      every candidate of [Procedure51], [Space_opt] and both [Search]
+      scans (Theorem 3.1's closed form for [k = n-1], one family build
+      and the exact oracle otherwise) must equal [rank T = k] and the
+      oracle's conflict-freedom;
     - [Exec.run] — the cycle-accurate simulator executes the instance
       under a synthesized causal dependence (the sign vector of the Pi
       row), and the verdict is cross-checked end to end: conflict-free
@@ -52,7 +49,6 @@ type path =
   | Lattice_oracle_path
   | Analysis_path
   | Analysis_cached
-  | Analysis_decide
   | Budget_degraded
   | Family_path
   | Search_screen

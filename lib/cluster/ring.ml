@@ -6,21 +6,13 @@
 
 type t = { points : (int * int) array; shards : int; vnodes : int }
 
-(* Same FNV-1a the store journal uses for its record CRCs; 32-bit. *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    s;
-  !h
-
 let make ?(vnodes = 64) shards =
   if shards < 1 then invalid_arg "Ring.make: shards must be >= 1";
   if vnodes < 1 then invalid_arg "Ring.make: vnodes must be >= 1";
   let points =
     Array.init (shards * vnodes) (fun i ->
         let shard = i / vnodes and replica = i mod vnodes in
-        (fnv1a (Printf.sprintf "shard:%d:%d" shard replica), shard))
+        (Fault.fnv1a (Printf.sprintf "shard:%d:%d" shard replica), shard))
   in
   (* Ties (two vnodes hashing to the same point) break towards the
      lower shard index — [compare] on the pair is total, so the sort
@@ -46,7 +38,7 @@ let spread t ~samples =
   if samples < 1 then invalid_arg "Ring.spread: samples must be >= 1";
   let counts = Array.make t.shards 0 in
   for i = 0 to samples - 1 do
-    let s = shard_of t (fnv1a (string_of_int i)) in
+    let s = shard_of t (Fault.fnv1a (string_of_int i)) in
     counts.(s) <- counts.(s) + 1
   done;
   counts

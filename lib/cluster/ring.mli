@@ -32,7 +32,3 @@ val spread : t -> samples:int -> int array
     diagnostic the ring test bounds (no shard may own a grossly
     disproportionate share).
     @raise Invalid_argument when [samples < 1]. *)
-
-val fnv1a : string -> int
-(** The 32-bit FNV-1a hash the ring points are placed with (the same
-    function the store journal uses for record CRCs). *)

@@ -142,10 +142,6 @@ let m_hedges = Obs.Metrics.counter "cluster.hedges"
 let m_hedge_wins = Obs.Metrics.counter "cluster.hedge_wins"
 let g_breaker = Obs.Metrics.gauge "cluster.breaker_state"
 
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let hedging_active t = t.cfg.hedge <> No_hedge && t.cfg.hedge_budget > 0
 
 let addr_string : Server.Client.addr -> string = function
@@ -243,7 +239,7 @@ let restamp id = function
   | j -> j
 
 let shed t shard c ~id detail =
-  locked t.lock (fun () -> shard.shed <- shard.shed + 1);
+  Mutex.protect t.lock (fun () -> shard.shed <- shard.shed + 1);
   Obs.Metrics.incr m_shed;
   reply_doc c (Protocol.error_reply ~id ~code:"overloaded" ~detail)
 
@@ -274,7 +270,7 @@ let fail_uconn t uc =
   if not (Conn.closed uc.u) then begin
     Conn.close uc.u;
     let shard = uc.u_shard in
-    locked t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         shard.pool <- List.filter (fun x -> x != uc) shard.pool;
         shard.f_pool <- List.filter (fun x -> x != uc) shard.f_pool);
     Hashtbl.iter
@@ -324,7 +320,7 @@ let open_uconn t shard ~follower ~epoch sa =
       }
     in
     if uc.u_hello then Conn.upgrade uc.u Wire.V2;
-    locked t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         if follower then shard.f_pool <- uc :: shard.f_pool
         else shard.pool <- uc :: shard.pool);
     Some uc
@@ -333,7 +329,7 @@ let open_uconn t shard ~follower ~epoch sa =
    share the pending tables and the failure path. *)
 let get_conn t shard ~follower =
   let sa, epoch =
-    locked t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         ( (if follower then shard.follower_sa
            else if shard.alive then shard.target_sa
            else None),
@@ -388,7 +384,7 @@ let complete t uc rid encode =
       ignore (Conn.send r.r_client (encode r));
       record_latency r.r_shard ((Unix.gettimeofday () -. r.r_sent_at) *. 1000.);
       if p.p_hedge then begin
-        locked t.lock (fun () -> r.r_shard.hedge_wins <- r.r_shard.hedge_wins + 1);
+        Mutex.protect t.lock (fun () -> r.r_shard.hedge_wins <- r.r_shard.hedge_wins + 1);
         Obs.Metrics.incr m_hedge_wins
       end
     end
@@ -444,7 +440,7 @@ let forward t c ~id ~bin shard req =
   else begin
     let is_analyze = match req with Protocol.Analyze _ -> true | _ -> false in
     let has_follower =
-      shard.spec.follower <> None && not (locked t.lock (fun () -> shard.promoted))
+      shard.spec.follower <> None && not (Mutex.protect t.lock (fun () -> shard.promoted))
     in
     (* Breaker open: the shard is up but slow — divert its analyze
        traffic to the follower (same bytes, deterministic verdicts)
@@ -482,7 +478,7 @@ let forward t c ~id ~bin shard req =
       send_upstream uc ~rid req;
       if is_analyze && has_follower && (not divert) && hedging_active t then
         Queue.push r shard.hedgeq;
-      locked t.lock (fun () -> shard.forwarded <- shard.forwarded + 1);
+      Mutex.protect t.lock (fun () -> shard.forwarded <- shard.forwarded + 1);
       Obs.Metrics.incr m_forwarded
   end
 
@@ -502,7 +498,7 @@ let pick_rr t =
     in
     go 0
   in
-  locked t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       match pick (fun s -> s.alive && Health.state s.health = Health.Closed) with
       | Some s -> Some s
       | None -> pick (fun s -> s.alive))
@@ -529,7 +525,7 @@ let hedge t r ~remaining =
     r.r_outstanding <- r.r_outstanding + 1;
     Hashtbl.replace uc.u_pending rid { p_state = r; p_hedge = true };
     send_upstream ?deadline_override:remaining uc ~rid r.r_req;
-    locked t.lock (fun () -> r.r_shard.hedges <- r.r_shard.hedges + 1);
+    Mutex.protect t.lock (fun () -> r.r_shard.hedges <- r.r_shard.hedges + 1);
     Obs.Metrics.incr m_hedges
 
 (* Re-issue every hedge that has come due; returns the time the next
@@ -555,7 +551,7 @@ let hedge_tick t now =
             if due > now then Float.min next due
             else if
               (match remaining with Some ms -> ms <= 0 | None -> false)
-              || not (locked t.lock (fun () -> shard.alive && not shard.promoted))
+              || not (Mutex.protect t.lock (fun () -> shard.alive && not shard.promoted))
             then begin
               ignore (Queue.pop q);
               go ()
@@ -581,7 +577,7 @@ let promote_shard t idx =
     invalid_arg "Router.promote_shard: no such shard";
   let shard = t.shards.(idx) in
   let already =
-    locked t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         if shard.promoted then true
         else begin
           shard.alive <- false;
@@ -589,7 +585,7 @@ let promote_shard t idx =
           false
         end)
   in
-  if already then locked t.lock (fun () -> shard.alive)
+  if already then Mutex.protect t.lock (fun () -> shard.alive)
   else begin
     (* The loop fails the shard's old connections on this wake-up, so
        their parked requests complete with a retriable [overloaded]. *)
@@ -602,7 +598,7 @@ let promote_shard t idx =
          (and drain-flushed) must be queryable on the follower first —
          the zero-lost-acked-writes half of the failover contract. *)
       Option.iter (fun sh -> ignore (Shipper.catch_up sh)) shard.shipper;
-      locked t.lock (fun () ->
+      Mutex.protect t.lock (fun () ->
           shard.target <- follower;
           shard.target_sa <- shard.follower_sa;
           shard.promoted <- true;
@@ -641,7 +637,7 @@ let monitor t =
       Array.iter
         (fun shard ->
           let target, alive, promoted =
-            locked t.lock (fun () -> (shard.target, shard.alive, shard.promoted))
+            Mutex.protect t.lock (fun () -> (shard.target, shard.alive, shard.promoted))
           in
           (match shard.shipper with
           | Some sh when not promoted -> ignore (Shipper.pump sh)
@@ -672,7 +668,7 @@ let monitor t =
 (* ------------------------------- stats ----------------------------- *)
 
 let stats_fields t =
-  locked t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let shards =
         Array.to_list
           (Array.map
@@ -789,12 +785,14 @@ let run t =
         (* A ['d'] IS a drain request: signal handlers may only write
            the pipe (same contract as the daemon's loop). *)
         if Bytes.contains (Bytes.sub pipe_buf 0 n) 'd' then Atomic.set t.stopping true;
-        Array.iter (fun s -> fail_stale t s (locked t.lock (fun () -> s.epoch))) t.shards
+        Array.iter
+          (fun s -> fail_stale t s (Mutex.protect t.lock (fun () -> s.epoch)))
+          t.shards
       | exception Unix.Unix_error _ -> ())
     | Listener ->
       Conn.accept_burst t.listen_fd (fun fd ->
           t.clients <- Conn.create fd :: t.clients;
-          locked t.lock (fun () -> t.accepted <- t.accepted + 1))
+          Mutex.protect t.lock (fun () -> t.accepted <- t.accepted + 1))
     | Client c ->
       if (not (Conn.closed c)) && (ev.ready_read || ev.ready_error) then
         if Conn.closing c then (if ev.ready_error then close_client t c)
@@ -840,7 +838,8 @@ let run t =
       List.iter (fail_uconn t) (shard.pool @ shard.f_pool);
       match shard.shipper with
       | Some sh ->
-        if not (locked t.lock (fun () -> shard.promoted)) then ignore (Shipper.pump sh);
+        if not (Mutex.protect t.lock (fun () -> shard.promoted)) then
+          ignore (Shipper.pump sh);
         Shipper.close sh
       | None -> ())
     t.shards;

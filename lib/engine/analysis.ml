@@ -55,14 +55,14 @@ let lattice_table : Intvec.t option Engine.Cache.table =
 let cached_lattice ~mu t = Engine.Cache.memo lattice_table (instance_key ~mu t) (fun () -> lattice ~mu t)
 
 (* The exact decision for an instance no closed form settles: the box
-   oracle while the box is small, else [lattice]. *)
-let oracle ~lattice ~budget ~mu t =
+   oracle while the box is small, else the cached lattice oracle. *)
+let oracle ~budget ~mu t =
   Engine.Budget.charge_oracle budget;
   if Conflict.box_is_small mu then begin
     Obs.Metrics.incr m_box_oracle;
     (Box_oracle, Obs.Trace.with_span "oracle.box" (fun () -> Conflict.find_conflict ~mu t))
   end
-  else (Lattice_oracle, lattice ~mu t)
+  else (Lattice_oracle, cached_lattice ~mu t)
 
 let verdict_table : (bool * decided_by * Intvec.t option * bool) Engine.Cache.table =
   Engine.Cache.create_table "analysis-verdict"
@@ -78,11 +78,10 @@ let m_family_hits = Obs.Metrics.counter "family.hits"
 let m_family_misses = Obs.Metrics.counter "family.misses"
 let m_family_residual = Obs.Metrics.counter "family.residual"
 
-let build_family t =
-  Obs.Metrics.incr m_family_misses;
-  Family.build t
-
-let family t = Engine.Cache.memo family_table t (fun () -> build_family t)
+let family t =
+  Engine.Cache.memo family_table t (fun () ->
+      Obs.Metrics.incr m_family_misses;
+      Family.build t)
 
 let eval_family fam ~mu =
   match Family.eval fam ~mu with
@@ -98,11 +97,10 @@ let eval_family fam ~mu =
       }
   | Family.Residual -> None
 
-(* The one conflict-freedom cascade.  [family] and [lattice] supply the
-   family of [t] and the lattice oracle, built or recalled; [memo]
-   wraps the exact decision.  [decide] passes the uncached ones and
-   [check] the memo tables. *)
-let cascade ~family ~lattice ~memo ~budget ~mu t =
+(* The one conflict-freedom cascade, behind the verdict, family and
+   lattice-oracle memo tables. *)
+let check ?(budget = Engine.Budget.unlimited) ~mu t =
+  if Array.length mu <> Intmat.cols t then invalid_arg "Analysis.check: arity mismatch";
   Obs.Metrics.incr m_queries;
   Obs.Trace.with_span "analysis.check" @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -123,14 +121,13 @@ let cascade ~family ~lattice ~memo ~budget ~mu t =
        oracle entirely; one lattice-oracle call settles the query,
        reported as bounded.  Bounded verdicts are never memoized. *)
     Obs.Metrics.incr m_budget_degraded;
-    Engine.Budget.degrade budget;
     Engine.Budget.charge_oracle budget;
     let w = lattice ~mu t in
     finish (Option.is_none w, Lattice_fallback, w, Intmat.rank t = Intmat.rows t) Bounded
   end
   else
     finish
-      (memo (fun () ->
+      (Engine.Cache.memo verdict_table (instance_key ~mu t) (fun () ->
            let fam = family t in
            match Family.eval fam ~mu with
            | Family.Decided { conflict_free; method_; witness } ->
@@ -142,18 +139,8 @@ let cascade ~family ~lattice ~memo ~budget ~mu t =
              (match fam.Family.shape with
              | Family.Always_residual -> note_rank_deficient ()
              | _ -> ());
-             let how, w = oracle ~lattice ~budget ~mu t in
+             let how, w = oracle ~budget ~mu t in
              (Option.is_none w, how, w, fam.Family.full_rank)))
       Exact
-
-let decide ?(budget = Engine.Budget.unlimited) ~mu t =
-  if Array.length mu <> Intmat.cols t then invalid_arg "Analysis.decide: arity mismatch";
-  cascade ~family:build_family ~lattice ~memo:(fun f -> f ()) ~budget ~mu t
-
-let check ?(budget = Engine.Budget.unlimited) ~mu t =
-  if Array.length mu <> Intmat.cols t then invalid_arg "Analysis.check: arity mismatch";
-  cascade ~family ~lattice:cached_lattice
-    ~memo:(Engine.Cache.memo verdict_table (instance_key ~mu t))
-    ~budget ~mu t
 
 let is_conflict_free ?budget ~mu t = (check ?budget ~mu t).conflict_free

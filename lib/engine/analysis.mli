@@ -2,26 +2,22 @@
 
     The repository has one conflict-freedom cascade: the {!Family}
     verdict for [t] evaluated at [mu], then — on a
-    {!Family.Residual} evaluation — the exact oracle.  It answers
-    whether [t] is conflict-free on the box, and also returns rank,
-    witness and timing in one record.  Two entry points run it:
+    {!Family.Residual} evaluation — the exact oracle.  {!check} runs
+    it behind the verdict, family and lattice-oracle memo tables of
+    {!Engine.Cache}, keyed on the matrix content, so a repeated query
+    — the daemon's stream, a [mu] sweep over one matrix — costs a hash
+    lookup.  It answers whether [t] is conflict-free on the box, and
+    also returns rank, witness and timing in one record.  A scan whose
+    queries are all distinct matrices, such as every candidate of a
+    {!Search} scan, screens with the uncached {!Family.valid} instead,
+    where a memo table would cost a hash and a lock per query and
+    never hit.
 
-    - {!decide} runs it as is, building the family and calling the
-      oracle every time.  This is the screen for callers whose queries
-      are all distinct matrices, such as every candidate of a
-      {!Search} scan, where a memo table would cost a hash and a lock
-      per query and never hit;
-    - {!check} wraps the same cascade in the verdict, family and
-      lattice-oracle memo tables of {!Engine.Cache}, keyed on the
-      matrix content, so a repeated query — the daemon's stream, a
-      [mu] sweep over one matrix — costs a hash lookup.
-
-    Both add:
+    {!check} adds:
 
     - {e budgets}: under an expired {!Engine.Budget} the cascade is
       replaced by the lattice oracle and the verdict is reported with
-      [exactness = Bounded] instead of blocking, and the budget is
-      marked {!Engine.Budget.degraded};
+      [exactness = Bounded] instead of blocking;
     - {e observability}: every call bumps the [analysis.*] counters of
       {!Obs.Metrics}, feeds the [analysis.check_ms] histogram and opens
       an [analysis.check] trace span (see [docs/SCHEMA.md] for the
@@ -59,20 +55,11 @@ type verdict = {
   exactness : exactness;
 }
 
-val decide : ?budget:Engine.Budget.t -> mu:int array -> Intmat.t -> verdict
-(** Decide conflict-freedom of [t] on the box [0 <= j_i <= mu_i]
-    without consulting or filling any memo table: {!Family.build},
-    evaluated at [mu], then on a residual evaluation the box oracle
-    when the box {!Conflict.box_is_small}, else the lattice oracle.
-    Same verdict as {!check}: the differential fuzzer ([Check.Diff])
-    compares the two on every instance, with and without a pressed
-    budget.  [family.misses] counts one family built per call.
-    @raise Invalid_argument when [mu] and [t] disagree on arity. *)
-
 val check : ?budget:Engine.Budget.t -> mu:int array -> Intmat.t -> verdict
-(** {!decide} behind the memo tables: verdict cache, then the
-    memoized {!family} evaluated at [mu], then on a residual
-    evaluation the box oracle or the cached lattice oracle.  Agrees
+(** Decide conflict-freedom of [t] on the box [0 <= j_i <= mu_i]:
+    verdict cache, then the memoized {!family} evaluated at [mu], then
+    on a residual evaluation the box oracle when the box
+    {!Conflict.box_is_small}, else the cached lattice oracle.  Agrees
     with {!Family.decide} and the exact oracles (property-tested);
     verdicts computed without budget pressure are cached and replayed
     on structurally equal queries.

@@ -3,38 +3,28 @@ module Budget = struct
     deadline : float option; (* absolute wall-clock seconds *)
     max_oracle_calls : int option;
     used_oracle : int Atomic.t;
-    started : float;
     cancelled : bool Atomic.t;
-    degraded : bool Atomic.t;
   }
 
   (* All wall-clock reads go through [Fault.clock_now] so an armed
      chaos plan with the [clock] class can skew deadline arithmetic;
      with no plan armed it is [Unix.gettimeofday]. *)
   let make ?deadline_ms ?max_oracle_calls () =
-    let started = Fault.clock_now () in
+    let now = Fault.clock_now () in
     {
-      deadline = Option.map (fun ms -> started +. (float_of_int ms /. 1000.)) deadline_ms;
+      deadline = Option.map (fun ms -> now +. (float_of_int ms /. 1000.)) deadline_ms;
       max_oracle_calls;
       used_oracle = Atomic.make 0;
-      started;
       cancelled = Atomic.make false;
-      degraded = Atomic.make false;
     }
 
   let unlimited = make ()
   let charge_oracle t = Atomic.incr t.used_oracle
   let oracle_calls t = Atomic.get t.used_oracle
-  let elapsed_ms t = 1000. *. (Fault.clock_now () -. t.started)
 
   (* The shared [unlimited] budget must stay un-cancellable — it backs
      every caller that passed no budget at all. *)
   let cancel t = if t != unlimited then Atomic.set t.cancelled true
-  let cancelled t = Atomic.get t.cancelled
-
-  (* [unlimited] is never pressed, so no query degrades under it. *)
-  let degrade t = if t != unlimited then Atomic.set t.degraded true
-  let degraded t = Atomic.get t.degraded
 
   let pressed t =
     Atomic.get t.cancelled

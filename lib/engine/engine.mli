@@ -29,28 +29,13 @@ module Budget : sig
 
   val charge_oracle : t -> unit
   val oracle_calls : t -> int
-  val elapsed_ms : t -> float
 
   val cancel : t -> unit
   (** Press the budget immediately, whatever its deadline: every
       subsequent {!pressed} poll answers true, so in-flight queries
-      degrade to bounded verdicts and finish fast.  This is the path
-      shared by the server's graceful drain and the CLI's SIGINT
-      handling.  Cancelling {!unlimited} is a no-op (it is shared by
-      every caller that passed no budget). *)
-
-  val cancelled : t -> bool
-
-  val degrade : t -> unit
-  (** Record that a query answered bounded under this budget (the
-      pressed-budget path of [Analysis]'s cascade).  A no-op on
-      {!unlimited}. *)
-
-  val degraded : t -> bool
-  (** True once some query answered bounded under this budget, so its
-      caller's results may be partial.  A pressed budget need not be
-      degraded: a caller whose queries never consult it, such as a
-      k = n-1 search, stays exact to its end. *)
+      degrade to bounded verdicts and finish fast.  This is the
+      server's graceful drain.  Cancelling {!unlimited} is a no-op (it
+      is shared by every caller that passed no budget). *)
 
   val pressed : t -> bool
   (** True once the deadline passed, the oracle budget is spent, or

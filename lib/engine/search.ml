@@ -10,15 +10,8 @@ let get_pool = function
   | None -> Engine.Pool.create ()
 
 (* Conditions 3 and 4 of Definition 2.2 on one candidate.  Every
-   candidate of a scan is a distinct matrix, so nothing is memoized: a
-   k = n-1 matrix takes Family's adjugate arm directly, any other the
-   uncached cascade. *)
-let screen ?budget ~mu t =
-  Obs.Trace.with_span "search.screen" @@ fun () ->
-  if Intmat.rows t = Intmat.cols t - 1 then Family.adjugate_free ~mu t
-  else
-    let v = Analysis.decide ?budget ~mu t in
-    v.Analysis.full_rank && v.Analysis.conflict_free
+   candidate of a scan is a distinct matrix, so nothing is memoized. *)
+let valid ~mu t = Obs.Trace.with_span "search.screen" @@ fun () -> Family.valid ~mu t
 
 (* One cost level of Procedure 5.1 under its own span: the walk keeps a
    copy of each candidate with [Pi D > 0], and [f] runs on the pool
@@ -31,13 +24,13 @@ let level ~pool ~mu ~d f cost =
   let cands = List.rev !cands in
   List.combine cands (Engine.Pool.map pool f cands)
 
-let all_optimal_schedules ?pool ?budget ?max_objective (alg : Algorithm.t) ~s =
+let all_optimal_schedules ?pool ?max_objective (alg : Algorithm.t) ~s =
   let pool = get_pool pool in
   let mu = Index_set.bounds alg.Algorithm.index_set in
   let d = alg.Algorithm.dependences in
   Obs.Trace.with_span "search.schedule-scan" @@ fun () ->
   Procedure51.first_level ?max_objective ~mu (fun cost ->
-      level ~pool ~mu ~d (fun pi -> screen ?budget ~mu (Intmat.append_row s pi)) cost
+      level ~pool ~mu ~d (fun pi -> valid ~mu (Intmat.append_row s pi)) cost
       |> List.filter_map (fun (pi, ok) -> if ok then Some pi else None)
       |> function [] -> None | winners -> Some winners)
   |> Option.value ~default:[]
@@ -58,11 +51,11 @@ let buffer_minimal ?pool (alg : Algorithm.t) ~s schedules =
   | [] -> None
   | (_, pi, routing) :: _ -> Some (pi, routing)
 
-let best_by_buffers ?pool ?budget ?max_objective alg ~s =
+let best_by_buffers ?pool ?max_objective alg ~s =
   let pool = get_pool pool in
-  buffer_minimal ~pool alg ~s (all_optimal_schedules ~pool ?budget ?max_objective alg ~s)
+  buffer_minimal ~pool alg ~s (all_optimal_schedules ~pool ?max_objective alg ~s)
 
-let pareto_front ?pool ?budget ?entry_bound ?(time_slack = 8)
+let pareto_front ?pool ?entry_bound ?(time_slack = 8)
     ?(accept = fun _ _ -> true) (alg : Algorithm.t) ~k =
   let pool = get_pool pool in
   let mu = Index_set.bounds alg.Algorithm.index_set in
@@ -73,7 +66,7 @@ let pareto_front ?pool ?budget ?entry_bound ?(time_slack = 8)
   let level =
     level ~pool ~mu ~d (fun pi ->
         Space_opt.optimize ?entry_bound ~objective:Space_opt.Processors
-          ~valid:(screen ?budget ~mu) alg ~pi ~k)
+          ~valid:(valid ~mu) alg ~pi ~k)
   in
   (* The joint optimum's level: the first cost where any candidate
      admits a conflict-free space mapping at all.  [accept] is applied

@@ -14,13 +14,17 @@
     level.  Each level is one {!Procedure51.walk} over the candidates
     of its cost, which copies out only those with [Pi D > 0]; the
     per-candidate work on those is fanned out over an {!Engine.Pool}.
-    Every mapping-matrix decision is one {!screen}: for [k = n-1],
-    the case of every paper example, Theorem 3.1's closed form
-    ({!Family.adjugate_free}), and for any other [k] {!Analysis.decide},
-    the conflict-freedom cascade without its memo tables.  Every
-    candidate a scan screens is a distinct matrix, so a table would
-    cost a hash and a lock per candidate and never hit; a query leaves
-    {!Engine.Cache} as it found it.  Routing uses
+    Every mapping-matrix decision is one {!Family.valid} under a
+    [search.screen] span, the screen {!Procedure51} and {!Space_opt}
+    use too: [rank T = k] and conflict-free, for [k = n-1] (every
+    paper example) by Theorem 3.1's closed form, for any other [k] by
+    one family build and, on a residual instance, the exact oracle.
+    Every screen is exact and takes no budget, so an answer is always
+    complete.
+    Every candidate a scan screens is a distinct matrix, so a memo
+    table would cost a hash and a lock per candidate and never hit; a
+    query leaves {!Engine.Cache} and the [analysis.*] counters as it
+    found them.  Routing uses
     {!Tmap.find_routing}'s nearest-neighbour closed form.  The pool
     preserves input order, so results are merged deterministically:
     the answer is the same at every width, and a 1-domain pool is the
@@ -32,19 +36,8 @@
     the whole level has been screened — so it means the same thing
     under any domain count. *)
 
-val screen : ?budget:Engine.Budget.t -> mu:int array -> Intmat.t -> bool
-(** The screen of every candidate [T = [S; Pi]] of a scan: [rank T =
-    k] and conflict-free on the box [mu], under a [search.screen]
-    span.  A [k = n-1] matrix is decided by {!Family.adjugate_free}
-    (exact, so [budget] does not apply and is never marked
-    {!Engine.Budget.degraded}); any other by
-    {!Analysis.decide}[ ?budget], whose [analysis.*] counters it
-    feeds.  [Check.Diff] compares it with the brute-force oracle on
-    every fuzzed [k = n-1] instance. *)
-
 val all_optimal_schedules :
   ?pool:Engine.Pool.t ->
-  ?budget:Engine.Budget.t ->
   ?max_objective:int ->
   Algorithm.t ->
   s:Intmat.t ->
@@ -69,7 +62,6 @@ val buffer_minimal :
 
 val best_by_buffers :
   ?pool:Engine.Pool.t ->
-  ?budget:Engine.Budget.t ->
   ?max_objective:int ->
   Algorithm.t ->
   s:Intmat.t ->
@@ -88,7 +80,6 @@ type pareto_point = {
 
 val pareto_front :
   ?pool:Engine.Pool.t ->
-  ?budget:Engine.Budget.t ->
   ?entry_bound:int ->
   ?time_slack:int ->
   ?accept:(Intvec.t -> Intmat.t -> bool) ->

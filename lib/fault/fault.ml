@@ -1,11 +1,20 @@
 exception Injected of string
 
-(* Same FNV-1a the store's record CRC uses: cheap, stable across
-   platforms, and plenty of mixing for a fire/don't-fire decision. *)
+(* Cheap, stable across platforms and byte-order-free: plenty of mixing
+   for a fire/don't-fire decision, a ring point or a CRC that detects a
+   torn write. *)
 let fnv1a s =
   let h = ref 0x811c9dc5 in
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
   !h
+
+let fsync_dir path =
+  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
 
 module Plan = struct
   type event = { site : string; seq : int; action : string }

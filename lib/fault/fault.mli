@@ -62,6 +62,18 @@ exception Injected of string
     consult functions) when a fault fires; the payload is the site
     name. *)
 
+val fnv1a : string -> int
+(** The 32-bit FNV-1a hash, in [0 .. 2^32 - 1]: fault decisions and
+    plan fingerprints, the store journal's record CRCs, the snapshot
+    index CRC and the cluster ring's points all use it. *)
+
+val fsync_dir : string -> unit
+(** [fsync_dir path] fsyncs the directory holding [path], which makes
+    a create, truncate or rename of [path] durable: without it the
+    change can be lost on power failure even though the data blocks
+    made it.  Best effort: errors are ignored, since some filesystems
+    refuse fsync on a directory. *)
+
 module Plan : sig
   type t
 

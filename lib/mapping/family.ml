@@ -298,10 +298,14 @@ let eval fam ~mu =
         Decided { conflict_free = true; method_ = m; witness = None }
       | _ -> Residual))
 
-let decide ~mu t =
-  match eval (build t) ~mu with
+(* Conflict-freedom of [t] at [mu] from its family [fam = build t]:
+   the family's verdict, or the exact oracle on a residual instance. *)
+let free fam ~mu t =
+  match eval fam ~mu with
   | Decided { conflict_free; _ } -> conflict_free
   | Residual -> Conflict.is_conflict_free ~mu t
+
+let decide ~mu t = free (build t) ~mu t
 
 (* The [Adjugate] arm of [build] and [eval] with no family in between:
    a rank-deficient T has no conflict vector and is not valid. *)
@@ -312,7 +316,9 @@ let adjugate_free ~mu t =
 
 let valid ~mu t =
   if Intmat.rows t = Intmat.cols t - 1 then adjugate_free ~mu t
-  else Intmat.rank t = Intmat.rows t && decide ~mu t
+  else
+    let fam = build t in
+    fam.full_rank && free fam ~mu t
 
 (* ------------------------------- codec ------------------------------ *)
 

@@ -13,7 +13,9 @@
     those).  This is the repository's only closed-form cascade: the
     rank test for [k >= n], Theorem 3.1 for [k = n-1], and the Hermite
     conditions of Theorems 4.4-4.8 for [k < n-1].  {!decide} runs it
-    uncached; [Analysis.check] memoizes the family per matrix.
+    uncached, {!valid} adds the rank test and screens every candidate
+    of a mapping scan; [Analysis.check] memoizes the family per
+    matrix.
 
     Soundness contract (property-tested in [Check.Diff] and
     [test_family.ml]): whenever [eval] answers {!Decided}, the boolean
@@ -134,24 +136,27 @@ val decide : mu:int array -> Intmat.t -> bool
 (** Conflict-freedom of [T] on the box [0 <= j_i <= mu_i], uncached:
     {!build}, {!eval}, and {!Conflict.is_conflict_free} when the
     instance is {!Residual}.  Always agrees with
-    {!Conflict.is_conflict_free}.  {!valid} runs it for every [k]
-    other than [n-1].
+    {!Conflict.is_conflict_free}.
     @raise Invalid_argument when [mu] and [T] disagree on arity. *)
 
 val adjugate_free : mu:int array -> Intmat.t -> bool
 (** For [T ∈ Z^{(n-1)×n}]: [rank T = n-1] and conflict-free, decided
     as the {!Adjugate} arm decides it, without building a family:
     {!Conflict.single_conflict_vector}, then {!Conflict.is_feasible}
-    on its [gamma].  [false] when [rank T < n-1].  Every [k = n-1]
-    candidate of a [Search] scan is screened by this call.
+    on its [gamma].  [false] when [rank T < n-1].  {!valid} runs it
+    for every [k = n-1] [T].
     @raise Invalid_argument unless [T] is (n-1)×n, or when [mu] and
     [T] disagree on arity. *)
 
 val valid : mu:int array -> Intmat.t -> bool
 (** Conditions 3 and 4 of Definition 2.2 for a [k]×[n] [T]: [rank T
-    = k] and conflict-free.  {!adjugate_free} when [k = n-1], else
-    [Intmat.rank] and {!decide}.  The default screen of [Procedure51]
-    and [Space_opt]. *)
+    = k] and conflict-free.  {!adjugate_free} when [k = n-1]; for any
+    other [k], one {!build}, whose [full_rank] answers the rank test,
+    then {!decide}'s evaluation and oracle on that family.  Uncached:
+    the screen of every candidate of [Procedure51], [Space_opt] and
+    both [Search] scans, whose candidates are distinct matrices.
+    [Check.Diff] compares it with [rank T = k] and the brute-force
+    oracle on every fuzzed instance. *)
 
 (** {1 Codec}
 

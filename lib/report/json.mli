@@ -17,10 +17,12 @@ type t =
   | Obj of (string * t) list
 
 val schema_version : int
-(** Current CLI output schema: 2.  v2 replaced the [telemetry] field of
+(** Current CLI output schema: 3.  v2 replaced the [telemetry] field of
     the [search] report with a [metrics] object and added the optional
-    [spans] field behind [--trace]; see [docs/SCHEMA.md] for the
-    v1 → v2 migration notes. *)
+    [spans] field behind [--trace]; v3 dropped the [search] report's
+    budget fields ([deadline_ms], [budget_pressed],
+    [budget_elapsed_ms], [interrupted]).  See [docs/SCHEMA.md] for the
+    migration notes. *)
 
 val versioned : command:string -> (string * t) list -> t
 (** [versioned ~command fields] is [Obj] with ["schema_version"] and

@@ -16,12 +16,8 @@ let create ~capacity =
     is_closed = false;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let try_push t x =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if t.is_closed || Queue.length t.q >= t.capacity then false
       else begin
         Queue.push x t.q;
@@ -30,7 +26,7 @@ let try_push t x =
       end)
 
 let pop_batch t ~max ~compatible =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       while Queue.is_empty t.q && not t.is_closed do
         Condition.wait t.nonempty t.lock
       done;
@@ -51,17 +47,17 @@ let pop_batch t ~max ~compatible =
       end)
 
 let close t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.is_closed <- true;
       Condition.broadcast t.nonempty)
 
 let abort t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.is_closed <- true;
       let dropped = List.of_seq (Queue.to_seq t.q) in
       Queue.clear t.q;
       Condition.broadcast t.nonempty;
       dropped)
 
-let closed t = locked t (fun () -> t.is_closed)
-let length t = locked t (fun () -> Queue.length t.q)
+let closed t = Mutex.protect t.lock (fun () -> t.is_closed)
+let length t = Mutex.protect t.lock (fun () -> Queue.length t.q)

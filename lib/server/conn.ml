@@ -1,9 +1,5 @@
 type listen = Unix_sock of string | Tcp of int
 
-let locked lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 (* ------------------------------ listener ----------------------------- *)
 
 let listen_on fd addr =
@@ -166,22 +162,22 @@ let flush_locked c =
   c.out.Outbuf.len > 0
 
 let send ?(flush = false) c make =
-  locked c.olock (fun () ->
+  Mutex.protect c.olock (fun () ->
       if c.dead then false
       else begin
         Outbuf.add c.out (make c.version);
         if flush then flush_locked c else true
       end)
 
-let flush c = locked c.olock (fun () -> (not c.dead) && flush_locked c)
-let pending c = locked c.olock (fun () -> c.out.Outbuf.len > 0)
+let flush c = Mutex.protect c.olock (fun () -> (not c.dead) && flush_locked c)
+let pending c = Mutex.protect c.olock (fun () -> c.out.Outbuf.len > 0)
 
 let shutdown c =
-  locked c.olock (fun () ->
+  Mutex.protect c.olock (fun () ->
       if not c.dead then try Unix.shutdown c.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
 
 let close c =
-  locked c.olock (fun () ->
+  Mutex.protect c.olock (fun () ->
       if not c.dead then begin
         c.dead <- true;
         try Unix.close c.fd with Unix.Unix_error _ -> ()
@@ -258,7 +254,7 @@ let hello c ~id ~max transport =
        concurrently finishing worker included) lands after the ack
        bytes in the new dialect, exactly where the peer switches its
        own decoder. *)
-    locked c.olock (fun () ->
+    Mutex.protect c.olock (fun () ->
         if not c.dead then begin
           Outbuf.add c.out
             (doc (Protocol.ok_reply ~id ~op:"hello" [ ("transport", Json.Str (Wire.version_name v)) ])
@@ -269,6 +265,6 @@ let hello c ~id ~max transport =
     Ok v
 
 let upgrade c v =
-  locked c.olock (fun () ->
+  Mutex.protect c.olock (fun () ->
       Outbuf.add c.out (doc (Protocol.hello ~transport:(Wire.version_name v) ()) c.version);
       c.version <- v)

@@ -91,10 +91,6 @@ let m_deadline_exceeded = Obs.Metrics.counter "server.deadline_exceeded"
 let g_queue_depth = Obs.Metrics.gauge "server.queue_depth"
 let h_request_ms = Obs.Metrics.histogram "server.request_ms"
 
-let locked lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 (* ------------------------------- wakeup ------------------------------ *)
 
 (* The self-pipe carries two byte values: ['d'] asks for a drain (the
@@ -110,7 +106,7 @@ let initiate_drain t =
     (* Already-running and already-queued requests finish fast: their
        budgets are cancelled, so analysis degrades to the bounded
        lattice path instead of completing at leisure or vanishing. *)
-    locked t.inflight_lock (fun () ->
+    Mutex.protect t.inflight_lock (fun () ->
         Hashtbl.iter (fun _ b -> Engine.Budget.cancel b) t.inflight);
     Admission.close t.queue;
     wake t
@@ -149,7 +145,7 @@ let compatible a b =
   | _ -> false
 
 let unregister t rid =
-  locked t.inflight_lock (fun () -> Hashtbl.remove t.inflight rid)
+  Mutex.protect t.inflight_lock (fun () -> Hashtbl.remove t.inflight rid)
 
 let serve_job t job =
   let op = Protocol.op_name job.env.Protocol.req in
@@ -233,7 +229,7 @@ let serve_job t job =
 let abort t =
   if not (Atomic.exchange t.aborting true) then begin
     Atomic.set t.draining true;
-    locked t.inflight_lock (fun () ->
+    Mutex.protect t.inflight_lock (fun () ->
         Hashtbl.iter (fun _ b -> Engine.Budget.cancel b) t.inflight);
     let dropped = Admission.abort t.queue in
     List.iter
@@ -373,7 +369,7 @@ let admit t conn env ~sf ~shed =
   else begin
     let rid = Atomic.fetch_and_add t.next_id 1 in
     let budget = Engine.Budget.make ?deadline_ms:(Protocol.deadline_ms env.Protocol.req) () in
-    locked t.inflight_lock (fun () -> Hashtbl.replace t.inflight rid budget);
+    Mutex.protect t.inflight_lock (fun () -> Hashtbl.replace t.inflight rid budget);
     let job = { rid; env; budget; jconn = conn; enqueued_at = Unix.gettimeofday (); sf } in
     if Admission.try_push t.queue job then begin
       Atomic.incr t.n_accepted;

@@ -87,14 +87,14 @@ let schedules_fields ~s schedules best =
     ("best_by_buffers", Json.option json_of_buffer_minimal best);
   ]
 
-let search ~pool ~budget ~algorithm ~mu ~s:s_opt ~pareto ~array_dim =
+let search ~pool ~algorithm ~mu ~s:s_opt ~pareto ~array_dim =
   let alg, default_s = builtin_algorithm algorithm mu in
   let base =
     [ ("algorithm", Json.Str algorithm); ("mu", Json.Int mu) ]
   in
   let fields =
     if pareto then
-      let front = Search.pareto_front ~pool ~budget alg ~k:(array_dim + 1) in
+      let front = Search.pareto_front ~pool alg ~k:(array_dim + 1) in
       [
         ("mode", Json.Str "pareto");
         ("array_dim", Json.Int array_dim);
@@ -102,12 +102,11 @@ let search ~pool ~budget ~algorithm ~mu ~s:s_opt ~pareto ~array_dim =
       ]
     else begin
       let s = resolve_s s_opt default_s in
-      let schedules = Search.all_optimal_schedules ~pool ~budget alg ~s in
+      let schedules = Search.all_optimal_schedules ~pool alg ~s in
       schedules_fields ~s schedules (Search.buffer_minimal ~pool alg ~s schedules)
     end
   in
   base @ fields
-  @ [ ("interrupted", Json.Bool (Engine.Budget.degraded budget)) ]
 
 (* ----------------------------- simulate ----------------------------- *)
 
@@ -182,7 +181,7 @@ let replay ~budget instance =
 let execute ~pool ~store ~budget = function
   | Protocol.Analyze { mu; tmat; deadline_ms = _ } -> analyze ~store ~budget ~mu tmat
   | Protocol.Search { algorithm; mu; s; pareto; array_dim; deadline_ms = _ } ->
-    search ~pool ~budget ~algorithm ~mu ~s ~pareto ~array_dim
+    search ~pool ~algorithm ~mu ~s ~pareto ~array_dim
   | Protocol.Simulate { algorithm; mu; s; pi } -> simulate ~algorithm ~mu ~s ~pi
   | Protocol.Replay { instance } -> replay ~budget instance
   | Protocol.Ship _ | Protocol.Ping | Protocol.Stats | Protocol.Drain

@@ -12,12 +12,8 @@ type 'a t = {
 let create () =
   { tbl = Hashtbl.create 64; lock = Mutex.create (); n_groups = 0; n_coalesced = 0 }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let join t ~hash ~key waiter =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let bucket = Option.value ~default:[] (Hashtbl.find_opt t.tbl hash) in
       match List.find_opt (fun g -> g.g_key = key) bucket with
       | Some g ->
@@ -30,7 +26,7 @@ let join t ~hash ~key waiter =
         `Leader)
 
 let complete t ~hash ~key =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let bucket = Option.value ~default:[] (Hashtbl.find_opt t.tbl hash) in
       match List.partition (fun g -> g.g_key = key) bucket with
       | [], _ -> []
@@ -38,4 +34,4 @@ let complete t ~hash ~key =
         if rest = [] then Hashtbl.remove t.tbl hash else Hashtbl.replace t.tbl hash rest;
         List.rev g.waiters)
 
-let stats t = locked t (fun () -> (t.n_groups, t.n_coalesced))
+let stats t = Mutex.protect t.lock (fun () -> (t.n_groups, t.n_coalesced))

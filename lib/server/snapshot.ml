@@ -22,14 +22,6 @@ let footer_magic = "SFSNAP1F"
 let entry_bytes = 13
 let footer_bytes = 24
 
-(* Same FNV-1a as the store's record CRC. *)
-let fnv1a_bytes b off len =
-  let h = ref 0x811c9dc5 in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xFFFFFFFF
-  done;
-  !h
-
 let put_u32 b off v =
   Bytes.set b off (Char.chr ((v lsr 24) land 0xFF));
   Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xFF));
@@ -43,14 +35,6 @@ let get_u32 b off =
   lor Char.code (Bytes.get b (off + 3))
 
 (* ------------------------------ writer ----------------------------- *)
-
-let fsync_dir path =
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
 
 (* Write a snapshot atomically (tmp + rename, fsynced) from the given
    [(kind, hash, key, line)] records; [line] is the canonical journal
@@ -83,21 +67,21 @@ let write path records =
       pos := !pos + String.length line + 1)
     records;
   let index_off = !pos in
-  let ibytes = Buffer.to_bytes index in
-  output_bytes oc ibytes;
+  let ibytes = Buffer.contents index in
+  output_string oc ibytes;
   let footer = Bytes.create footer_bytes in
   Bytes.blit_string footer_magic 0 footer 0 8;
   (* index_off as u64 BE: the high word is written via two u32 puts. *)
   put_u32 footer 8 (index_off lsr 32);
   put_u32 footer 12 (index_off land 0xFFFFFFFF);
   put_u32 footer 16 (List.length records);
-  put_u32 footer 20 (fnv1a_bytes ibytes 0 (Bytes.length ibytes));
+  put_u32 footer 20 (Fault.fnv1a ibytes);
   output_bytes oc footer;
   flush oc;
   Unix.fsync (Unix.descr_of_out_channel oc);
   close_out oc;
   Sys.rename tmp path;
-  fsync_dir path;
+  Fault.fsync_dir path;
   List.length records
 
 (* ------------------------------ reader ----------------------------- *)
@@ -200,7 +184,7 @@ let load_index t =
     let ix = Bytes.create (t.count * entry_bytes) in
     let got = pread t ix t.index_off (Bytes.length ix) in
     if got <> Bytes.length ix then t.index_crc_ok <- false
-    else if fnv1a_bytes ix 0 (Bytes.length ix) <> t.index_crc then begin
+    else if Fault.fnv1a (Bytes.unsafe_to_string ix) <> t.index_crc then begin
       (* Keep serving: each located record still self-validates, so a
          damaged index degrades to misses on the damaged entries. *)
       t.index_crc_ok <- false;
@@ -222,10 +206,7 @@ let entry_key ix i =
    or unreadable bytes are counted corrupt and skipped; the caller
    still validates each returned line against the record's own CRC. *)
 let find_all t ~kind ~hash =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
+  Mutex.protect t.lock (fun () ->
       let hash = hash land 0xFFFFFFFF in
       let ix = load_index t in
       let want = (kind, hash) in
@@ -262,10 +243,7 @@ let find_all t ~kind ~hash =
    line between the header and the index, in file order.  Lines are
    handed over raw; the caller validates. *)
 let iter_lines t f =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
+  Mutex.protect t.lock (fun () ->
       let header_len = String.length header + 1 in
       let len = t.index_off - header_len in
       if len > 0 then begin

@@ -77,14 +77,6 @@ let m_snap_hits = Obs.Metrics.counter "server.store.snapshot_hits"
 let m_snap_corrupt = Obs.Metrics.counter "server.store.snapshot_corrupt"
 let h_open_ms = Obs.Metrics.histogram "server.store.open_ms"
 
-(* FNV-1a over the record body: cheap, byte-order-free, and enough to
-   detect a torn tail (we are defending against crashes, not
-   adversaries — the store path is operator-controlled). *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
-  !h
-
 (* ------------------------- key + record codec ---------------------- *)
 
 let csv ints = String.concat "," (List.map string_of_int ints)
@@ -123,7 +115,7 @@ let entry_payload e =
    punctuation-separated), so the line splits unambiguously. *)
 let framed tag hash key payload =
   let body = Printf.sprintf "%08x %s %s" (hash land 0xFFFFFFFF) key payload in
-  Printf.sprintf "%c %s %08x" tag body (fnv1a body)
+  Printf.sprintf "%c %s %08x" tag body (Fault.fnv1a body)
 
 let record_line hash key e = framed 'v' hash key (entry_payload e)
 let family_line hash key fam = framed 'f' hash key (Family.to_string fam)
@@ -137,7 +129,7 @@ let parse_record line =
   | [ tag; hash_hex; key; payload; crc_hex ] when tag = "v" || tag = "f" ->
     let body = Printf.sprintf "%s %s %s" hash_hex key payload in
     let crc = int_of_string ("0x" ^ crc_hex) in
-    if fnv1a body <> crc then failwith "checksum mismatch";
+    if Fault.fnv1a body <> crc then failwith "checksum mismatch";
     let hash = int_of_string ("0x" ^ hash_hex) in
     if tag = "f" then
       match Family.of_string payload with
@@ -180,18 +172,6 @@ let salvage_key line =
 let fsync_out oc =
   flush oc;
   Unix.fsync (Unix.descr_of_out_channel oc)
-
-(* Make a metadata change (create / truncate / rename) durable: fsync
-   the parent directory, or the change itself can be lost on power
-   failure even though the data blocks made it.  Best effort — some
-   filesystems refuse fsync on a directory fd. *)
-let fsync_dir path =
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
 
 (* Replay the journal.  Complete lines that fail to parse or checksum
    are quarantined (each record carries its own CRC, and lines resync
@@ -253,7 +233,7 @@ let compact path records bad =
   fsync_out toc;
   close_out toc;
   Sys.rename tmp path;
-  fsync_dir path
+  Fault.fsync_dir path
 
 let open_ ?(fsync_every = 32) ?snapshot path =
   if fsync_every < 1 then invalid_arg "Store.open_: fsync_every must be >= 1";
@@ -320,7 +300,7 @@ let open_ ?(fsync_every = 32) ?snapshot path =
     fsync_out oc;
     (* The journal's directory entry must be durable too, or a power
        failure can forget the file the data was synced into. *)
-    fsync_dir path;
+    Fault.fsync_dir path;
     t.oc <- Some oc;
     t.provenance <- (if t.snap = None then "created" else "snapshot")
   end
@@ -369,7 +349,7 @@ let open_ ?(fsync_every = 32) ?snapshot path =
            frame instead of extending a partial one — and fsync the
            directory so the truncation itself survives power loss. *)
         Unix.truncate path (String.length contents - torn);
-        fsync_dir path
+        Fault.fsync_dir path
       end;
       if torn > 0 then
         ignore
@@ -386,10 +366,6 @@ let open_ ?(fsync_every = 32) ?snapshot path =
 
 let oc_exn t =
   match t.oc with Some oc -> oc | None -> failwith "Store: used after close"
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Consult the snapshot for [(kind, hash, key)], re-validating every
    located line against the record's own CRC (the index is only a
@@ -418,7 +394,7 @@ let snap_record t kind hash key =
 let find t ~mu tm =
   let hash = key_hash ~mu tm in
   let key = key_string ~mu tm in
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if Hashtbl.mem t.quarantined_keys key then begin
         (* The journal record for this key was corrupt: force a miss so
            the caller recomputes and [add] re-verifies. *)
@@ -506,7 +482,7 @@ let heal t key =
 let add t ~mu tm e =
   let hash = key_hash ~mu tm in
   let key = key_string ~mu tm in
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let bucket = Option.value ~default:[] (Hashtbl.find_opt t.table hash) in
       let quarantined = Hashtbl.mem t.quarantined_keys key in
       match List.assoc_opt key bucket with
@@ -523,7 +499,7 @@ let add t ~mu tm e =
 let find_family t tm =
   let hash = family_hash tm in
   let key = family_key_string tm in
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if Hashtbl.mem t.quarantined_keys key then None
       else
         match Option.bind (Hashtbl.find_opt t.families hash) (List.assoc_opt key) with
@@ -543,7 +519,7 @@ let find_family t tm =
 let add_family t tm fam =
   let hash = family_hash tm in
   let key = family_key_string tm in
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let bucket = Option.value ~default:[] (Hashtbl.find_opt t.families hash) in
       let quarantined = Hashtbl.mem t.quarantined_keys key in
       let same f0 = Family.to_string f0 = Family.to_string fam in
@@ -568,7 +544,7 @@ let ingest_line t line =
   | exception Failure msg -> Error msg
   | exception _ -> Error "unparsable record"
   | Verdict (hash, key, e) ->
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let bucket = Option.value ~default:[] (Hashtbl.find_opt t.table hash) in
         (match List.assoc_opt key bucket with
         | Some e0 when e0 = e -> ()
@@ -578,7 +554,7 @@ let ingest_line t line =
         heal t key;
         Ok ())
   | Fam (hash, key, fam) ->
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let bucket = Option.value ~default:[] (Hashtbl.find_opt t.families hash) in
         (match List.assoc_opt key bucket with
         | Some f0 when Family.to_string f0 = Family.to_string fam -> ()
@@ -620,7 +596,7 @@ let all_records t =
   Hashtbl.iter (fun key () -> Hashtbl.remove acc key) t.quarantined_keys;
   Hashtbl.fold (fun _ r rs -> r :: rs) acc []
 
-let write_snapshot t path = locked t (fun () -> Snapshot.write path (all_records t))
+let write_snapshot t path = Mutex.protect t.lock (fun () -> Snapshot.write path (all_records t))
 
 (* Snapshot-then-truncate: after this, the store opens as snapshot +
    empty tail in O(1) reads.  The snapshot is durable (fsynced, tmp +
@@ -628,7 +604,7 @@ let write_snapshot t path = locked t (fun () -> Snapshot.write path (all_records
    steps leaves a snapshot plus the full journal — records are then
    merely present twice, and replay's last-wins handles it. *)
 let compact_to_snapshot t ~snapshot =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let count = Snapshot.write snapshot (all_records t) in
       let oc = oc_exn t in
       fsync_out oc;
@@ -643,7 +619,7 @@ let compact_to_snapshot t ~snapshot =
       fsync_out toc;
       close_out toc;
       Sys.rename tmp t.path;
-      fsync_dir t.path;
+      Fault.fsync_dir t.path;
       t.oc <-
         Some (open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 t.path);
       t.pending <- 0;
@@ -664,12 +640,12 @@ let compact_to_snapshot t ~snapshot =
       count)
 
 let flush t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       fsync_out (oc_exn t);
       t.pending <- 0)
 
 let close t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let oc = oc_exn t in
       fsync_out oc;
       close_out oc;
@@ -684,7 +660,7 @@ let close t =
       t.snap <- None)
 
 let stats t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let entries = Hashtbl.fold (fun _ b acc -> acc + List.length b) t.table 0 in
       let families = Hashtbl.fold (fun _ b acc -> acc + List.length b) t.families 0 in
       {

@@ -37,7 +37,7 @@ let test_ring_placement () =
      agree everywhere, and every shard owns a non-trivial share. *)
   let a = Ring.make ~vnodes:64 3 and b = Ring.make ~vnodes:64 3 in
   for i = 0 to 999 do
-    let h = Ring.fnv1a (Printf.sprintf "probe:%d" i) in
+    let h = Fault.fnv1a (Printf.sprintf "probe:%d" i) in
     Alcotest.(check int)
       (Printf.sprintf "deterministic probe %d" i)
       (Ring.shard_of a h) (Ring.shard_of b h)

@@ -151,8 +151,7 @@ let test_search_pareto_agree () =
     [ 1; 4 ]
 
 (* A schedules request reports the schedule list and a buffer-minimal
-   pick from one scan, so under a pressed budget the pick still comes
-   from the reported list. *)
+   pick from one scan, so the pick comes from the reported list. *)
 let test_search_scans_once () =
   let request =
     Server.Protocol.Search
@@ -169,9 +168,6 @@ let test_search_scans_once () =
     List.filter (fun sp -> sp.Obs.Trace.name = "search.schedule-scan") (Obs.Trace.spans ())
   in
   Alcotest.(check int) "one schedule scan" 1 (List.length scans);
-  (* Its k = n-1 screens never consult the pressed budget. *)
-  Alcotest.(check bool) "complete, not interrupted" true
-    (List.assoc "interrupted" fields = Json.Bool false);
   match (List.assoc "schedules" fields, List.assoc "best_by_buffers" fields) with
   | Json.Arr schedules, Json.Obj best ->
     Alcotest.(check int) "six schedules" 6 (List.length schedules);
@@ -296,43 +292,14 @@ let test_budget_oracle_cap () =
   Alcotest.(check bool) "pressed at the cap" true (Engine.Budget.pressed budget)
 
 (* Bit-level matmul's 2x5 space mapping: T is 3x5, k < n-1, so every
-   screen of its search runs Analysis.decide.  A k = n-1 search such as
-   matmul's is decided in closed form and feeds no analysis.* counter.
-   At mu_word = mu_bit = 1 its optimal cost is 11, one past
-   Procedure51.default_max_objective, hence the explicit bound. *)
+   screen of its search builds a family (and, on a residual instance,
+   runs the exact oracle).  At mu_word = mu_bit = 1 its optimal cost is
+   11, one past Procedure51.default_max_objective, hence the explicit
+   bound. *)
 let bitmm = Bit_matmul.algorithm ~mu_word:1 ~mu_bit:1
 
-let bitmm_search ?budget pool =
-  Search.all_optimal_schedules ~pool ?budget ~max_objective:16 bitmm ~s:Bit_matmul.example_s
-
-let test_budgeted_search_still_correct () =
-  (* A pressed budget must not change the schedule set.  Matmul's
-     k = n-1 screens never consult it, so its search is exact and not
-     degraded; bit-level matmul's cascade screens degrade to the
-     lattice oracle, which decides them alike. *)
-  let alg = Matmul.algorithm ~mu:4 in
-  let reference = Reference.all_optimal_schedules alg ~s:Matmul.paper_s in
-  let bitmm_reference = to_ints_l (bitmm_search (Engine.Pool.create ~jobs:1 ())) in
-  List.iter
-    (fun jobs ->
-      let pool = Engine.Pool.create ~jobs () in
-      let budget = Engine.Budget.make ~deadline_ms:0 () in
-      Alcotest.check vec_lists
-        (Printf.sprintf "bounded search agrees, jobs=%d" jobs)
-        reference
-        (to_ints_l (Search.all_optimal_schedules ~pool ~budget alg ~s:Matmul.paper_s));
-      Alcotest.(check bool)
-        (Printf.sprintf "closed-form screens not degraded, jobs=%d" jobs)
-        false (Engine.Budget.degraded budget);
-      let budget = Engine.Budget.make ~deadline_ms:0 () in
-      Alcotest.check vec_lists
-        (Printf.sprintf "bounded bitmm search agrees, jobs=%d" jobs)
-        bitmm_reference
-        (to_ints_l (bitmm_search ~budget pool));
-      Alcotest.(check bool)
-        (Printf.sprintf "cascade screens degraded, jobs=%d" jobs)
-        true (Engine.Budget.degraded budget))
-    [ 1; 2 ]
+let bitmm_search pool =
+  Search.all_optimal_schedules ~pool ~max_objective:16 bitmm ~s:Bit_matmul.example_s
 
 (* --------------------------- observability ------------------------- *)
 
@@ -352,17 +319,23 @@ let cache_total snap suffix =
 let test_metrics_counters () =
   Obs.Metrics.reset ();
   Engine.Cache.clear ();
-  let pool = Engine.Pool.create ~jobs:2 () in
-  ignore (bitmm_search pool);
+  (* A search fans out on the pool but feeds no analysis.* counter... *)
+  ignore (bitmm_search (Engine.Pool.create ~jobs:2 ()));
   let s = Obs.Metrics.snapshot () in
-  let c name = Obs.Metrics.counter_value s name in
-  Alcotest.(check bool) "queries counted" true (c "analysis.queries" > 0);
-  Alcotest.(check bool) "some decision path counted" true
-    (c "analysis.closed_form" + c "analysis.box_oracle" + c "analysis.lattice_oracle" > 0);
   Alcotest.(check bool) "pool width observed" true
     (match List.assoc_opt "pool.max_domains" s.Obs.Metrics.gauges with
     | Some w -> w >= 2.
     | None -> false);
+  (* ...while Analysis.check does: matmul's S over twelve schedules,
+     some free, some not. *)
+  List.iter
+    (fun pi -> ignore (Analysis.check ~mu:mu3 (Intmat.append_row Matmul.paper_s (Intvec.of_ints pi))))
+    (List.init 12 (fun i -> [ 1 + (i mod 4); 1 + (i / 4); 1 ]));
+  let s = Obs.Metrics.snapshot () in
+  let c name = Obs.Metrics.counter_value s name in
+  Alcotest.(check int) "queries counted" 12 (c "analysis.queries");
+  Alcotest.(check bool) "some decision path counted" true
+    (c "analysis.closed_form" + c "analysis.box_oracle" + c "analysis.lattice_oracle" > 0);
   Alcotest.(check bool) "check latency histogram fed" true
     (match List.assoc_opt "analysis.check_ms" s.Obs.Metrics.histograms with
     | Some h -> h.Obs.Metrics.count >= c "analysis.queries"
@@ -403,9 +376,9 @@ let test_metrics_cache_hits_observed () =
   Alcotest.(check int) "misses agree with Cache.stats" stats.Engine.Cache.misses misses
 
 (* A search screens every candidate once, so it leaves the verdict and
-   family memo tables untouched.  Matmul's k = n-1 screens are Theorem
-   3.1's closed form and run no cascade; bit-level matmul's run
-   Analysis.decide. *)
+   family memo tables untouched and runs no Analysis.check: matmul's
+   k = n-1 screens are Theorem 3.1's closed form, bit-level matmul's
+   k < n-1 screens build their families uncached. *)
 let test_search_skips_caches () =
   Obs.Metrics.reset ();
   Engine.Cache.clear ();
@@ -416,7 +389,11 @@ let test_search_skips_caches () =
   Alcotest.(check bool) "front found" true (Search.pareto_front ~pool alg ~k:2 <> []);
   Alcotest.(check int) "closed-form screens skip the cascade" 0
     (Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "analysis.queries");
-  let winners = bitmm_search pool in
+  Obs.Trace.enable ();
+  let winners = Fun.protect ~finally:Obs.Trace.disable (fun () -> bitmm_search pool) in
+  let screens =
+    List.filter (fun sp -> sp.Obs.Trace.name = "search.screen") (Obs.Trace.spans ())
+  in
   Alcotest.(check bool) "bitmm schedules found" true (winners <> []);
   let mu = Index_set.bounds bitmm.Algorithm.index_set in
   Alcotest.(check bool) "bitmm schedules oracle-valid" true
@@ -432,15 +409,15 @@ let test_search_skips_caches () =
         (Obs.Metrics.counter_value snap ("cache." ^ name ^ ".hits")
         + Obs.Metrics.counter_value snap ("cache." ^ name ^ ".misses")))
     [ "analysis-verdict"; "family" ];
-  Alcotest.(check bool) "screens counted" true (Obs.Metrics.counter_value snap "analysis.queries" > 0);
+  Alcotest.(check bool) "screens counted as search.screen spans" true (screens <> []);
+  Alcotest.(check int) "cascade screens skip Analysis.check" 0
+    (Obs.Metrics.counter_value snap "analysis.queries");
   let st = Engine.Cache.stats () in
   Alcotest.(check (list int)) "no lookups, no entries" [ 0; 0; 0 ]
     [ st.Engine.Cache.hits; st.Engine.Cache.misses; st.Engine.Cache.entries ]
 
 (* An MD5 over (conflict_free, full_rank, decided_by, witness) of 4,000
-   generated instances, sizes 3 to 6.  The constant was computed with
-   Analysis.check before the uncached entry point existed; both entry
-   points must still produce it. *)
+   generated instances, sizes 3 to 6, as Analysis.check decides them. *)
 let verdict_digest decide =
   let buf = Buffer.create (1 lsl 16) in
   List.iter
@@ -459,8 +436,35 @@ let verdict_digest decide =
 let test_verdict_digest () =
   Engine.Cache.clear ();
   let expected = "9ea35b760c2e9dbfb939dfd31ba3ae4d" in
-  Alcotest.(check string) "check" expected (verdict_digest (fun ~mu t -> Analysis.check ~mu t));
-  Alcotest.(check string) "decide" expected (verdict_digest (fun ~mu t -> Analysis.decide ~mu t))
+  Alcotest.(check string) "check" expected (verdict_digest (fun ~mu t -> Analysis.check ~mu t))
+
+(* A search consults no budget: every screen is exact, so its reply is
+   the same under no budget, a spent deadline and a cancelled budget,
+   for a k = n-1 schedule list and a k < n-1 front alike. *)
+let test_search_ignores_budgets () =
+  let pool = Engine.Pool.create ~jobs:2 () in
+  let reply request budget =
+    Json.to_string (Json.Obj (Server.Handlers.execute ~pool ~store:None ~budget request))
+  in
+  let cancelled () =
+    let b = Engine.Budget.make () in
+    Engine.Budget.cancel b;
+    b
+  in
+  List.iter
+    (fun (name, request) ->
+      let expected = reply request Engine.Budget.unlimited in
+      Alcotest.(check string) (name ^ ", spent deadline") expected
+        (reply request (Engine.Budget.make ~deadline_ms:0 ()));
+      Alcotest.(check string) (name ^ ", cancelled") expected (reply request (cancelled ())))
+    [
+      ( "matmul schedules",
+        Server.Protocol.Search
+          { algorithm = "matmul"; mu = 4; s = None; pareto = false; array_dim = 1; deadline_ms = None } );
+      ( "convolution 1-D front",
+        Server.Protocol.Search
+          { algorithm = "convolution"; mu = 3; s = None; pareto = true; array_dim = 1; deadline_ms = None } );
+    ]
 
 let suite =
   [
@@ -486,9 +490,9 @@ let suite =
     Alcotest.test_case "budget deadline degrades" `Quick test_budget_deadline_degrades;
     Alcotest.test_case "budget unlimited exact" `Quick test_budget_unlimited_exact;
     Alcotest.test_case "budget oracle cap" `Quick test_budget_oracle_cap;
-    Alcotest.test_case "budgeted search correct" `Quick test_budgeted_search_still_correct;
     Alcotest.test_case "engine metrics counters" `Quick test_metrics_counters;
     Alcotest.test_case "engine cache metrics" `Quick test_metrics_cache_hits_observed;
     Alcotest.test_case "search skips caches" `Quick test_search_skips_caches;
     Alcotest.test_case "verdict digest" `Quick test_verdict_digest;
+    Alcotest.test_case "search ignores budgets" `Quick test_search_ignores_budgets;
   ]
