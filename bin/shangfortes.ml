@@ -31,7 +31,7 @@ let format_arg =
     value
     & opt (enum [ ("plain", Plain); ("json", Json_v2) ]) Plain
     & info [ "format" ] ~docv:"FMT"
-        ~doc:"Output format: plain (default) or json (versioned, schema_version 3).")
+        ~doc:"Output format: plain (default) or json (versioned, schema_version 4).")
 
 let json_of_vec = Server.Handlers.json_of_vec
 let json_of_mat = Server.Protocol.json_of_mat
@@ -146,17 +146,8 @@ let mu_arg =
     & opt (some string) None
     & info [ "mu" ] ~docv:"MU" ~doc:"Index-set upper bounds, comma separated.")
 
-let deadline_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:
-          "Per-query wall-clock budget; past it the engine degrades to the lattice oracle \
-           and reports verdicts as bounded.")
-
 (* The historical human-readable method names, extended with the
-   engine's lattice paths. *)
+   engine's lattice oracle. *)
 let decided_by_pretty = function
   | Analysis.Theorem Family.Full_rank_square -> "square full-rank test"
   | Analysis.Theorem Family.Adjugate_form -> "Theorem 3.1 (adjugate closed form)"
@@ -167,7 +158,6 @@ let decided_by_pretty = function
   | Analysis.Theorem Family.Gcd_sufficient -> "Theorem 4.5 (gcd, sufficient)"
   | Analysis.Box_oracle -> "exact box oracle"
   | Analysis.Lattice_oracle -> "exact lattice oracle (LLL)"
-  | Analysis.Lattice_fallback -> "lattice oracle (budget fallback)"
 
 let analyze_cmd =
   let matrix =
@@ -177,14 +167,13 @@ let analyze_cmd =
       & info [ "m"; "matrix" ] ~docv:"ROWS"
           ~doc:"Mapping matrix T = [S; Pi], rows separated by ';' (last row is Pi).")
   in
-  let run m mu_s deadline_ms fmt obs =
+  let run m mu_s fmt obs =
     obs_begin obs;
     let t = parse_matrix m in
     let mu = Array.of_list (parse_vector mu_s) in
     if Array.length mu <> Intmat.cols t then failwith "mu arity does not match T";
     let k = Intmat.rows t and n = Intmat.cols t in
-    let budget = Engine.Budget.make ?deadline_ms () in
-    let verdict = Analysis.check ~budget ~mu t in
+    let verdict = Analysis.check ~mu t in
     let generators =
       List.map
         (fun g -> (g, Conflict.is_feasible ~mu g))
@@ -202,11 +191,6 @@ let analyze_cmd =
              ("full_rank", Json.Bool verdict.Analysis.full_rank);
              ("conflict_free", Json.Bool verdict.Analysis.conflict_free);
              ("decided_by", Json.Str (Analysis.decided_by_name verdict.Analysis.decided_by));
-             ( "exactness",
-               Json.Str
-                 (match verdict.Analysis.exactness with
-                 | Analysis.Exact -> "exact"
-                 | Analysis.Bounded -> "bounded") );
              ("witness", Json.option json_of_vec verdict.Analysis.witness);
              ("timing_ms", Json.Float (1000. *. verdict.Analysis.timing));
              ( "generators",
@@ -222,10 +206,6 @@ let analyze_cmd =
         k n (Intmat.to_string t) (Intmat.rank t) k;
       Printf.printf "conflict-free on J = [0,mu]: %b   [decided by %s]\n"
         verdict.Analysis.conflict_free (decided_by_pretty verdict.Analysis.decided_by);
-      (match verdict.Analysis.exactness with
-      | Analysis.Exact -> ()
-      | Analysis.Bounded ->
-        print_endline "verdict is budget-bounded (deadline hit; lattice oracle used)");
       (match verdict.Analysis.witness with
       | Some g -> Printf.printf "witness conflict vector: %s\n" (Intvec.to_string g)
       | None -> ());
@@ -242,7 +222,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Conflict analysis of a mapping matrix (Theorems 2.2, 3.1, 4.3-4.8)")
-    Term.(const run $ matrix $ mu_arg $ deadline_arg $ format_arg $ obs_term)
+    Term.(const run $ matrix $ mu_arg $ format_arg $ obs_term)
 
 (* ------------------------------ family ----------------------------- *)
 
@@ -1289,7 +1269,7 @@ let serve_cmd =
     | None -> ());
     (* [wake] is the only thing a signal handler may touch: one
        self-pipe write, no locks.  [run] turns it into a graceful
-       drain — in-flight budgets cancelled, accepted work flushed. *)
+       drain — accepted work answered exactly and flushed. *)
     let handler = Sys.Signal_handle (fun _ -> Server.Daemon.wake t) in
     let old_int = Sys.signal Sys.sigint handler in
     let old_term = Sys.signal Sys.sigterm handler in
@@ -1570,7 +1550,10 @@ let client_cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "deadline-ms" ] ~docv:"MS" ~doc:"Per-request budget deadline.")
+      & info [ "deadline-ms" ] ~docv:"MS"
+          ~doc:
+            "Deadline stamped on every request; a server answers deadline_exceeded, \
+             without computing, to one that arrives with none left (0).")
   in
   let expect_no_shed_arg =
     Arg.(
@@ -1689,8 +1672,8 @@ let chaos_cmd =
       & opt (list string) [ "io"; "worker"; "conn" ]
       & info [ "faults" ] ~docv:"CLASSES"
           ~doc:
-            "Comma-separated fault classes to arm: io, conn, worker, clock, \
-             cluster, latency.")
+            "Comma-separated fault classes to arm: io, conn, worker, cluster, \
+             latency.")
   in
   let delay_ms_arg =
     Arg.(

@@ -4,7 +4,6 @@ type path =
   | Lattice_oracle_path
   | Analysis_path
   | Analysis_cached
-  | Budget_degraded
   | Family_path
   | Search_screen
   | Exec_simulate
@@ -15,7 +14,6 @@ let path_name = function
   | Lattice_oracle_path -> "lattice-oracle"
   | Analysis_path -> "analysis"
   | Analysis_cached -> "analysis-cached"
-  | Budget_degraded -> "budget-degraded"
   | Family_path -> "family"
   | Search_screen -> "search-screen"
   | Exec_simulate -> "exec-simulate"
@@ -78,8 +76,6 @@ let check_instance inst =
          v1.Analysis.conflict_free
          (Analysis.decided_by_name v1.Analysis.decided_by)
          oracle_free);
-  if v1.Analysis.exactness <> Analysis.Exact then
-    add Analysis_path "unlimited budget reported a bounded verdict";
   if v1.Analysis.full_rank <> (Intmat.rank t = Intmat.rows t) then
     add Analysis_path "full_rank flag disagrees with Intmat.rank";
   (match v1.Analysis.witness with
@@ -92,27 +88,11 @@ let check_instance inst =
     || v2.Analysis.full_rank <> v1.Analysis.full_rank
     || not (Option.equal Intvec.equal v2.Analysis.witness v1.Analysis.witness)
   then add Analysis_cached "warm-cache verdict differs from the cold one";
-  (* 5. Degradation: a pressed budget must answer bounded — and the
-     lattice fallback it switches to is still exact in substance, so
-     the boolean must also match the oracle. *)
-  let vb =
-    Analysis.check ~budget:(Engine.Budget.make ~max_oracle_calls:0 ()) ~mu t
-  in
-  if vb.Analysis.exactness <> Analysis.Bounded then
-    add Budget_degraded "pressed budget reported an exact verdict";
-  if vb.Analysis.conflict_free <> oracle_free then
-    add Budget_degraded
-      (Printf.sprintf "degraded verdict %b but oracle says %b" vb.Analysis.conflict_free
-         oracle_free);
-  (match vb.Analysis.witness with
-  | Some w when not (Oracle.valid_witness inst w) ->
-    add Budget_degraded (Printf.sprintf "invalid witness %s" (Intvec.to_string w))
-  | _ -> ());
-  (* 6. The memoized family tier: whenever the family verdict for this
+  (* 5. The memoized family tier: whenever the family verdict for this
      T decides the instance, it must byte-match both the oracle and
      the verdict v1 — boolean, method, full-rank flag and witness (the
      soundness contract of docs/FAMILIES.md).  Residual instances carry
-     no obligation here; paths 1-5 already cover them. *)
+     no obligation here; paths 1-4 already cover them. *)
   (match Analysis.eval_family (Analysis.family t) ~mu with
   | None -> ()
   | Some fv ->
@@ -132,13 +112,11 @@ let check_instance inst =
         (Printf.sprintf "family verdict (decided by %s) differs from check (%s)"
            (Analysis.decided_by_name fv.Analysis.decided_by)
            (Analysis.decided_by_name v1.Analysis.decided_by));
-    if fv.Analysis.exactness <> Analysis.Exact then
-      add Family_path "family verdict reported as bounded";
     (match fv.Analysis.witness with
     | Some w when not (Oracle.valid_witness inst w) ->
       add Family_path (Printf.sprintf "invalid witness %s" (Intvec.to_string w))
     | _ -> ()));
-  (* 7. The screen of every mapping scan: on any k, rank T = k and
+  (* 6. The screen of every mapping scan: on any k, rank T = k and
      conflict-free, with no memo table behind it. *)
   let expected = Intmat.rank t = Intmat.rows t && oracle_free in
   let screened = Family.valid ~mu t in
@@ -146,7 +124,7 @@ let check_instance inst =
     add Search_screen
       (Printf.sprintf "Family.valid says %b but full rank and the oracle say %b" screened
          expected);
-  (* 8. Close the loop on execution: run the instance through the
+  (* 7. Close the loop on execution: run the instance through the
      cycle-accurate simulator.  Conflicts there are pairs of points
      with [T j1 = T j2], i.e. exactly the oracle's notion, so a
      conflict-free verdict must mean a conflict-free (and causal)

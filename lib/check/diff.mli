@@ -13,10 +13,6 @@
     - [Analysis.check] twice — the first call exercises the
       compute path, the second must replay the memoized verdict
       identically (warm vs cold cache);
-    - [Analysis.check] under a pressed {!Engine.Budget} — the verdict
-      must be reported with [exactness = Bounded], never as a wrong
-      [Exact], and its (lattice-backed) answer must still match the
-      oracle;
     - [Analysis.eval_family] on [Analysis.family] — whenever the
       symbolic family verdict for the instance's [T] decides at its
       [mu], the result must byte-match both the oracle and the
@@ -49,7 +45,6 @@ type path =
   | Lattice_oracle_path
   | Analysis_path
   | Analysis_cached
-  | Budget_degraded
   | Family_path
   | Search_screen
   | Exec_simulate

@@ -2,33 +2,24 @@
 
     The repository has one conflict-freedom cascade: the {!Family}
     verdict for [t] evaluated at [mu], then — on a
-    {!Family.Residual} evaluation — the exact oracle.  {!check} runs
-    it behind the verdict, family and lattice-oracle memo tables of
-    {!Engine.Cache}, keyed on the matrix content, so a repeated query
-    — the daemon's stream, a [mu] sweep over one matrix — costs a hash
-    lookup.  It answers whether [t] is conflict-free on the box, and
-    also returns rank, witness and timing in one record.  A scan whose
-    queries are all distinct matrices, such as every candidate of a
-    {!Search} scan, screens with the uncached {!Family.valid} instead,
-    where a memo table would cost a hash and a lock per query and
-    never hit.
+    {!Family.Residual} evaluation — the oracle dispatch
+    {!Conflict.oracle}.  {!check} runs it behind the verdict and family
+    memo tables of {!Engine.Cache}, keyed on the matrix content, so a
+    repeated query — the daemon's stream, a [mu] sweep over one matrix
+    — costs a hash lookup.  It answers whether [t] is conflict-free on
+    the box, and also returns rank, witness and timing in one record.
+    Every verdict is exact: both oracles decide Theorem 2.2 exactly.  A
+    scan whose queries are all distinct matrices, such as every
+    candidate of a {!Search} scan, screens with the uncached
+    {!Family.valid} instead, where a memo table would cost a hash and a
+    lock per query and never hit.
 
-    {!check} adds:
-
-    - {e budgets}: under an expired {!Engine.Budget} the cascade is
-      replaced by the lattice oracle and the verdict is reported with
-      [exactness = Bounded] instead of blocking;
-    - {e observability}: every call bumps the [analysis.*] counters of
-      {!Obs.Metrics}, feeds the [analysis.check_ms] histogram and opens
-      an [analysis.check] trace span (see [docs/SCHEMA.md] for the
-      full catalogue).  Rank-deficient inputs — which skip every
-      closed-form theorem and pay for an exact oracle — additionally
-      bump [analysis.rank_deficient_fallthrough] and warn once on
-      stderr. *)
-
-type exactness =
-  | Exact    (** Decided by a sound condition or an exact oracle. *)
-  | Bounded  (** Budget-degraded path; see {!Engine.Budget}. *)
+    Every call bumps the [analysis.*] counters of {!Obs.Metrics}, feeds
+    the [analysis.check_ms] histogram and opens an [analysis.check]
+    trace span (see [docs/SCHEMA.md] for the full catalogue).
+    Rank-deficient inputs — which skip every closed-form theorem and
+    pay for an exact oracle — additionally bump
+    [analysis.rank_deficient_fallthrough] and warn once on stderr. *)
 
 type decided_by =
   | Theorem of Family.meth
@@ -37,11 +28,8 @@ type decided_by =
       (** The exact box oracle {!Conflict.find_conflict}, on a residual
           instance whose box {!Conflict.box_is_small}. *)
   | Lattice_oracle
-      (** The LLL-lattice oracle, chosen because the box was too large
-          to enumerate (still exact). *)
-  | Lattice_fallback
-      (** The lattice oracle chosen under budget pressure; the verdict
-          is reported as bounded. *)
+      (** The exact LLL-lattice oracle, chosen because the box was too
+          large to enumerate. *)
 
 type verdict = {
   conflict_free : bool;
@@ -52,20 +40,17 @@ type verdict = {
       primitive and sign-normalized); [None] for conflict-free
       mappings and for verdicts settled without constructing one. *)
   timing : float;       (** Wall-clock seconds spent in this call. *)
-  exactness : exactness;
 }
 
-val check : ?budget:Engine.Budget.t -> mu:int array -> Intmat.t -> verdict
+val check : mu:int array -> Intmat.t -> verdict
 (** Decide conflict-freedom of [t] on the box [0 <= j_i <= mu_i]:
     verdict cache, then the memoized {!family} evaluated at [mu], then
-    on a residual evaluation the box oracle when the box
-    {!Conflict.box_is_small}, else the cached lattice oracle.  Agrees
-    with {!Family.decide} and the exact oracles (property-tested);
-    verdicts computed without budget pressure are cached and replayed
-    on structurally equal queries.
+    on a residual evaluation {!Conflict.oracle}.  Agrees with
+    {!Family.decide} and the exact oracles (property-tested); verdicts
+    are cached and replayed on structurally equal queries.
     @raise Invalid_argument when [mu] and [t] disagree on arity. *)
 
-val is_conflict_free : ?budget:Engine.Budget.t -> mu:int array -> Intmat.t -> bool
+val is_conflict_free : mu:int array -> Intmat.t -> bool
 (** [(check ~mu t).conflict_free]. *)
 
 val decided_by_name : decided_by -> string
@@ -87,6 +72,6 @@ val family : Intmat.t -> Family.t
 val eval_family : Family.t -> mu:int array -> verdict option
 (** Evaluate a family (e.g. one replayed from the persistent store) at
     concrete bounds: [Some] verdict — byte-identical to {!check}'s,
-    with [timing = 0.] and [exactness = Exact] — when the family
-    decides, [None] when the instance is residual.
+    with [timing = 0.] — when the family decides, [None] when the
+    instance is residual.
     @raise Invalid_argument on arity mismatch. *)

@@ -1,43 +1,3 @@
-module Budget = struct
-  type t = {
-    deadline : float option; (* absolute wall-clock seconds *)
-    max_oracle_calls : int option;
-    used_oracle : int Atomic.t;
-    cancelled : bool Atomic.t;
-  }
-
-  (* All wall-clock reads go through [Fault.clock_now] so an armed
-     chaos plan with the [clock] class can skew deadline arithmetic;
-     with no plan armed it is [Unix.gettimeofday]. *)
-  let make ?deadline_ms ?max_oracle_calls () =
-    let now = Fault.clock_now () in
-    {
-      deadline = Option.map (fun ms -> now +. (float_of_int ms /. 1000.)) deadline_ms;
-      max_oracle_calls;
-      used_oracle = Atomic.make 0;
-      cancelled = Atomic.make false;
-    }
-
-  let unlimited = make ()
-  let charge_oracle t = Atomic.incr t.used_oracle
-  let oracle_calls t = Atomic.get t.used_oracle
-
-  (* The shared [unlimited] budget must stay un-cancellable — it backs
-     every caller that passed no budget at all. *)
-  let cancel t = if t != unlimited then Atomic.set t.cancelled true
-
-  let pressed t =
-    Atomic.get t.cancelled
-    || (* [>=] so a zero deadline is pressed from the start. *)
-    (match t.deadline with
-    | Some d -> Fault.clock_now () >= d
-    | None -> false)
-    ||
-    match t.max_oracle_calls with
-    | Some m -> Atomic.get t.used_oracle >= m
-    | None -> false
-end
-
 module Cache = struct
   module Key = struct
     type t = Intmat.t

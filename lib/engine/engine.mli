@@ -1,6 +1,5 @@
 (** Execution substrate for mapping-search queries: a domain-based
-    worker pool, content-addressed memo tables over {!Intmat.t}, and
-    per-query deadlines/budgets.
+    worker pool and content-addressed memo tables over {!Intmat.t}.
 
     The modules here carry no mapping theory of their own — they make
     the scans of {!Analysis} and {!Search} parallel, cached and
@@ -10,42 +9,11 @@
     gauges — goes through {!Obs}; the emitted names are catalogued in
     [docs/SCHEMA.md]. *)
 
-(** Per-query deadlines and work budgets.  A budget never aborts a
-    query: callers poll {!pressed} and degrade gracefully (e.g.
-    {!Analysis.check} switches the exact box oracle for the lattice
-    oracle and reports the verdict as bounded). *)
-module Budget : sig
-  type t
-
-  val make : ?deadline_ms:int -> ?max_oracle_calls:int -> unit -> t
-  (** [deadline_ms] is wall-clock, measured from this call;
-      [max_oracle_calls] caps the number of conflict-oracle
-      invocations charged with {!charge_oracle}.  Wall-clock reads go
-      through {!Fault.clock_now}, so an armed chaos plan can skew
-      deadline arithmetic deterministically (docs/RESILIENCE.md). *)
-
-  val unlimited : t
-  (** Never pressed. *)
-
-  val charge_oracle : t -> unit
-  val oracle_calls : t -> int
-
-  val cancel : t -> unit
-  (** Press the budget immediately, whatever its deadline: every
-      subsequent {!pressed} poll answers true, so in-flight queries
-      degrade to bounded verdicts and finish fast.  This is the
-      server's graceful drain.  Cancelling {!unlimited} is a no-op (it
-      is shared by every caller that passed no budget). *)
-
-  val pressed : t -> bool
-  (** True once the deadline passed, the oracle budget is spent, or
-      the budget was {!cancel}led. *)
-end
-
 (** Content-addressed memo tables in front of the expensive kernels:
-    the lattice-oracle, verdict and family tables of {!Analysis}.  Keys are full matrices compared with {!Intmat.equal}
-    and hashed entry-by-entry, so structurally equal matrices built by
-    different scans share one entry.  Tables are domain-safe
+    the verdict and family tables of {!Analysis}.  Keys are full
+    matrices compared with {!Intmat.equal} and hashed entry-by-entry,
+    so structurally equal matrices built by different scans share one
+    entry.  Tables are domain-safe
     (mutex-protected); hit/miss counts feed the [cache.<name>.hits] /
     [cache.<name>.misses] counters of {!Obs.Metrics}. *)
 module Cache : sig

@@ -18,8 +18,9 @@
     [search.screen] span, the screen {!Procedure51} and {!Space_opt}
     use too: [rank T = k] and conflict-free, for [k = n-1] (every
     paper example) by Theorem 3.1's closed form, for any other [k] by
-    one family build and, on a residual instance, the exact oracle.
-    Every screen is exact and takes no budget, so an answer is always
+    one family build and, on a residual instance, the exact oracle
+    ({!Conflict.oracle}, whose [oracle.box]/[oracle.lattice] span nests
+    under the screen's).  Every screen is exact, so an answer is always
     complete.
     Every candidate a scan screens is a distinct matrix, so a memo
     table would cost a hash and a lock per candidate and never hit; a

@@ -28,7 +28,6 @@ module Plan = struct
       ("conn.write", "conn");
       ("conn.drop", "conn");
       ("batcher.worker", "worker");
-      ("budget.clock", "clock");
       ("shard.kill", "cluster");
       ("route.forward", "cluster");
       ("conn.slow", "latency");
@@ -36,14 +35,13 @@ module Plan = struct
       ("worker.stall", "latency");
     ]
 
-  let classes = [ "io"; "conn"; "worker"; "clock"; "cluster"; "latency" ]
+  let classes = [ "io"; "conn"; "worker"; "cluster"; "latency" ]
 
   type site_state = { name : string; enabled : bool; count : int Atomic.t }
 
   type t = {
     seed : int;
     rate : float;
-    clock_skew_s : float;
     delay_ms : int;
     max_faults : int option;
     sites : site_state array;
@@ -53,8 +51,7 @@ module Plan = struct
     log_lock : Mutex.t;
   }
 
-  let make ?(rate = 0.1) ?(clock_skew_s = 3600.) ?(delay_ms = 25) ?max_faults
-      ~seed ~classes:cls () =
+  let make ?(rate = 0.1) ?(delay_ms = 25) ?max_faults ~seed ~classes:cls () =
     if not (rate >= 0. && rate <= 1.) then
       invalid_arg "Fault.Plan.make: rate must be in [0, 1]";
     if delay_ms < 0 then invalid_arg "Fault.Plan.make: delay_ms must be >= 0";
@@ -66,7 +63,6 @@ module Plan = struct
     {
       seed;
       rate;
-      clock_skew_s;
       delay_ms;
       max_faults;
       sites =
@@ -123,13 +119,9 @@ module Plan = struct
 
   let arm p =
     Atomic.set current (Some p);
-    (match find_site p "budget.clock" with
-    | Some s when s.enabled ->
-      record p "budget.clock" 0 (Printf.sprintf "skew=%gs" p.clock_skew_s)
-    | _ -> ());
-    (* Latency sites are ambient like the clock: the only logged event
-       is this arm-time record of the stall magnitude, which is a pure
-       function of the plan's configuration. *)
+    (* Latency sites are ambient: the only logged event is this
+       arm-time record of the stall magnitude, which is a pure function
+       of the plan's configuration. *)
     List.iter
       (fun (name, klass) ->
         if klass = "latency" then
@@ -181,27 +173,12 @@ let partial_write name len =
     Plan.record p name k (Printf.sprintf "partial:%d/%d" n len);
     Some n
 
-(* Clock faults are ambient: each read decides independently (still a
-   pure function of the consult number) but is neither logged nor
-   charged against [max_faults] — budget polling frequency is
-   scheduling-dependent, and the log must stay canonical. *)
-let clock_now () =
-  match Atomic.get Plan.current with
-  | None -> Unix.gettimeofday ()
-  | Some p -> (
-    match Plan.find_site p "budget.clock" with
-    | Some s when s.Plan.enabled ->
-      let k = Atomic.fetch_and_add s.Plan.count 1 + 1 in
-      if Plan.decide p "budget.clock" k then Unix.gettimeofday () +. p.Plan.clock_skew_s
-      else Unix.gettimeofday ()
-    | _ -> Unix.gettimeofday ())
-
-(* Latency faults are ambient for the same reason the clock is: the
-   firing decision stays a pure function of (seed, site, consult#),
-   but firings are neither logged per event nor charged against
-   [max_faults] — hedged re-issues and stalled-loop interleavings make
-   per-site consult attribution scheduling-dependent across daemons,
-   and the log must stay canonical. *)
+(* Latency faults are ambient: the firing decision stays a pure
+   function of (seed, site, consult#), but firings are neither logged
+   per event nor charged against [max_faults] — hedged re-issues and
+   stalled-loop interleavings make per-site consult attribution
+   scheduling-dependent across daemons, and the log must stay
+   canonical. *)
 let delay_ms name =
   match Atomic.get Plan.current with
   | None -> None

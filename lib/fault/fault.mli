@@ -8,8 +8,8 @@
     clocks, no [Random] state — so a plan replays identically across
     runs and across machines.  Armed process-wide with {!Plan.arm},
     consulted by the instrumented code through {!should_fail} /
-    {!partial_write} / {!clock_now}; when no plan is armed every
-    consult is a single atomic load returning "no fault".
+    {!partial_write} / {!stall}; when no plan is armed every consult is
+    a single atomic load returning "no fault".
 
     Sites are grouped into five {e fault classes}, selected per plan:
 
@@ -20,9 +20,6 @@
       replies dropped with the connection ([conn.write]), and
       connections dropped after a served request ([conn.drop]);
     - [worker] — batcher worker-thread death ([batcher.worker]);
-    - [clock] — budget clock skew ([budget.clock]): a fraction of
-      {!clock_now} reads jump forward by the plan's skew, so
-      wall-clock deadlines mispredict;
     - [cluster] — serving-tier faults, consulted only by the sharded
       tier (lib/cluster): whole-shard death mid-load ([shard.kill],
       consulted by the cluster chaos driver) and forwarding failures
@@ -37,21 +34,18 @@
       of failing it: the event-loop read path ([conn.slow]), the
       store's fsync interval ([store.fsync_stall]) and the batcher's
       per-batch pop ([worker.stall]).  Consults go through
-      {!delay_ms} / {!stall}, which follow the clock site's ambient
-      contract — pure decision, never logged per event, never charged
-      against [max_faults] — so same-seed fault logs stay
-      byte-identical even when hedged re-issues or stalled loops make
-      consult interleavings race across daemons.  The only logged
+      {!delay_ms} / {!stall}, which are {e ambient} — pure decision,
+      never logged per event, never charged against [max_faults] — so
+      same-seed fault logs stay byte-identical even when hedged
+      re-issues or stalled loops make consult interleavings race
+      across daemons.  The only logged
       trace is one arm-time event per enabled latency site recording
       the stall magnitude.
 
     Every fired fault is recorded in the plan's log; {!Plan.events}
     returns it in a canonical order (site, then per-site sequence
     number) and {!Plan.fingerprint} hashes it, which is what the chaos
-    harness compares across runs to prove determinism.  Clock jumps
-    are deliberately {e not} logged per consult — budget polling
-    frequency is scheduling-dependent — only the one arm-time
-    [budget.clock] event is.
+    harness compares across runs to prove determinism.
 
     The exception {!Injected} deliberately does not extend any
     existing error type: recovery code matches it explicitly, and an
@@ -89,11 +83,10 @@ module Plan : sig
       list (and docs/RESILIENCE.md). *)
 
   val classes : string list
-  (** [["io"; "conn"; "worker"; "clock"; "cluster"; "latency"]]. *)
+  (** [["io"; "conn"; "worker"; "cluster"; "latency"]]. *)
 
   val make :
     ?rate:float ->
-    ?clock_skew_s:float ->
     ?delay_ms:int ->
     ?max_faults:int ->
     seed:int ->
@@ -102,17 +95,16 @@ module Plan : sig
     t
   (** A plan firing each enabled site's consults independently with
       probability [rate] (default [0.1]), decided by a hash of
-      [(seed, site, consult#)].  [clock_skew_s] (default one hour) is
-      the forward jump applied to faulted clock reads; [delay_ms]
-      (default 25) is the stall applied by fired latency consults.
-      [max_faults] caps the total injections (the clock and latency
-      sites are exempt — they are ambient, not budgeted).
+      [(seed, site, consult#)].  [delay_ms] (default 25) is the stall
+      applied by fired latency consults.  [max_faults] caps the total
+      injections (the latency sites are exempt — they are ambient, not
+      budgeted).
       @raise Invalid_argument on an unknown class, a rate outside
       [0, 1], or a negative [delay_ms]. *)
 
   val arm : t -> unit
   (** Install the plan process-wide (replacing any armed plan) and log
-      the [budget.clock] arm event when the clock class is enabled.
+      one arm event per enabled latency site.
       Arming the same plan twice continues its counters — make a fresh
       plan per scenario. *)
 
@@ -150,18 +142,12 @@ val partial_write : string -> int -> int option
     the first [n] of [len] bytes and then fail.  The prefix length is
     derived from the same [(seed, site, consult#)] hash. *)
 
-val clock_now : unit -> float
-(** [Unix.gettimeofday], except that with an armed plan whose [clock]
-    class is enabled a [rate]-fraction of reads (same pure decision
-    function) jump forward by the plan's [clock_skew_s].
-    [Engine.Budget] reads all wall-clock time through this. *)
-
 val delay_ms : string -> int option
 (** Consult a latency site: [Some ms] when the armed plan fires a
     stall of [ms] milliseconds here (the caller sleeps), [None]
-    otherwise.  Ambient like {!clock_now}: the decision is the same
-    pure function of [(seed, site, consult#)], but firings are neither
-    logged per event nor charged against the fault budget. *)
+    otherwise.  Ambient: the decision is the same pure function of
+    [(seed, site, consult#)], but firings are neither logged per event
+    nor charged against the fault budget. *)
 
 val stall : string -> unit
 (** [stall site] consults {!delay_ms} and sleeps the fired stall on

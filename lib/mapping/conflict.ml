@@ -189,9 +189,13 @@ let box_is_small mu =
   in
   volume <= box_volume_limit
 
-let is_conflict_free ~mu t =
-  if box_is_small mu then find_conflict ~mu t = None
-  else find_conflict_lattice ~mu t = None
+type oracle_kind = Box | Lattice
+
+let oracle ~mu t =
+  if box_is_small mu then (Box, Obs.Trace.with_span "oracle.box" (fun () -> find_conflict ~mu t))
+  else (Lattice, Obs.Trace.with_span "oracle.lattice" (fun () -> find_conflict_lattice ~mu t))
+
+let is_conflict_free ~mu t = Option.is_none (snd (oracle ~mu t))
 
 let all_in_box ~mu t =
   let acc = ref [] in

@@ -25,18 +25,28 @@ val find_conflict : mu:int array -> Intmat.t -> Intvec.t option
     [|gamma_i| <= mu_i], primitive and sign-normalized, or [None] when
     the mapping is conflict-free.  Backtracking enumeration with
     interval pruning on the partial products [T gamma].  This is the
-    box oracle [Analysis.check] (library [engine]) runs on residual
-    instances whose box {!box_is_small}. *)
+    box oracle {!oracle} runs when the box {!box_is_small}. *)
 
 val box_is_small : int array -> bool
 (** Whether the box [|gamma_i| <= mu_i] has at most 2,000,000 points,
     the volume up to which {!find_conflict} is the affordable exact
     oracle; past it, {!find_conflict_lattice} is. *)
 
+type oracle_kind =
+  | Box      (** {!find_conflict}. *)
+  | Lattice  (** {!find_conflict_lattice}. *)
+
+val oracle : mu:int array -> Intmat.t -> oracle_kind * Intvec.t option
+(** The one oracle dispatch: {!find_conflict} when the box
+    {!box_is_small}, else {!find_conflict_lattice}, so the answer stays
+    exact {e and} affordable at large [mu].  Returns the oracle that
+    ran and its witness.  The call runs under an [oracle.box] or
+    [oracle.lattice] span of {!Obs.Trace}.  Both the residual arm of
+    [Family] and [Analysis.check] (library [engine]) decide through
+    it. *)
+
 val is_conflict_free : mu:int array -> Intmat.t -> bool
-(** Decides with {!find_conflict} when the box {!box_is_small} and with
-    {!find_conflict_lattice} otherwise, so it stays exact {e and}
-    affordable at large [mu]. *)
+(** [snd (oracle ~mu t) = None]. *)
 
 val conflict_in_lattice : mu:int array -> Intvec.t list -> Intvec.t option
 (** [conflict_in_lattice ~mu basis] is the lattice oracle on an

@@ -134,8 +134,8 @@ val eval : t -> mu:int array -> evaluation
 
 val decide : mu:int array -> Intmat.t -> bool
 (** Conflict-freedom of [T] on the box [0 <= j_i <= mu_i], uncached:
-    {!build}, {!eval}, and {!Conflict.is_conflict_free} when the
-    instance is {!Residual}.  Always agrees with
+    {!build}, {!eval}, and the oracle dispatch {!Conflict.oracle} when
+    the instance is {!Residual}.  Always agrees with
     {!Conflict.is_conflict_free}.
     @raise Invalid_argument when [mu] and [T] disagree on arity. *)
 

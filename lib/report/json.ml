@@ -7,7 +7,7 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let schema_version = 3
+let schema_version = 4
 
 let versioned ~command fields =
   Obj (("schema_version", Int schema_version) :: ("command", Str command) :: fields)

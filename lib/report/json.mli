@@ -17,12 +17,13 @@ type t =
   | Obj of (string * t) list
 
 val schema_version : int
-(** Current CLI output schema: 3.  v2 replaced the [telemetry] field of
+(** Current CLI output schema: 4.  v2 replaced the [telemetry] field of
     the [search] report with a [metrics] object and added the optional
     [spans] field behind [--trace]; v3 dropped the [search] report's
     budget fields ([deadline_ms], [budget_pressed],
-    [budget_elapsed_ms], [interrupted]).  See [docs/SCHEMA.md] for the
-    migration notes. *)
+    [budget_elapsed_ms], [interrupted]); v4 dropped [exactness] from
+    every verdict and [bounded] from the [client] report.  See
+    [docs/SCHEMA.md] for the migration notes. *)
 
 val versioned : command:string -> (string * t) list -> t
 (** [versioned ~command fields] is [Obj] with ["schema_version"] and

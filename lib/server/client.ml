@@ -274,7 +274,6 @@ type load_report = {
   draining : int;
   deadline_exceeded : int;
   errors : int;
-  bounded : int;
   disagreements : int;
   transport : string;
   pipeline : int;
@@ -315,28 +314,25 @@ let load_any addrs cfg =
   let expected = if cfg.verify then Array.map expected_wire instances else [||] in
   let latencies = Array.make cfg.requests nan in
   let ok = ref 0 and shed = ref 0 and draining = ref 0 and deadline_exceeded = ref 0 in
-  let errors = ref 0 and bounded = ref 0 and disagreements = ref 0 in
-  let check i exactness same =
+  let errors = ref 0 and disagreements = ref 0 in
+  let check i same =
     incr ok;
-    if cfg.verify then
-      if exactness = Some (Json.Str "bounded") then incr bounded
-      else if not (same expected.(i mod cfg.distinct)) then incr disagreements
+    if cfg.verify && not (same expected.(i mod cfg.distinct)) then incr disagreements
   in
   (* A ['V'] frame is checked as the record it carries, a JSON reply by
      the bytes of its [verdict] object. *)
   let classify i = function
-    | `Verdict (v : Protocol.verdict_wire) ->
-      check i (Some (Json.Str v.Protocol.exactness)) (fun w -> v = w)
+    | `Verdict (v : Protocol.verdict_wire) -> check i (fun w -> v = w)
     | `Reply reply when Protocol.reply_ok reply ->
       let verdict = Json.member "verdict" reply in
-      check i (Option.bind verdict (Json.member "exactness")) (fun w ->
+      check i (fun w ->
           Option.map Json.to_string verdict = Some (Json.to_string (Protocol.json_of_wire w)))
     | `Reply reply -> (
       match Protocol.error_code reply with
       | Some "overloaded" -> incr shed
       | Some "draining" -> incr draining
       (* An expired deadline is an answer, not a failure: the server
-         honored the budget the caller asked for. *)
+         honored the deadline the caller asked for. *)
       | Some "deadline_exceeded" -> incr deadline_exceeded
       | _ -> incr errors)
   in
@@ -441,7 +437,6 @@ let load_any addrs cfg =
     draining = !draining;
     deadline_exceeded = !deadline_exceeded;
     errors = !errors;
-    bounded = !bounded;
     disagreements = !disagreements;
     transport = Wire.version_name cfg.transport;
     pipeline = cfg.pipeline;
@@ -464,7 +459,6 @@ let json_of_load_report r =
       ("draining", Json.Int r.draining);
       ("deadline_exceeded", Json.Int r.deadline_exceeded);
       ("errors", Json.Int r.errors);
-      ("bounded", Json.Int r.bounded);
       ("disagreements", Json.Int r.disagreements);
       ("transport", Json.Str r.transport);
       ("pipeline", Json.Int r.pipeline);

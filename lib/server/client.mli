@@ -96,7 +96,7 @@ val close_session : session -> unit
     replies may overtake cold ones).  A dead connection fails what it
     has in flight; its unsent share goes to the live ones.  On
     {!Wire.V2} the requests go out as binary ['A'] frames.  With
-    [verify] every exact verdict must equal a direct local
+    [verify] every verdict must equal a direct local
     {!Analysis.check} — a ['V'] frame's {!Protocol.verdict_wire}
     record field by field, a JSON [verdict] object byte for byte —
     and disagreements are counted (the CI smoke job asserts zero). *)
@@ -123,10 +123,9 @@ type load_report = {
   shed : int;           (** [overloaded] replies. *)
   draining : int;
   deadline_exceeded : int;
-      (** [deadline_exceeded] replies — answers (the budget really was
+      (** [deadline_exceeded] replies — answers (the deadline really was
           spent), not failures. *)
   errors : int;         (** Lost to a connection, or an unexpected reply. *)
-  bounded : int;        (** Exact-comparison skips (bounded verdicts). *)
   disagreements : int;
   transport : string;   (** Negotiated transport ({!Wire.version_name}). *)
   pipeline : int;

@@ -43,7 +43,6 @@ type waiter = {
 type job = {
   rid : int;
   env : Protocol.envelope;
-  budget : Engine.Budget.t;
   jconn : Conn.t;
   enqueued_at : float;
   sf : (int * string) option;  (* singleflight (hash, key) of an analyze leader *)
@@ -64,8 +63,6 @@ type t = {
   listen_fd : Unix.file_descr;
   bound_port : int option;
   sflight : waiter Singleflight.t;
-  inflight : (int, Engine.Budget.t) Hashtbl.t;
-  inflight_lock : Mutex.t;
   next_id : int Atomic.t;
   (* Per-server counts (the [Obs.Metrics] counters are process-wide,
      and the tests run several servers in one process). *)
@@ -101,13 +98,10 @@ let h_request_ms = Obs.Metrics.histogram "server.request_ms"
 let wake t = try ignore (Unix.write t.pipe_w (Bytes.of_string "d") 0 1) with _ -> ()
 let wake_loop t = try ignore (Unix.write t.pipe_w (Bytes.of_string "w") 0 1) with _ -> ()
 
+(* Already-running and already-queued requests run to their exact
+   answers; only new work is refused. *)
 let initiate_drain t =
   if not (Atomic.exchange t.draining true) then begin
-    (* Already-running and already-queued requests finish fast: their
-       budgets are cancelled, so analysis degrades to the bounded
-       lattice path instead of completing at leisure or vanishing. *)
-    Mutex.protect t.inflight_lock (fun () ->
-        Hashtbl.iter (fun _ b -> Engine.Budget.cancel b) t.inflight);
     Admission.close t.queue;
     wake t
   end
@@ -144,9 +138,6 @@ let compatible a b =
   | Protocol.Replay _, Protocol.Replay _ -> true
   | _ -> false
 
-let unregister t rid =
-  Mutex.protect t.inflight_lock (fun () -> Hashtbl.remove t.inflight rid)
-
 let serve_job t job =
   let op = Protocol.op_name job.env.Protocol.req in
   (* A fresh span stack per request: pool workers run in their own
@@ -167,7 +158,7 @@ let serve_job t job =
                family re-enter [analyze_wire], which now replays the
                warm family in O(atoms). *)
             let result =
-              match Handlers.analyze_wire ~store:t.store_ ~budget:job.budget ~mu tmat with
+              match Handlers.analyze_wire ~store:t.store_ ~mu tmat with
               | r -> Ok r
               | exception exn -> Error (Printexc.to_string exn)
             in
@@ -186,10 +177,7 @@ let serve_job t job =
                 | Ok r ->
                   if w.w_mu = mu then send_analyze t w r
                   else (
-                    match
-                      Handlers.analyze_wire ~store:t.store_ ~budget:job.budget
-                        ~mu:w.w_mu w.w_tmat
-                    with
+                    match Handlers.analyze_wire ~store:t.store_ ~mu:w.w_mu w.w_tmat with
                     | r' -> send_analyze t w r'
                     | exception exn ->
                       send_doc t w.w_conn
@@ -201,10 +189,7 @@ let serve_job t job =
               waiters
           | _ ->
             let reply =
-              match
-                Handlers.execute ~pool:t.pool ~store:t.store_ ~budget:job.budget
-                  job.env.Protocol.req
-              with
+              match Handlers.execute ~pool:t.pool ~store:t.store_ job.env.Protocol.req with
               | fields -> Protocol.ok_reply ~id:job.env.Protocol.id ~op fields
               | exception Handlers.Bad_request msg ->
                 Protocol.error_reply ~id:job.env.Protocol.id ~code:"bad_request"
@@ -214,29 +199,22 @@ let serve_job t job =
                   ~detail:(Printexc.to_string exn)
             in
             send_doc t job.jconn reply));
-  unregister t job.rid;
   let latency_ms = 1000. *. (Unix.gettimeofday () -. job.enqueued_at) in
   (* Admission-to-completion latency feeds the AIMD loop: queue wait
      counts, so a backlog is itself the overload signal. *)
   Limiter.release t.limiter ~latency_ms;
   Obs.Metrics.observe h_request_ms latency_ms
 
-(* SIGKILL-grade shutdown: refuse new work, cancel running budgets,
-   discard everything still queued and (in the loop) slam connections
-   without flushing queued replies.  Unlike [initiate_drain] nothing
-   graceful happens — this is how the cluster chaos harness models a
-   hard kill of an in-process shard (docs/CLUSTER.md). *)
+(* SIGKILL-grade shutdown: refuse new work, discard everything still
+   queued and (in the loop) slam connections without flushing queued
+   replies; a batch already running finishes into closed connections.
+   Unlike [initiate_drain] nothing graceful happens — this is how the
+   cluster chaos harness models a hard kill of an in-process shard
+   (docs/CLUSTER.md). *)
 let abort t =
   if not (Atomic.exchange t.aborting true) then begin
     Atomic.set t.draining true;
-    Mutex.protect t.inflight_lock (fun () ->
-        Hashtbl.iter (fun _ b -> Engine.Budget.cancel b) t.inflight);
-    let dropped = Admission.abort t.queue in
-    List.iter
-      (fun j ->
-        unregister t j.rid;
-        Limiter.release t.limiter ~latency_ms:0.)
-      dropped;
+    List.iter (fun _ -> Limiter.release t.limiter ~latency_ms:0.) (Admission.abort t.queue);
     wake_loop t
   end
 
@@ -368,16 +346,13 @@ let admit t conn env ~sf ~shed =
     shed (Printf.sprintf "admission limit reached (%d inflight)" (Limiter.limit t.limiter))
   else begin
     let rid = Atomic.fetch_and_add t.next_id 1 in
-    let budget = Engine.Budget.make ?deadline_ms:(Protocol.deadline_ms env.Protocol.req) () in
-    Mutex.protect t.inflight_lock (fun () -> Hashtbl.replace t.inflight rid budget);
-    let job = { rid; env; budget; jconn = conn; enqueued_at = Unix.gettimeofday (); sf } in
+    let job = { rid; env; jconn = conn; enqueued_at = Unix.gettimeofday (); sf } in
     if Admission.try_push t.queue job then begin
       Atomic.incr t.n_accepted;
       Obs.Metrics.incr m_accepted;
       Obs.Metrics.set_gauge g_queue_depth (float_of_int (Admission.length t.queue))
     end
     else begin
-      unregister t rid;
       (* A full queue is itself an overload signal: release with an
          over-target latency so the limiter backs off. *)
       Limiter.release t.limiter ~latency_ms:Float.infinity;
@@ -523,8 +498,6 @@ let create cfg =
       listen_fd;
       bound_port = Conn.bound_port listen_fd;
       sflight = Singleflight.create ();
-      inflight = Hashtbl.create 64;
-      inflight_lock = Mutex.create ();
       next_id = Atomic.make 0;
       n_accepted = Atomic.make 0;
       n_shed = Atomic.make 0;
@@ -644,8 +617,8 @@ let run t =
     let live = conns () in
     let workers_done = Atomic.get t.workers_done in
     if workers_done && !flush_deadline = infinity then
-      (* Bounded drain flush: a peer that never reads its replies must
-         not wedge the shutdown. *)
+      (* The drain flush gets 5 s: a peer that never reads its replies
+         must not wedge the shutdown. *)
       flush_deadline := Unix.gettimeofday () +. 5.0;
     let all_flushed = List.for_all (fun c -> not (Conn.pending c)) live in
     if !drain_seen && workers_done

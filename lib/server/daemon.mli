@@ -30,11 +30,11 @@
     Life cycle: {!create} binds the socket and replays the store,
     {!run} blocks in the event loop until a drain completes, and
     {!initiate_drain} (idempotent, thread-safe) starts the shutdown
-    sequence: cancel every in-flight {!Engine.Budget}, close the
-    admission queue, stop accepting, let the workers finish the
-    already-accepted requests (their replies still go out — cancelled
-    budgets make them bounded rather than lost), flush the remaining
-    output, then shut the connections down and flush the store.
+    sequence: close the admission queue, stop accepting, let the
+    workers finish the already-accepted requests (accepted work is
+    answered exactly, and a computed [analyze] verdict is journaled as
+    at any other time), flush the remaining output, then shut the
+    connections down and flush the store.
     Signal handlers must call only {!wake} (a self-pipe write); the
     loop turns the wake-up into [initiate_drain] from a normal
     context.
@@ -121,8 +121,7 @@ val initiate_drain : t -> unit
 
 val abort : t -> unit
 (** SIGKILL-grade shutdown for in-process chaos: refuse new work,
-    cancel running budgets, {e discard} queued requests and queued
-    reply bytes, and slam every connection without the graceful flush
+    {e discard} queued requests and queued reply bytes, and slam every connection without the graceful flush
     {!initiate_drain} performs.  Peers see EOF; acked writes survive
     only as far as the store's [fsync_every] contract already put them
     on disk.  Idempotent and thread-safe. *)

@@ -19,33 +19,27 @@ let json_of_int_array a = Json.ints (Array.to_list a)
 
 (* ------------------------------ analyze ----------------------------- *)
 
-let analyze_wire ~store ~budget ~mu tmat =
+let analyze_wire ~store ~mu tmat =
   match store with
-  | None -> (Protocol.wire_of_verdict (Analysis.check ~budget ~mu tmat), "off")
+  | None -> (Protocol.wire_of_verdict (Analysis.check ~mu tmat), "off")
   | Some store -> (
     match Store.find store ~mu tmat with
     | Some e -> (Protocol.wire_of_entry e, "hit")
-    | None ->
-      let v = Analysis.check ~budget ~mu tmat in
+    | None -> (
+      let v = Analysis.check ~mu tmat in
       let wire = Protocol.wire_of_verdict v in
-      (* Bounded verdicts depend on the budget that produced them;
-         persisting one would replay it as ground truth forever. *)
-      if v.Analysis.exactness = Analysis.Exact then
-        (* A failed journal append must not fail the query: the
-           verdict is already computed, only persistence is lost.
-           The [error] status tells the client not to count this
-           reply as an acknowledged write. *)
-        match Store.add store ~mu tmat (Store.entry_of_verdict v) with
-        | () -> (wire, "miss")
-        | exception (Fault.Injected _ | Sys_error _ | Unix.Unix_error _) ->
-          (wire, "error")
-      else (wire, "bypass"))
+      (* A failed journal append must not fail the query: the verdict
+         is already computed, only persistence is lost.  The [error]
+         status tells the client not to count this reply as an
+         acknowledged write. *)
+      match Store.add store ~mu tmat (Store.entry_of_verdict v) with
+      | () -> (wire, "miss")
+      | exception (Fault.Injected _ | Sys_error _ | Unix.Unix_error _) -> (wire, "error")))
 
 let fields_of_analyze (wire, status) =
   [ ("verdict", Protocol.json_of_wire wire); ("store", Json.Str status) ]
 
-let analyze ~store ~budget ~mu tmat =
-  fields_of_analyze (analyze_wire ~store ~budget ~mu tmat)
+let analyze ~store ~mu tmat = fields_of_analyze (analyze_wire ~store ~mu tmat)
 
 (* ------------------------------ search ------------------------------ *)
 
@@ -160,9 +154,9 @@ let simulate ~algorithm ~mu ~s:s_opt ~pi =
 
 (* ------------------------------ replay ------------------------------ *)
 
-let replay ~budget instance =
+let replay instance =
   let mu = instance.Check.Instance.mu and tmat = instance.Check.Instance.tmat in
-  let wire = Protocol.wire_of_verdict (Analysis.check ~budget ~mu tmat) in
+  let wire = Protocol.wire_of_verdict (Analysis.check ~mu tmat) in
   let oracle_free =
     if Check.Instance.points instance <= Check.Oracle.max_points then
       Some (Check.Oracle.is_conflict_free instance)
@@ -178,12 +172,12 @@ let replay ~budget instance =
 
 (* ----------------------------- dispatch ----------------------------- *)
 
-let execute ~pool ~store ~budget = function
-  | Protocol.Analyze { mu; tmat; deadline_ms = _ } -> analyze ~store ~budget ~mu tmat
+let execute ~pool ~store = function
+  | Protocol.Analyze { mu; tmat; deadline_ms = _ } -> analyze ~store ~mu tmat
   | Protocol.Search { algorithm; mu; s; pareto; array_dim; deadline_ms = _ } ->
     search ~pool ~algorithm ~mu ~s ~pareto ~array_dim
   | Protocol.Simulate { algorithm; mu; s; pi } -> simulate ~algorithm ~mu ~s ~pi
-  | Protocol.Replay { instance } -> replay ~budget instance
+  | Protocol.Replay { instance } -> replay instance
   | Protocol.Ship _ | Protocol.Ping | Protocol.Stats | Protocol.Drain
   | Protocol.Hello _ ->
     invalid_arg "Handlers.execute: inline op"

@@ -3,9 +3,11 @@
 
     Handlers are pure with respect to the connection — they never see
     sockets, only a {!Protocol.request} plus the shared resources
-    (verdict {!Store}, per-request {!Engine.Budget}) — so the same
-    code serves the daemon, the in-process bench harness and the
-    differential tests. *)
+    (verdict {!Store}, worker {!Engine.Pool}) — so the same code
+    serves the daemon, the in-process bench harness and the
+    differential tests.  Every request runs to its exact answer: a
+    request's [deadline_ms] is the daemon's arrival-time concern, and
+    no handler reads it. *)
 
 exception Bad_request of string
 (** A well-formed request the handlers cannot serve (unknown
@@ -46,38 +48,23 @@ val simulate_fields :
     [simulate --format json] report, in their schema order. *)
 
 val analyze_wire :
-  store:Store.t option ->
-  budget:Engine.Budget.t ->
-  mu:int array ->
-  Intmat.t ->
-  Protocol.verdict_wire * string
+  store:Store.t option -> mu:int array -> Intmat.t -> Protocol.verdict_wire * string
 (** One analysis, returned pre-rendering so the daemon can encode it
     per transport (a JSON object on v1, a ['V'] frame on v2) and fan
     one result out to every singleflight waiter.  The status string is
     ["hit"] (served from the store), ["miss"] (computed and
-    persisted), ["bypass"] (computed under budget pressure, hence
-    bounded and not persisted), ["error"] (computed but the journal
-    append failed — not an acknowledged write), or ["off"] (no store
-    configured). *)
+    persisted), ["error"] (computed but the journal append failed —
+    not an acknowledged write), or ["off"] (no store configured). *)
 
 val fields_of_analyze : Protocol.verdict_wire * string -> (string * Json.t) list
 (** The [verdict] + [store] reply fields of an {!analyze_wire}
     result. *)
 
-val analyze :
-  store:Store.t option ->
-  budget:Engine.Budget.t ->
-  mu:int array ->
-  Intmat.t ->
-  (string * Json.t) list
+val analyze : store:Store.t option -> mu:int array -> Intmat.t -> (string * Json.t) list
 (** [fields_of_analyze (analyze_wire ...)]. *)
 
 val execute :
-  pool:Engine.Pool.t ->
-  store:Store.t option ->
-  budget:Engine.Budget.t ->
-  Protocol.request ->
-  (string * Json.t) list
+  pool:Engine.Pool.t -> store:Store.t option -> Protocol.request -> (string * Json.t) list
 (** Dispatch one queued request: [analyze], [search], [simulate] or
     [replay].  A [simulate] of more than 2^18 index points, or whose
     [Pi] or a row of [S] spans more than 2^20 over the index set, is a

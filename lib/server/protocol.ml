@@ -2,7 +2,6 @@ type verdict_wire = {
   conflict_free : bool;
   full_rank : bool;
   decided_by : string;
-  exactness : string;
   witness : int list option;
 }
 
@@ -11,8 +10,6 @@ let wire_of_verdict (v : Analysis.verdict) =
     conflict_free = v.Analysis.conflict_free;
     full_rank = v.Analysis.full_rank;
     decided_by = Analysis.decided_by_name v.Analysis.decided_by;
-    exactness =
-      (match v.Analysis.exactness with Analysis.Exact -> "exact" | Analysis.Bounded -> "bounded");
     witness = Option.map Intvec.to_ints v.Analysis.witness;
   }
 
@@ -21,7 +18,6 @@ let wire_of_entry (e : Store.entry) =
     conflict_free = e.Store.conflict_free;
     full_rank = e.Store.full_rank;
     decided_by = e.Store.decided_by;
-    exactness = "exact";
     witness = e.Store.witness;
   }
 
@@ -39,7 +35,6 @@ let json_of_wire w =
       ("conflict_free", Json.Bool w.conflict_free);
       ("full_rank", Json.Bool w.full_rank);
       ("decided_by", Json.Str w.decided_by);
-      ("exactness", Json.Str w.exactness);
       ("witness", Json.option Json.ints w.witness);
     ]
 

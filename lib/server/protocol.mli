@@ -24,13 +24,11 @@ type verdict_wire = {
   conflict_free : bool;
   full_rank : bool;
   decided_by : string;
-  exactness : string;  (** ["exact"] or ["bounded"]. *)
   witness : int list option;
 }
 
 val wire_of_verdict : Analysis.verdict -> verdict_wire
 val wire_of_entry : Store.entry -> verdict_wire
-(** Stored entries are always exact. *)
 
 val entry_of_wire : verdict_wire -> Store.entry
 val json_of_wire : verdict_wire -> Json.t

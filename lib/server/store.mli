@@ -39,10 +39,7 @@
     sync, retried on the next append).  {!flush} and {!close} always
     sync for real.
 
-    Only verdicts with [exactness = Exact] belong in the store
-    (bounded verdicts depend on the budget that produced them);
-    callers enforce this, see [Handlers].  All operations are
-    thread-safe. *)
+    All operations are thread-safe. *)
 
 type entry = {
   conflict_free : bool;
@@ -175,6 +172,5 @@ val family_key_string : Intmat.t -> string
     namespace safely. *)
 
 val entry_of_verdict : Analysis.verdict -> entry
-(** Project the storable fields ([timing] and [exactness] are not
-    persisted — the former is nondeterministic, the latter is always
-    [Exact] for stored verdicts). *)
+(** Project the storable fields ([timing] is not persisted: it is
+    nondeterministic). *)

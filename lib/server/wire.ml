@@ -28,7 +28,6 @@ let tag_verdict = 'V'
 let status_char = function
   | "hit" -> 'h'
   | "miss" -> 'm'
-  | "bypass" -> 'b'
   | "off" -> 'o'
   | "error" -> 'e'
   | "family" -> 'f'
@@ -37,7 +36,6 @@ let status_char = function
 let status_of_char = function
   | 'h' -> Some "hit"
   | 'm' -> Some "miss"
-  | 'b' -> Some "bypass"
   | 'o' -> Some "off"
   | 'e' -> Some "error"
   | 'f' -> Some "family"
@@ -84,19 +82,15 @@ let payload_of_frame = function
     Buffer.contents b
   | Bin_verdict { id; verdict; store } ->
     let w = verdict in
-    let exact =
-      match w.Protocol.exactness with
-      | "exact" -> true
-      | "bounded" -> false
-      | other -> invalid_arg (Printf.sprintf "Wire.encode: unknown exactness %S" other)
-    in
     let b = Buffer.create 32 in
     Buffer.add_char b tag_verdict;
     Buffer.add_int64_be b (Int64.of_int id);
+    (* Bit 2 is always set: every verdict is exact, and peers and
+       recorded frames that read the bit as "exact" stay valid. *)
     let flags =
       (if w.Protocol.conflict_free then 1 else 0)
       lor (if w.Protocol.full_rank then 2 else 0)
-      lor (if exact then 4 else 0)
+      lor 4
       lor (match w.Protocol.witness with Some _ -> 8 | None -> 0)
     in
     Buffer.add_char b (Char.chr flags);
@@ -253,7 +247,6 @@ let parse_payload payload =
             Protocol.conflict_free = flags land 1 <> 0;
             full_rank = flags land 2 <> 0;
             decided_by;
-            exactness = (if flags land 4 <> 0 then "exact" else "bounded");
             witness;
           };
         store;

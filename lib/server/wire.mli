@@ -18,10 +18,11 @@
       [mu] (n × i32 BE), then the k×n mapping matrix row-major
       (k·n × i32 BE).  The frame length must match exactly.
     - ['V'] — a binary [analyze] verdict reply: [id] (i64 BE), a flag
-      byte (bit 0 [conflict_free], bit 1 [full_rank], bit 2 exact,
-      bit 3 witness present), a store-status byte (['h']it / ['m']iss
-      / ['b']ypass / ['o']ff / ['e']rror, see {!Handlers.analyze_wire};
-      ['f']amily when the daemon's family fastpath decided it),
+      byte (bit 0 [conflict_free], bit 1 [full_rank], bit 2 always
+      set and ignored on decode, bit 3 witness present), a
+      store-status byte (['h']it / ['m']iss / ['o']ff / ['e']rror, see
+      {!Handlers.analyze_wire}; ['f']amily when the daemon's family
+      fastpath decided it),
       [decided_by] as u8 length + bytes, and, when bit 3 is set, the
       witness as u8 count + i32 BE entries.
 

@@ -1,7 +1,6 @@
 (* The differential oracle subsystem (lib/check): corpus replay,
    oracle-vs-theorem agreement on the paper's own examples, shrinker
-   laws, seed determinism at any degree of parallelism, and budget
-   degradation soundness. *)
+   laws, and seed determinism at any degree of parallelism. *)
 
 let im = Intmat.of_ints
 let inst ~mu t = Check.Instance.make ~mu (im t)
@@ -154,37 +153,6 @@ let test_fuzz_smoke_clean () =
   let r = Check.Diff.run ~jobs:2 ~seed:42 ~count:120 ~size:3 () in
   Alcotest.(check int) "no disagreements" 0 (List.length r.Check.Diff.failures)
 
-(* ----------------------- budget degradation ------------------------ *)
-
-let test_budget_degrades_to_bounded_never_wrong () =
-  for i = 0 to 119 do
-    let x = Check.Gen.ith ~seed:97 ~size:3 i in
-    let truth = Check.Oracle.is_conflict_free x in
-    List.iter
-      (fun budget ->
-        let v =
-          Analysis.check ~budget ~mu:x.Check.Instance.mu x.Check.Instance.tmat
-        in
-        Alcotest.(check bool) "pressed budget answers Bounded" true
-          (v.Analysis.exactness = Analysis.Bounded);
-        Alcotest.(check bool) "degraded verdict still matches the oracle" truth
-          v.Analysis.conflict_free)
-      [
-        Engine.Budget.make ~max_oracle_calls:0 ();
-        Engine.Budget.make ~deadline_ms:0 ();
-      ]
-  done
-
-let test_unpressed_budget_stays_exact () =
-  for i = 0 to 59 do
-    let x = Check.Gen.ith ~seed:98 ~size:3 i in
-    let v =
-      Analysis.check ~budget:(Engine.Budget.make ()) ~mu:x.Check.Instance.mu
-        x.Check.Instance.tmat
-    in
-    Alcotest.(check bool) "exact" true (v.Analysis.exactness = Analysis.Exact)
-  done
-
 (* -------------------- k = n-2 boundary audit ----------------------- *)
 
 (* Exhaustive: every 1x3 mapping with entries in -3..3 against every
@@ -257,9 +225,6 @@ let suite =
     Alcotest.test_case "seed determinism of the stream" `Quick test_stream_determinism;
     Alcotest.test_case "Diff.run invariant in --jobs" `Quick test_run_jobs_invariant;
     Alcotest.test_case "fuzz smoke: 120 instances clean" `Quick test_fuzz_smoke_clean;
-    Alcotest.test_case "pressed budget: bounded, never wrong" `Quick
-      test_budget_degrades_to_bounded_never_wrong;
-    Alcotest.test_case "unpressed budget stays exact" `Quick test_unpressed_budget_stays_exact;
     Alcotest.test_case "k=n-2 boundary audit (4.6/4.7 sound)" `Quick
       test_codim2_sufficiency_sound_at_boundary;
     Alcotest.test_case "dependence columns lexicographically positive" `Quick

@@ -1,5 +1,5 @@
 (* Tests for the engine subsystem: worker pool determinism, the memo
-   cache, budgets, the Obs metrics the engine emits, and the search
+   cache, the Obs metrics and spans the engine emits, and the search
    agreeing with the oracle-screened [Reference] at every pool width. *)
 
 let mu3 = [| 4; 4; 4 |]
@@ -158,11 +158,10 @@ let test_search_scans_once () =
       { algorithm = "matmul"; mu = 4; s = None; pareto = false; array_dim = 1; deadline_ms = Some 0 }
   in
   let pool = Engine.Pool.create ~jobs:2 () in
-  let budget = Engine.Budget.make ~deadline_ms:0 () in
   Obs.Trace.enable ();
   let fields =
     Fun.protect ~finally:Obs.Trace.disable (fun () ->
-        Server.Handlers.execute ~pool ~store:None ~budget request)
+        Server.Handlers.execute ~pool ~store:None request)
   in
   let scans =
     List.filter (fun sp -> sp.Obs.Trace.name = "search.schedule-scan") (Obs.Trace.spans ())
@@ -257,39 +256,6 @@ let test_analysis_is_conflict_free_wrapper () =
   let conflicted = Intmat.append_row Matmul.paper_s (Intvec.of_ints [ 1; 1; 1 ]) in
   Alcotest.(check bool) "free" true (Analysis.is_conflict_free ~mu:mu3 free);
   Alcotest.(check bool) "conflicted" false (Analysis.is_conflict_free ~mu:mu3 conflicted)
-
-(* ------------------------------ budget ----------------------------- *)
-
-let test_budget_deadline_degrades () =
-  (* A zero deadline is pressed from the start: the verdict must be
-     reported as bounded yet still correct on instances the lattice
-     oracle decides. *)
-  let budget = Engine.Budget.make ~deadline_ms:0 () in
-  Alcotest.(check bool) "pressed immediately" true (Engine.Budget.pressed budget);
-  let free = Intmat.append_row Matmul.paper_s (Intvec.of_ints [ 1; 4; 1 ]) in
-  let v = Analysis.check ~budget ~mu:mu3 free in
-  Alcotest.(check bool) "bounded" true (v.Analysis.exactness = Analysis.Bounded);
-  Alcotest.(check bool) "still conflict-free" true v.Analysis.conflict_free;
-  let conflicted = Intmat.append_row Matmul.paper_s (Intvec.of_ints [ 1; 1; 1 ]) in
-  let v' = Analysis.check ~budget ~mu:mu3 conflicted in
-  Alcotest.(check bool) "bounded conflict found" false v'.Analysis.conflict_free;
-  Alcotest.(check bool) "lattice path reported" true
-    (match v'.Analysis.decided_by with
-    | Analysis.Lattice_oracle | Analysis.Lattice_fallback -> true
-    | Analysis.Theorem _ | Analysis.Box_oracle -> false)
-
-let test_budget_unlimited_exact () =
-  let free = Intmat.append_row Matmul.paper_s (Intvec.of_ints [ 1; 4; 1 ]) in
-  let v = Analysis.check ~budget:Engine.Budget.unlimited ~mu:mu3 free in
-  Alcotest.(check bool) "exact under unlimited budget" true (v.Analysis.exactness = Analysis.Exact)
-
-let test_budget_oracle_cap () =
-  let budget = Engine.Budget.make ~max_oracle_calls:2 () in
-  Alcotest.(check bool) "fresh budget not pressed" false (Engine.Budget.pressed budget);
-  Engine.Budget.charge_oracle budget;
-  Engine.Budget.charge_oracle budget;
-  Alcotest.(check int) "charges recorded" 2 (Engine.Budget.oracle_calls budget);
-  Alcotest.(check bool) "pressed at the cap" true (Engine.Budget.pressed budget)
 
 (* Bit-level matmul's 2x5 space mapping: T is 3x5, k < n-1, so every
    screen of its search builds a family (and, on a residual instance,
@@ -438,33 +404,53 @@ let test_verdict_digest () =
   let expected = "9ea35b760c2e9dbfb939dfd31ba3ae4d" in
   Alcotest.(check string) "check" expected (verdict_digest (fun ~mu t -> Analysis.check ~mu t))
 
-(* A search consults no budget: every screen is exact, so its reply is
-   the same under no budget, a spent deadline and a cancelled budget,
-   for a k = n-1 schedule list and a k < n-1 front alike. *)
+(* A search runs to its exact answer whatever its deadline: a
+   request's [deadline_ms] only decides the daemon's arrival-time
+   refusal, so the handler's reply is the same with no deadline, a
+   spent one and a distant one, for a k = n-1 schedule list and a
+   k < n-1 front alike. *)
 let test_search_ignores_budgets () =
   let pool = Engine.Pool.create ~jobs:2 () in
-  let reply request budget =
-    Json.to_string (Json.Obj (Server.Handlers.execute ~pool ~store:None ~budget request))
-  in
-  let cancelled () =
-    let b = Engine.Budget.make () in
-    Engine.Budget.cancel b;
-    b
-  in
+  let reply request = Json.to_string (Json.Obj (Server.Handlers.execute ~pool ~store:None request)) in
   List.iter
     (fun (name, request) ->
-      let expected = reply request Engine.Budget.unlimited in
-      Alcotest.(check string) (name ^ ", spent deadline") expected
-        (reply request (Engine.Budget.make ~deadline_ms:0 ()));
-      Alcotest.(check string) (name ^ ", cancelled") expected (reply request (cancelled ())))
+      let expected = reply (request None) in
+      List.iter
+        (fun (what, deadline_ms) ->
+          Alcotest.(check string) (name ^ ", " ^ what) expected (reply (request deadline_ms)))
+        [ ("spent deadline", Some 0); ("distant deadline", Some 60_000) ])
     [
       ( "matmul schedules",
-        Server.Protocol.Search
-          { algorithm = "matmul"; mu = 4; s = None; pareto = false; array_dim = 1; deadline_ms = None } );
+        fun deadline_ms ->
+          Server.Protocol.Search
+            { algorithm = "matmul"; mu = 4; s = None; pareto = false; array_dim = 1; deadline_ms } );
       ( "convolution 1-D front",
-        Server.Protocol.Search
-          { algorithm = "convolution"; mu = 3; s = None; pareto = true; array_dim = 1; deadline_ms = None } );
+        fun deadline_ms ->
+          Server.Protocol.Search
+            { algorithm = "convolution"; mu = 3; s = None; pareto = true; array_dim = 1; deadline_ms } );
     ]
+
+(* The oracle spans open in Conflict's one dispatch, so a k < n-1
+   search shows where its oracle time goes: bit-level matmul's residual
+   screens run the box oracle, each call under its search.screen
+   span. *)
+let test_search_traces_oracle () =
+  Obs.Trace.enable ();
+  ignore (Fun.protect ~finally:Obs.Trace.disable (fun () -> bitmm_search (Engine.Pool.create ~jobs:2 ())));
+  let spans = Obs.Trace.spans () in
+  let by_id = Hashtbl.create 1024 in
+  List.iter (fun sp -> Hashtbl.replace by_id sp.Obs.Trace.id sp) spans;
+  let rec under name = function
+    | None -> false
+    | Some id -> (
+      match Hashtbl.find_opt by_id id with
+      | Some sp -> sp.Obs.Trace.name = name || under name sp.Obs.Trace.parent
+      | None -> false)
+  in
+  let boxes = List.filter (fun sp -> sp.Obs.Trace.name = "oracle.box") spans in
+  Alcotest.(check bool) "oracle.box spans recorded" true (boxes <> []);
+  Alcotest.(check bool) "every oracle.box under a search.screen" true
+    (List.for_all (fun sp -> under "search.screen" sp.Obs.Trace.parent) boxes)
 
 let suite =
   [
@@ -487,12 +473,10 @@ let suite =
     Alcotest.test_case "analysis witness" `Quick test_analysis_witness;
     Alcotest.test_case "analysis rank deficient" `Quick test_analysis_rank_deficient;
     Alcotest.test_case "analysis boolean wrapper" `Quick test_analysis_is_conflict_free_wrapper;
-    Alcotest.test_case "budget deadline degrades" `Quick test_budget_deadline_degrades;
-    Alcotest.test_case "budget unlimited exact" `Quick test_budget_unlimited_exact;
-    Alcotest.test_case "budget oracle cap" `Quick test_budget_oracle_cap;
     Alcotest.test_case "engine metrics counters" `Quick test_metrics_counters;
     Alcotest.test_case "engine cache metrics" `Quick test_metrics_cache_hits_observed;
     Alcotest.test_case "search skips caches" `Quick test_search_skips_caches;
     Alcotest.test_case "verdict digest" `Quick test_verdict_digest;
     Alcotest.test_case "search ignores budgets" `Quick test_search_ignores_budgets;
+    Alcotest.test_case "search traces its oracle calls" `Quick test_search_traces_oracle;
   ]

@@ -165,7 +165,6 @@ let test_cond4_cap_drops_sufficient () =
     Alcotest.(check bool) (name ^ ": conflict-free") true v.Analysis.conflict_free;
     Alcotest.(check string) (name ^ ": decided by") "lattice-oracle"
       (Analysis.decided_by_name v.Analysis.decided_by);
-    Alcotest.(check bool) (name ^ ": exact") true (v.Analysis.exactness = Analysis.Exact);
     Alcotest.(check bool) (name ^ ": Family.decide agrees") true (Family.decide ~mu t)
   in
   (* Twelve [3 -2] blocks on the diagonal: C(24, 12) row subsets. *)
@@ -250,8 +249,7 @@ let prop_family_matches_check =
         && String.equal
              (Analysis.decided_by_name fv.Analysis.decided_by)
              (Analysis.decided_by_name v.Analysis.decided_by)
-        && Option.equal Intvec.equal fv.Analysis.witness v.Analysis.witness
-        && fv.Analysis.exactness = Analysis.Exact)
+        && Option.equal Intvec.equal fv.Analysis.witness v.Analysis.witness)
 
 let suite =
   [

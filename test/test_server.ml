@@ -507,28 +507,6 @@ let test_fault_plan_determinism () =
       Alcotest.(check bool) "unknown site" false (Fault.should_fail "no.such.site"));
   Alcotest.(check bool) "disarmed" false (Fault.should_fail "store.write")
 
-let test_budget_clock_skew () =
-  (* With the clock class armed, a fraction of Fault.clock_now reads
-     jump forward by an hour, so a budget whose deadline is far away
-     can observe itself pressed.  The decision stream is pure in the
-     seed, so this converges on the same consult every run. *)
-  let plan = Fault.Plan.make ~rate:0.5 ~clock_skew_s:3600. ~seed:3 ~classes:[ "clock" ] () in
-  with_plan plan (fun () ->
-      let pressed_early = ref false in
-      (let i = ref 0 in
-       while (not !pressed_early) && !i < 100 do
-         incr i;
-         let b = Engine.Budget.make ~deadline_ms:1_800_000 () in
-         let j = ref 0 in
-         while (not !pressed_early) && !j < 10 do
-           incr j;
-           if Engine.Budget.pressed b then pressed_early := true
-         done
-       done);
-      Alcotest.(check bool) "skewed clock presses a distant deadline" true !pressed_early);
-  let b = Engine.Budget.make ~deadline_ms:1_800_000 () in
-  Alcotest.(check bool) "no plan, no skew" false (Engine.Budget.pressed b)
-
 let test_admission_drain_race () =
   (* Property: whatever the interleaving of try_push against a
      concurrent close + drain, no request is both shed and executed,
@@ -770,7 +748,6 @@ let test_wire_roundtrip () =
       Protocol.conflict_free = false;
       full_rank = true;
       decided_by = "oracle";
-      exactness = "bounded";
       witness = Some [ 1; -2; 3 ];
     }
   in
@@ -784,6 +761,23 @@ let test_wire_roundtrip () =
       (Json.to_string (Protocol.json_of_wire w))
       (Json.to_string (Protocol.json_of_wire verdict))
   | _ -> Alcotest.fail "expected a binary verdict frame");
+  (* Pinned ['V'] bytes, flag bit 2 set: Example 3.1's T with its
+     witness (5,-2,3) trapped at mu = (5,2,3), and free at
+     mu = (4,4,4). *)
+  let hex s =
+    String.concat "" (List.of_seq (Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (String.to_seq s)))
+  in
+  List.iter
+    (fun (name, id, mu, store, want) ->
+      let verdict = Protocol.wire_of_verdict (Analysis.check ~mu t1) in
+      Alcotest.(check string) name want
+        (hex (Wire.encode Wire.V2 (Wire.Bin_verdict { id; verdict; store }))))
+    [
+      ( "V frame with a witness", 7, [| 5; 2; 3 |], "hit",
+        "000000265600000000000000070e680d61646a75676174652d666f726d0300000005fffffffe00000003" );
+      ( "V frame without a witness", 8, mu1, "miss",
+        "00000019560000000000000008076d0d61646a75676174652d666f726d" );
+    ];
   (* v1 cannot carry binary frames or embedded newlines. *)
   Alcotest.(check bool) "v1 rejects binary frames" true
     (try
@@ -1371,6 +1365,55 @@ let test_gray_chaos_determinism () =
        (fun l -> String.length l >= 9 && String.sub l 0 9 = "conn.slow")
        r1.Cluster.Chaos.fault_log)
 
+(* Accepted work is answered exactly: a cold analyze whose batch a
+   stalled worker still holds when the drain starts runs to the verdict
+   a direct Analysis.check gives, and is journaled like any other. *)
+let test_live_drain_answers_exactly () =
+  Engine.Cache.clear ();
+  let store_path = fresh_path ".store" in
+  let server = boot ~store_path () in
+  let d, th, sock = server in
+  let accepted () =
+    match List.assoc_opt "accepted" (Daemon.stats_fields d) with Some (Json.Int n) -> n | _ -> 0
+  in
+  let conn = Client.connect (`Unix sock) in
+  let reply = ref None in
+  let plan = Fault.Plan.make ~rate:1.0 ~delay_ms:300 ~seed:5 ~classes:[ "latency" ] () in
+  with_plan plan (fun () ->
+      let requester =
+        Thread.create
+          (fun () -> reply := Some (Client.request conn (Protocol.analyze ~id:(Json.Int 1) ~mu:mu2 t2)))
+          ()
+      in
+      (* The worker that pops the batch stalls 300 ms before it
+         computes: drain as soon as the request is accepted. *)
+      let rec await n =
+        if accepted () = 0 then
+          if n = 0 then Alcotest.fail "analyze never accepted"
+          else (
+            Thread.delay 0.005;
+            await (n - 1))
+      in
+      await 2000;
+      Daemon.initiate_drain d;
+      Thread.join requester;
+      Thread.join th);
+  Client.close conn;
+  let expected = Protocol.wire_of_verdict (Analysis.check ~mu:mu2 t2) in
+  (match !reply with
+  | Some r ->
+    Alcotest.(check bool) "reply ok" true (Protocol.reply_ok r);
+    Alcotest.(check (option string)) "exact verdict"
+      (Some (Json.to_string (Protocol.json_of_wire expected)))
+      (Option.map Json.to_string (Json.member "verdict" r));
+    Alcotest.(check (option string)) "journaled" (Some "miss")
+      (match Json.member "store" r with Some (Json.Str st) -> Some st | _ -> None)
+  | None -> Alcotest.fail "no reply");
+  let st = Store.open_ store_path in
+  Alcotest.(check bool) "record survives the drain" true
+    (Store.find st ~mu:mu2 t2 = Some (Protocol.entry_of_wire expected));
+  Store.close st;
+  Sys.remove store_path
 
 let suite =
   [
@@ -1393,7 +1436,6 @@ let suite =
     Alcotest.test_case "load unreachable address" `Quick test_load_unreachable_address;
     Alcotest.test_case "load under conn faults" `Quick test_load_conn_faults;
     Alcotest.test_case "fault plan determinism" `Quick test_fault_plan_determinism;
-    Alcotest.test_case "budget clock skew" `Quick test_budget_clock_skew;
     Alcotest.test_case "admission drain race" `Quick test_admission_drain_race;
     Alcotest.test_case "client retry under conn faults" `Quick test_client_retry_conn_faults;
     Alcotest.test_case "worker supervision" `Quick test_worker_supervision;
@@ -1413,4 +1455,5 @@ let suite =
     Alcotest.test_case "retry token bucket" `Quick test_retry_token_bucket;
     Alcotest.test_case "gray chaos determinism" `Quick test_gray_chaos_determinism;
     Alcotest.test_case "live simulate bounded" `Quick test_live_simulate_bounded;
+    Alcotest.test_case "live drain answers exactly" `Quick test_live_drain_answers_exactly;
   ]
