@@ -1669,11 +1669,14 @@ let chaos_cmd =
   let faults_arg =
     Arg.(
       value
-      & opt (list string) [ "io"; "worker"; "conn" ]
+      & opt
+          (list (enum (List.map (fun c -> (c, c)) Fault.Plan.classes)))
+          [ "io"; "worker"; "conn" ]
       & info [ "faults" ] ~docv:"CLASSES"
           ~doc:
-            "Comma-separated fault classes to arm: io, conn, worker, cluster, \
-             latency.")
+            ("Comma-separated fault classes to arm: "
+            ^ String.concat ", " Fault.Plan.classes
+            ^ "."))
   in
   let delay_ms_arg =
     Arg.(

@@ -287,9 +287,7 @@ let pass (cfg : config) ~instances ~expected ~arm ~hedge =
     let inst = instances.(idx) in
     let store = List.assoc journal stores in
     match Server.Store.find store ~mu:inst.Check.Instance.mu inst.tmat with
-    | Some e ->
-      Json.to_string (Server.Protocol.json_of_wire (Server.Protocol.wire_of_entry e))
-      = expected.(idx)
+    | Some e -> Json.to_string (Server.Protocol.json_of_wire e) = expected.(idx)
     | None -> false
   in
   let lost_writes = ref 0 in

@@ -59,5 +59,4 @@ let abort t =
       Condition.broadcast t.nonempty;
       dropped)
 
-let closed t = Mutex.protect t.lock (fun () -> t.is_closed)
 let length t = Mutex.protect t.lock (fun () -> Queue.length t.q)

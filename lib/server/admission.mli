@@ -33,5 +33,4 @@ val abort : 'a t -> 'a list
     bookkeeping (admission slots, inflight registration).  Consumers
     see an empty closed queue. *)
 
-val closed : 'a t -> bool
 val length : 'a t -> int

@@ -10,7 +10,6 @@ type config = {
   snapshot_path : string option;
   fsync_every : int;
   max_transport : Wire.version;
-  admission_min : int;
   admission_target_ms : float;
 }
 
@@ -25,7 +24,6 @@ let default_config listen =
     snapshot_path = None;
     fsync_every = 32;
     max_transport = Wire.V2;
-    admission_min = 4;
     admission_target_ms = 250.;
   }
 
@@ -45,7 +43,7 @@ type job = {
   env : Protocol.envelope;
   jconn : Conn.t;
   enqueued_at : float;
-  sf : (int * string) option;  (* singleflight (hash, key) of an analyze leader *)
+  sf : string option;  (* singleflight key of an analyze leader *)
 }
 
 type t = {
@@ -148,7 +146,7 @@ let serve_job t job =
         ~args:[ ("op", op); ("rid", string_of_int job.rid) ]
         (fun () ->
           match (job.sf, job.env.Protocol.req) with
-          | Some (hash, key), Protocol.Analyze { mu; tmat; _ } ->
+          | Some key, Protocol.Analyze { mu; tmat; _ } ->
             (* The group is keyed on the family (T alone): the leader
                computes its own instance once — populating the family
                cache as a side effect — then journals the family
@@ -170,7 +168,7 @@ let serve_job t job =
                   with Fault.Injected _ | Sys_error _ | Unix.Unix_error _ -> ())
                 t.store_
             | Error _ -> ());
-            let waiters = Singleflight.complete t.sflight ~hash ~key in
+            let waiters = Singleflight.complete t.sflight ~key in
             List.iter
               (fun w ->
                 match result with
@@ -370,7 +368,7 @@ let handle_analyze t conn ~bin ~id ~mu ~tmat ~deadline_ms =
       with_loop_span ~path:"fastpath" (fun () ->
           Atomic.incr t.n_fastpath;
           Obs.Metrics.incr m_fastpath;
-          send_analyze t ~defer:true w (Protocol.wire_of_entry e, "hit"))
+          send_analyze t ~defer:true w (e, "hit"))
     | None -> (
       let family_verdict =
         match t.store_ with
@@ -399,24 +397,24 @@ let handle_analyze t conn ~bin ~id ~mu ~tmat ~deadline_ms =
               | exception (Fault.Injected _ | Sys_error _ | Unix.Unix_error _) ->
                 "error"
             in
-            send_analyze t ~defer:true w (Protocol.wire_of_entry e, status))
+            send_analyze t ~defer:true w (e, status))
       | None -> (
         (* Singleflight groups key on the family (T alone): one
            leader's symbolic analysis serves every coalesced
            instance. *)
-        let hash = Store.family_hash tmat and key = Store.family_key_string tmat in
-        match Singleflight.join t.sflight ~hash ~key w with
+        let key = Store.family_key_string tmat in
+        match Singleflight.join t.sflight ~key w with
         | `Follower -> Obs.Metrics.incr m_coalesced
         | `Leader ->
           let env = { Protocol.id; req = Protocol.Analyze { mu; tmat; deadline_ms } } in
-          admit t conn env ~sf:(Some (hash, key)) ~shed:(fun detail ->
+          admit t conn env ~sf:(Some key) ~shed:(fun detail ->
               (* The whole group sheds: followers joined an admission
                  that never happened. *)
               List.iter
                 (fun w ->
                   send_doc t w.w_conn ~defer:true
                     (Protocol.error_reply ~id:w.w_id ~code:"overloaded" ~detail))
-                (Singleflight.complete t.sflight ~hash ~key))))
+                (Singleflight.complete t.sflight ~key))))
 
 let handle_envelope t conn ~bin (env : Protocol.envelope) =
   let id = env.Protocol.id in
@@ -487,8 +485,8 @@ let create cfg =
       store_;
       queue = Admission.create ~capacity:cfg.queue_capacity;
       limiter =
-        Limiter.create ~min_limit:cfg.admission_min
-          ~target_ms:cfg.admission_target_ms ~max_limit:cfg.queue_capacity ();
+        Limiter.create ~min_limit:4 ~target_ms:cfg.admission_target_ms
+          ~max_limit:cfg.queue_capacity ();
       batcher = None;
       draining = Atomic.make false;
       aborting = Atomic.make false;

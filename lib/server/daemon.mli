@@ -11,15 +11,17 @@
     [hello], [ship], and the {e warm fast path}: an [analyze] whose verdict is
     already in the {!Store} is encoded straight from the loop, no
     queue, no batcher.  Cold [analyze] requests are coalesced in a
-    {!Singleflight} table keyed on the 32-bit {!Store.key_hash}
-    content hash (full {!Store.key_string} confirmation, so colliding
-    hashes never share a verdict): the first request for a key is
-    admitted as the group's leader, every identical request arriving
-    while it is in flight joins as a follower, and the finishing
-    worker fans one verdict — and one store append — out to all of
-    them.  Replies append to a reusable per-connection output buffer
-    and flush opportunistically, so pipelined bursts cost one [write]
-    per readiness event rather than one per reply.
+    {!Singleflight} table keyed on the mapping matrix's
+    {!Store.family_key_string}: the first request for a matrix is
+    admitted as the group's leader, every request for the same matrix
+    arriving while it is in flight joins as a follower, and the
+    finishing worker computes without reading the store again (the
+    loop's miss already decided that), journals the family verdict,
+    and fans one verdict per distinct [mu] — and one store append
+    each — out to all of them.  Replies append to a reusable
+    per-connection output buffer and flush opportunistically, so
+    pipelined bursts cost one [write] per readiness event rather than
+    one per reply.
 
     Transports: every connection starts on the v1 JSON-lines dialect;
     a [hello] request ({!Protocol.Hello}) switches it to the v2 binary
@@ -64,7 +66,7 @@
     counted by [server.deadline_exceeded] and the [stats] field.
 
     Admission: queued compute work passes an AIMD adaptive concurrency
-    limiter ({!Limiter}, bounds [[admission_min, queue_capacity]],
+    limiter ({!Limiter}, bounds [[4, queue_capacity]],
     exported as the [admission.limit] gauge) before the bounded queue;
     inline operations — [ping], [stats], [drain], [hello], [ship] and
     both fastpaths — are never gated, so control traffic cannot shed
@@ -93,8 +95,6 @@ type config = {
       (** Newest dialect [hello] may negotiate: {!Wire.V1} pins the
           server to JSON lines, {!Wire.V2} (the default) also offers
           the binary framing. *)
-  admission_min : int;
-      (** Floor of the adaptive admission limit ({!Limiter}). *)
   admission_target_ms : float;
       (** Admission-to-completion latency above which the AIMD
           limiter backs off. *)
@@ -103,8 +103,9 @@ type config = {
 val default_config : listen -> config
 (** [jobs = None], [max_inflight = 2], [queue_capacity = 256],
     [batch_max = 32], no store, no snapshot, [fsync_every = 32],
-    [max_transport = V2], [admission_min = 4],
-    [admission_target_ms = 250.]. *)
+    [max_transport = V2], [admission_target_ms = 250.].  The
+    adaptive admission limit ({!Limiter}) ranges over
+    [[4, queue_capacity]]. *)
 
 type t
 

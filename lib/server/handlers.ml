@@ -20,21 +20,17 @@ let json_of_int_array a = Json.ints (Array.to_list a)
 (* ------------------------------ analyze ----------------------------- *)
 
 let analyze_wire ~store ~mu tmat =
+  let wire = Protocol.wire_of_verdict (Analysis.check ~mu tmat) in
   match store with
-  | None -> (Protocol.wire_of_verdict (Analysis.check ~mu tmat), "off")
+  | None -> (wire, "off")
   | Some store -> (
-    match Store.find store ~mu tmat with
-    | Some e -> (Protocol.wire_of_entry e, "hit")
-    | None -> (
-      let v = Analysis.check ~mu tmat in
-      let wire = Protocol.wire_of_verdict v in
-      (* A failed journal append must not fail the query: the verdict
-         is already computed, only persistence is lost.  The [error]
-         status tells the client not to count this reply as an
-         acknowledged write. *)
-      match Store.add store ~mu tmat (Store.entry_of_verdict v) with
-      | () -> (wire, "miss")
-      | exception (Fault.Injected _ | Sys_error _ | Unix.Unix_error _) -> (wire, "error")))
+    (* A failed journal append must not fail the query: the verdict
+       is already computed, only persistence is lost.  The [error]
+       status tells the client not to count this reply as an
+       acknowledged write. *)
+    match Store.add store ~mu tmat wire with
+    | () -> (wire, "miss")
+    | exception (Fault.Injected _ | Sys_error _ | Unix.Unix_error _) -> (wire, "error"))
 
 let fields_of_analyze (wire, status) =
   [ ("verdict", Protocol.json_of_wire wire); ("store", Json.Str status) ]

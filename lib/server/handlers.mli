@@ -3,11 +3,11 @@
 
     Handlers are pure with respect to the connection — they never see
     sockets, only a {!Protocol.request} plus the shared resources
-    (verdict {!Store}, worker {!Engine.Pool}) — so the same code
-    serves the daemon, the in-process bench harness and the
-    differential tests.  Every request runs to its exact answer: a
-    request's [deadline_ms] is the daemon's arrival-time concern, and
-    no handler reads it. *)
+    (verdict {!Store}, which they write but never read, and worker
+    {!Engine.Pool}) — so the same code serves the daemon, the
+    in-process bench harness and the differential tests.  Every
+    request runs to its exact answer: a request's [deadline_ms] is the
+    daemon's arrival-time concern, and no handler reads it. *)
 
 exception Bad_request of string
 (** A well-formed request the handlers cannot serve (unknown
@@ -49,12 +49,16 @@ val simulate_fields :
 
 val analyze_wire :
   store:Store.t option -> mu:int array -> Intmat.t -> Protocol.verdict_wire * string
-(** One analysis, returned pre-rendering so the daemon can encode it
-    per transport (a JSON object on v1, a ['V'] frame on v2) and fan
-    one result out to every singleflight waiter.  The status string is
-    ["hit"] (served from the store), ["miss"] (computed and
-    persisted), ["error"] (computed but the journal append failed —
-    not an acknowledged write), or ["off"] (no store configured). *)
+(** One analysis, computed and journaled, returned pre-rendering so
+    the daemon can encode it per transport (a JSON object on v1, a
+    ['V'] frame on v2) and fan one result out to every singleflight
+    waiter.  It does not read the store: the daemon calls it only
+    after its own lookup missed, and an answer already journaled
+    meanwhile is equal, so the append is skipped.  The status string
+    is ["miss"] (computed and persisted), ["error"] (computed but the
+    journal append failed — not an acknowledged write), or ["off"]
+    (no store configured); ["hit"] comes only from the daemon's fast
+    path. *)
 
 val fields_of_analyze : Protocol.verdict_wire * string -> (string * Json.t) list
 (** The [verdict] + [store] reply fields of an {!analyze_wire}

@@ -5,7 +5,6 @@ type t = {
   lock : Mutex.t;
   mutable limit : float;
   mutable inflight : int;
-  mutable admitted : int;
   mutable rejected : int;
   mutable decreases : int;
   (* Completions since the last multiplicative decrease; gating
@@ -32,7 +31,6 @@ let create ?(min_limit = 1) ?(target_ms = 250.) ~max_limit () =
        latency evidence says otherwise. *)
     limit = float_of_int max_limit;
     inflight = 0;
-    admitted = 0;
     rejected = 0;
     decreases = 0;
     since_decrease = max_int;
@@ -41,11 +39,7 @@ let create ?(min_limit = 1) ?(target_ms = 250.) ~max_limit () =
 let try_admit t =
   Mutex.lock t.lock;
   let ok = t.inflight < int_of_float t.limit in
-  if ok then begin
-    t.inflight <- t.inflight + 1;
-    t.admitted <- t.admitted + 1
-  end
-  else t.rejected <- t.rejected + 1;
+  if ok then t.inflight <- t.inflight + 1 else t.rejected <- t.rejected + 1;
   Mutex.unlock t.lock;
   ok
 
@@ -81,8 +75,5 @@ let inflight t =
   Mutex.unlock t.lock;
   n
 
-let admitted t = t.admitted
 let rejected t = t.rejected
 let decreases t = t.decreases
-let min_limit t = t.min_limit
-let max_limit t = t.max_limit

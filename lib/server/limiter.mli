@@ -44,11 +44,7 @@ val limit : t -> int
     limit). *)
 
 val inflight : t -> int
-val admitted : t -> int
 val rejected : t -> int
 
 val decreases : t -> int
 (** How many multiplicative decreases have fired. *)
-
-val min_limit : t -> int
-val max_limit : t -> int

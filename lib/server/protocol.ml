@@ -1,33 +1,11 @@
-type verdict_wire = {
+type verdict_wire = Store.entry = {
   conflict_free : bool;
   full_rank : bool;
   decided_by : string;
   witness : int list option;
 }
 
-let wire_of_verdict (v : Analysis.verdict) =
-  {
-    conflict_free = v.Analysis.conflict_free;
-    full_rank = v.Analysis.full_rank;
-    decided_by = Analysis.decided_by_name v.Analysis.decided_by;
-    witness = Option.map Intvec.to_ints v.Analysis.witness;
-  }
-
-let wire_of_entry (e : Store.entry) =
-  {
-    conflict_free = e.Store.conflict_free;
-    full_rank = e.Store.full_rank;
-    decided_by = e.Store.decided_by;
-    witness = e.Store.witness;
-  }
-
-let entry_of_wire w =
-  {
-    Store.conflict_free = w.conflict_free;
-    full_rank = w.full_rank;
-    decided_by = w.decided_by;
-    witness = w.witness;
-  }
+let wire_of_verdict = Store.entry_of_verdict
 
 let json_of_wire w =
   Json.Obj

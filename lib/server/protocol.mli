@@ -17,10 +17,11 @@
 
 (** The renderable subset of an {!Analysis.verdict} — everything but
     the wall-clock [timing], which would make equal verdicts compare
-    unequal.  A store hit and a fresh computation of the same query
-    render byte-identically through {!json_of_wire} (the differential
-    server tests rely on this). *)
-type verdict_wire = {
+    unequal — and the record the store journals, so a store hit is
+    sent as it is read.  A store hit and a fresh computation of the
+    same query render byte-identically through {!json_of_wire} (the
+    differential server tests rely on this). *)
+type verdict_wire = Store.entry = {
   conflict_free : bool;
   full_rank : bool;
   decided_by : string;
@@ -28,9 +29,8 @@ type verdict_wire = {
 }
 
 val wire_of_verdict : Analysis.verdict -> verdict_wire
-val wire_of_entry : Store.entry -> verdict_wire
+(** {!Store.entry_of_verdict}. *)
 
-val entry_of_wire : verdict_wire -> Store.entry
 val json_of_wire : verdict_wire -> Json.t
 
 (** {1 Requests} *)

@@ -1,9 +1,7 @@
-type 'a group = { g_key : string; mutable waiters : 'a list (* reverse join order *) }
-
 type 'a t = {
-  (* Buckets keyed by the 32-bit content hash; the canonical key
-     string disambiguates colliding hashes, exactly as in [Store]. *)
-  tbl : (int, 'a group list) Hashtbl.t;
+  (* Open groups by key, each holding its waiters in reverse join
+     order. *)
+  tbl : (string, 'a list ref) Hashtbl.t;
   lock : Mutex.t;
   mutable n_groups : int;
   mutable n_coalesced : int;
@@ -12,26 +10,24 @@ type 'a t = {
 let create () =
   { tbl = Hashtbl.create 64; lock = Mutex.create (); n_groups = 0; n_coalesced = 0 }
 
-let join t ~hash ~key waiter =
+let join t ~key waiter =
   Mutex.protect t.lock (fun () ->
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt t.tbl hash) in
-      match List.find_opt (fun g -> g.g_key = key) bucket with
-      | Some g ->
-        g.waiters <- waiter :: g.waiters;
+      match Hashtbl.find_opt t.tbl key with
+      | Some waiters ->
+        waiters := waiter :: !waiters;
         t.n_coalesced <- t.n_coalesced + 1;
         `Follower
       | None ->
-        Hashtbl.replace t.tbl hash ({ g_key = key; waiters = [ waiter ] } :: bucket);
+        Hashtbl.replace t.tbl key (ref [ waiter ]);
         t.n_groups <- t.n_groups + 1;
         `Leader)
 
-let complete t ~hash ~key =
+let complete t ~key =
   Mutex.protect t.lock (fun () ->
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt t.tbl hash) in
-      match List.partition (fun g -> g.g_key = key) bucket with
-      | [], _ -> []
-      | g :: _, rest ->
-        if rest = [] then Hashtbl.remove t.tbl hash else Hashtbl.replace t.tbl hash rest;
-        List.rev g.waiters)
+      match Hashtbl.find_opt t.tbl key with
+      | None -> []
+      | Some waiters ->
+        Hashtbl.remove t.tbl key;
+        List.rev !waiters)
 
 let stats t = Mutex.protect t.lock (fun () -> (t.n_groups, t.n_coalesced))

@@ -1,9 +1,8 @@
 (** Singleflight coalescing of identical in-flight queries.
 
-    A table of open {e groups}, keyed by the 32-bit {!Store.key_hash}
-    content hash and disambiguated by the canonical {!Store.key_string}
-    (a colliding hash must never share a group — the full key string
-    is compared, mirroring the store's own bucket design).  The first
+    A table of open {e groups}, keyed by a canonical key string (the
+    daemon uses {!Store.family_key_string}, so every instance of a
+    mapping matrix coalesces behind one symbolic analysis).  The first
     {!join} for a key creates the group and elects the caller leader:
     it alone dispatches the analysis.  Every further join for the same
     key while the group is open becomes a follower.  {!complete}
@@ -18,12 +17,12 @@ type 'a t
 
 val create : unit -> 'a t
 
-val join : 'a t -> hash:int -> key:string -> 'a -> [ `Leader | `Follower ]
+val join : 'a t -> key:string -> 'a -> [ `Leader | `Follower ]
 (** Register one waiter.  [`Leader] means the caller opened the group
     and must eventually {!complete} it (on success, failure or shed —
     a leaked group would coalesce followers forever). *)
 
-val complete : 'a t -> hash:int -> key:string -> 'a list
+val complete : 'a t -> key:string -> 'a list
 (** Close the group and take its waiters, in join order; the empty
     list when no group is open for the key. *)
 

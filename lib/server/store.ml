@@ -5,21 +5,24 @@ type entry = {
   witness : int list option;
 }
 
+(* The two kinds of journaled answer: a [v] verdict for one instance,
+   keyed "mu=...;t=...", and an [f] family verdict for a mapping
+   matrix, keyed "t=...".  The key namespaces are disjoint (replay and
+   [ingest_line] refuse a record keyed outside its tag's), so one
+   table holds both and one kind never answers the other. *)
+type record = V of entry | F of Family.t
+
 type t = {
   path : string;
   fsync_every : int;
   mutable oc : out_channel option;
-  (* content hash -> (canonical key, entry) bucket; the hash is the
-     journal's record address, the key string resolves collisions. *)
-  table : (int, (string * entry) list) Hashtbl.t;
-  (* Same shape for family verdicts ('f' records), keyed on T alone —
-     the "t=..." key strings live in a namespace disjoint from the
-     verdicts' "mu=...;t=..." keys, so the two kinds can share the
-     quarantine table safely. *)
-  families : (int, (string * Family.t) list) Hashtbl.t;
+  (* canonical key -> (content hash, record).  The key string alone
+     addresses a record; the hash, the journal's and the snapshot
+     index's record address, is kept to render the record again. *)
+  table : (string, int * record) Hashtbl.t;
   (* Keys salvaged from quarantined (checksum-corrupt) records: these
-     must not be served from memory until a fresh verdict re-verifies
-     them — [find] forces a miss, [add] clears the mark. *)
+     must not be served from memory until a fresh record re-verifies
+     them — the lookup forces a miss, the insert clears the mark. *)
   quarantined_keys : (string, unit) Hashtbl.t;
   lock : Mutex.t;
   mutable pending : int; (* appends since the last fsync *)
@@ -90,8 +93,9 @@ let key_string ~mu t =
   let rows = List.map csv (Intmat.to_ints t) in
   Printf.sprintf "mu=%s;t=%s" (csv (Array.to_list mu)) (String.concat ";" rows)
 
-(* Masked to 32 bits because that is what the journal records — the
-   reloaded table must key on the same value [find] recomputes. *)
+(* Masked to 32 bits because that is what the journal records and the
+   snapshot indexes — a snapshot read must look up the value the
+   record was written under. *)
 let key_hash ~mu t =
   Engine.Cache.key_hash (Intmat.append_row t (Intvec.of_int_array mu)) land 0xFFFFFFFF
 
@@ -113,16 +117,12 @@ let entry_payload e =
    for family verdicts (payload = Family.to_string).  No token contains
    a space (keys, entries and family strings are csv/semicolon/
    punctuation-separated), so the line splits unambiguously. *)
-let framed tag hash key payload =
+let tag = function V _ -> 'v' | F _ -> 'f'
+
+let record_line hash key r =
+  let payload = match r with V e -> entry_payload e | F fam -> Family.to_string fam in
   let body = Printf.sprintf "%08x %s %s" (hash land 0xFFFFFFFF) key payload in
-  Printf.sprintf "%c %s %08x" tag body (Fault.fnv1a body)
-
-let record_line hash key e = framed 'v' hash key (entry_payload e)
-let family_line hash key fam = framed 'f' hash key (Family.to_string fam)
-
-type record =
-  | Verdict of int * string * entry
-  | Fam of int * string * Family.t
+  Printf.sprintf "%c %s %08x" (tag r) body (Fault.fnv1a body)
 
 let parse_record line =
   match String.split_on_char ' ' line with
@@ -130,10 +130,13 @@ let parse_record line =
     let body = Printf.sprintf "%s %s %s" hash_hex key payload in
     let crc = int_of_string ("0x" ^ crc_hex) in
     if Fault.fnv1a body <> crc then failwith "checksum mismatch";
+    let namespace = if tag = "v" then "mu=" else "t=" in
+    if not (String.starts_with ~prefix:namespace key) then
+      failwith (Printf.sprintf "%s record keyed outside %s" tag namespace);
     let hash = int_of_string ("0x" ^ hash_hex) in
     if tag = "f" then
       match Family.of_string payload with
-      | Some fam -> Fam (hash, key, fam)
+      | Some fam -> (hash, key, F fam)
       | None -> failwith "bad family payload"
     else
       let field name s =
@@ -155,7 +158,7 @@ let parse_record line =
           }
         | _ -> failwith "bad entry payload"
       in
-      Verdict (hash, key, e)
+      (hash, key, V e)
   | _ -> failwith "bad record shape"
 
 (* Best-effort key recovery from a record that failed its checksum, so
@@ -238,13 +241,43 @@ let compact path records bad =
 let open_ ?(fsync_every = 32) ?snapshot path =
   if fsync_every < 1 then invalid_arg "Store.open_: fsync_every must be >= 1";
   let t0 = Unix.gettimeofday () in
+  (* The snapshot opens in O(1) reads; a structurally bad snapshot is
+     a warning and a fall-back to plain journal replay, never a
+     crash — the journal alone is always sufficient. *)
+  let snap =
+    match snapshot with
+    | Some sp when Sys.file_exists sp -> (
+      match Snapshot.open_reader sp with
+      | Ok reader -> Some reader
+      | Error msg ->
+        ignore
+          (Obs.Warn.once
+             ("server.store.snapshot:" ^ sp)
+             (Printf.sprintf "store %s: ignoring unusable snapshot: %s" path msg));
+        None)
+    | Some _ | None -> None
+  in
+  let contents =
+    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+    else ""
+  in
+  let replayed =
+    if contents = "" then None
+    else
+      match replay contents with
+      | None -> failwith (Printf.sprintf "Store.open_: %s is not a store journal" path)
+      | some -> some
+  in
   let t =
     {
       path;
       fsync_every;
       oc = None;
-      table = Hashtbl.create 1024;
-      families = Hashtbl.create 64;
+      (* Sized from the replayed record count: growing a string-keyed
+         table during the open would re-hash every key. *)
+      table =
+        Hashtbl.create
+          (max 1024 (match replayed with Some (rs, _, _) -> List.length rs | None -> 0));
       quarantined_keys = Hashtbl.create 4;
       lock = Mutex.create ();
       pending = 0;
@@ -258,34 +291,21 @@ let open_ ?(fsync_every = 32) ?snapshot path =
       quarantined = 0;
       healed = 0;
       io_errors = 0;
-      snap = None;
-      snap_entries = 0;
+      snap;
+      snap_entries = (match snap with Some reader -> Snapshot.entries reader | None -> 0);
       snap_hits = 0;
       snap_corrupt = 0;
       open_ms = 0.;
-      provenance = "created";
+      provenance =
+        (match (replayed, snap) with
+        | None, None -> "created"
+        | None, Some _ -> "snapshot"
+        | Some _, None -> "replay"
+        | Some _, Some _ -> "snapshot+tail");
     }
   in
-  (* The snapshot opens in O(1) reads; a structurally bad snapshot is
-     a warning and a fall-back to plain journal replay, never a
-     crash — the journal alone is always sufficient. *)
-  (match snapshot with
-  | Some sp when Sys.file_exists sp -> (
-    match Snapshot.open_reader sp with
-    | Ok reader ->
-      t.snap <- Some reader;
-      t.snap_entries <- Snapshot.entries reader
-    | Error msg ->
-      ignore
-        (Obs.Warn.once
-           ("server.store.snapshot:" ^ sp)
-           (Printf.sprintf "store %s: ignoring unusable snapshot: %s" path msg)))
-  | Some _ | None -> ());
-  let contents =
-    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
-    else ""
-  in
-  if contents = "" then begin
+  (match replayed with
+  | None ->
     (* O_APPEND, even on the create path: the partial-write rollback
        truncates the file under the channel, and only an append-mode
        fd is guaranteed to land the next record at the new EOF rather
@@ -301,65 +321,51 @@ let open_ ?(fsync_every = 32) ?snapshot path =
     (* The journal's directory entry must be durable too, or a power
        failure can forget the file the data was synced into. *)
     Fault.fsync_dir path;
-    t.oc <- Some oc;
-    t.provenance <- (if t.snap = None then "created" else "snapshot")
-  end
-  else begin
-    t.provenance <- (if t.snap = None then "replay" else "snapshot+tail");
-    match replay contents with
-    | None -> failwith (Printf.sprintf "Store.open_: %s is not a store journal" path)
-    | Some (records, bad, torn) ->
-      List.iter
-        (fun (record, _) ->
-          (* Last record wins: a healed key appends a fresh record
-             after its original, and the fresh one is the truth. *)
-          match record with
-          | Verdict (hash, key, e) ->
-            let bucket = Option.value ~default:[] (Hashtbl.find_opt t.table hash) in
-            if not (List.mem_assoc key bucket) then t.loaded <- t.loaded + 1;
-            Hashtbl.replace t.table hash ((key, e) :: List.remove_assoc key bucket)
-          | Fam (hash, key, fam) ->
-            let bucket =
-              Option.value ~default:[] (Hashtbl.find_opt t.families hash)
-            in
-            if not (List.mem_assoc key bucket) then t.f_loaded <- t.f_loaded + 1;
-            Hashtbl.replace t.families hash ((key, fam) :: List.remove_assoc key bucket))
-        records;
-      List.iter
-        (fun line ->
-          t.quarantined <- t.quarantined + 1;
-          Obs.Metrics.incr m_quarantined;
-          match salvage_key line with
-          | Some key -> Hashtbl.replace t.quarantined_keys key ()
-          | None -> ())
-        bad;
-      t.dropped_bytes <- torn;
-      if bad <> [] then begin
-        compact path records bad;
-        ignore
-          (Obs.Warn.once
-             ("server.store.quarantined:" ^ path)
-             (Printf.sprintf
-                "store %s: quarantined %d corrupt record(s) into %s; keys re-verify on \
-                 next access"
-                path (List.length bad) (quarantine_path path)))
-      end
-      else if torn > 0 then begin
-        (* Truncate the torn tail so the next append starts a clean
-           frame instead of extending a partial one — and fsync the
-           directory so the truncation itself survives power loss. *)
-        Unix.truncate path (String.length contents - torn);
-        Fault.fsync_dir path
-      end;
-      if torn > 0 then
-        ignore
-          (Obs.Warn.once
-             ("server.store.recovered:" ^ path)
-             (Printf.sprintf
-                "store %s: dropped %d bytes of torn journal tail (crash recovery)" path
-                torn));
-      t.oc <- Some (open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path)
-  end;
+    t.oc <- Some oc
+  | Some (records, bad, torn) ->
+    List.iter
+      (fun ((hash, key, r), _) ->
+        (* Last record wins: a healed key appends a fresh record after
+           its original, and the fresh one is the truth. *)
+        if not (Hashtbl.mem t.table key) then begin
+          match r with V _ -> t.loaded <- t.loaded + 1 | F _ -> t.f_loaded <- t.f_loaded + 1
+        end;
+        Hashtbl.replace t.table key (hash, r))
+      records;
+    List.iter
+      (fun line ->
+        t.quarantined <- t.quarantined + 1;
+        Obs.Metrics.incr m_quarantined;
+        match salvage_key line with
+        | Some key -> Hashtbl.replace t.quarantined_keys key ()
+        | None -> ())
+      bad;
+    t.dropped_bytes <- torn;
+    if bad <> [] then begin
+      compact path records bad;
+      ignore
+        (Obs.Warn.once
+           ("server.store.quarantined:" ^ path)
+           (Printf.sprintf
+              "store %s: quarantined %d corrupt record(s) into %s; keys re-verify on \
+               next access"
+              path (List.length bad) (quarantine_path path)))
+    end
+    else if torn > 0 then begin
+      (* Truncate the torn tail so the next append starts a clean
+         frame instead of extending a partial one — and fsync the
+         directory so the truncation itself survives power loss. *)
+      Unix.truncate path (String.length contents - torn);
+      Fault.fsync_dir path
+    end;
+    if torn > 0 then
+      ignore
+        (Obs.Warn.once
+           ("server.store.recovered:" ^ path)
+           (Printf.sprintf
+              "store %s: dropped %d bytes of torn journal tail (crash recovery)" path
+              torn));
+    t.oc <- Some (open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path));
   t.open_ms <- 1000. *. (Unix.gettimeofday () -. t0);
   Obs.Metrics.observe h_open_ms t.open_ms;
   t
@@ -367,64 +373,60 @@ let open_ ?(fsync_every = 32) ?snapshot path =
 let oc_exn t =
   match t.oc with Some oc -> oc | None -> failwith "Store: used after close"
 
-(* Consult the snapshot for [(kind, hash, key)], re-validating every
-   located line against the record's own CRC (the index is only a
-   locator): a line that fails to parse is counted corrupt and
-   skipped, a parsed record with another key is a plain hash
-   collision.  Caller holds the lock. *)
-let snap_record t kind hash key =
-  match t.snap with
-  | None -> None
-  | Some sr ->
-    let rec pick = function
-      | [] -> None
-      | line :: rest -> (
-        match parse_record line with
-        | r -> (
-          match r with
-          | Verdict (h, k, _) | Fam (h, k, _) ->
-            if h = hash && k = key then Some r else pick rest)
-        | exception _ ->
-          t.snap_corrupt <- t.snap_corrupt + 1;
-          Obs.Metrics.incr m_snap_corrupt;
-          pick rest)
-    in
-    pick (Snapshot.find_all sr ~kind ~hash)
+(* The one lookup, under the lock.  Memory holds the journal tail, so
+   a tail record shadows the snapshot's; only a memory miss reads the
+   snapshot, under the content hash [hash ()] computes, and a record
+   found there is promoted into memory.  Every located snapshot line
+   is re-validated against its own CRC (the index is only a locator):
+   a line that fails to parse is counted corrupt and skipped, one
+   with another key is a plain hash collision.  A quarantined key
+   misses. *)
+let lookup t ~kind ~hash key =
+  if Hashtbl.mem t.quarantined_keys key then None
+  else
+    match Hashtbl.find_opt t.table key with
+    | Some (_, r) -> Some r
+    | None -> (
+      match t.snap with
+      | None -> None
+      | Some sr ->
+        let hash = hash () in
+        let rec pick = function
+          | [] -> None
+          | line :: rest -> (
+            match parse_record line with
+            | h, k, r when h = hash && k = key ->
+              t.snap_hits <- t.snap_hits + 1;
+              Obs.Metrics.incr m_snap_hits;
+              Hashtbl.replace t.table key (hash, r);
+              Some r
+            | _ -> pick rest
+            | exception _ ->
+              t.snap_corrupt <- t.snap_corrupt + 1;
+              Obs.Metrics.incr m_snap_corrupt;
+              pick rest)
+        in
+        pick (Snapshot.find_all sr ~kind ~hash))
 
 let find t ~mu tm =
-  let hash = key_hash ~mu tm in
   let key = key_string ~mu tm in
   Mutex.protect t.lock (fun () ->
-      if Hashtbl.mem t.quarantined_keys key then begin
-        (* The journal record for this key was corrupt: force a miss so
-           the caller recomputes and [add] re-verifies. *)
+      match lookup t ~kind:'v' ~hash:(fun () -> key_hash ~mu tm) key with
+      | Some (V e) ->
+        t.hits <- t.hits + 1;
+        Obs.Metrics.incr m_hits;
+        Some e
+      | Some (F _) | None ->
         t.misses <- t.misses + 1;
         Obs.Metrics.incr m_misses;
-        None
-      end
-      else
-        match Option.bind (Hashtbl.find_opt t.table hash) (List.assoc_opt key) with
-        | Some e ->
-          t.hits <- t.hits + 1;
-          Obs.Metrics.incr m_hits;
-          Some e
-        | None -> (
-          (* Memory holds the journal tail, so a tail record shadows
-             the snapshot's; only a genuine memory miss reads disk. *)
-          match snap_record t 'v' hash key with
-          | Some (Verdict (_, _, e)) ->
-            t.hits <- t.hits + 1;
-            t.snap_hits <- t.snap_hits + 1;
-            Obs.Metrics.incr m_hits;
-            Obs.Metrics.incr m_snap_hits;
-            (* Promote into memory: the next lookup is a table hit. *)
-            let bucket = Option.value ~default:[] (Hashtbl.find_opt t.table hash) in
-            Hashtbl.replace t.table hash ((key, e) :: bucket);
-            Some e
-          | Some (Fam _) | None ->
-            t.misses <- t.misses + 1;
-            Obs.Metrics.incr m_misses;
-            None))
+        None)
+
+let find_family t tm =
+  let key = family_key_string tm in
+  Mutex.protect t.lock (fun () ->
+      match lookup t ~kind:'f' ~hash:(fun () -> family_hash tm) key with
+      | Some (F fam) -> Some fam
+      | Some (V _) | None -> None)
 
 (* Append one record, honouring the [store.write] (torn append) and
    [store.fsync] injection sites.  A torn append is rolled back by
@@ -468,11 +470,27 @@ let append_line t line =
     end
   end
 
-let append_record t hash key e =
-  append_line t (record_line hash key e);
-  t.appended <- t.appended + 1
+let same a b =
+  match (a, b) with
+  | V a, V b -> a = b
+  | F a, F b -> Family.to_string a = Family.to_string b
+  | V _, F _ | F _, V _ -> false
 
-let heal t key =
+(* The one insert, under the lock.  A record equal to the one memory
+   holds appends nothing (answers are deterministic); any other is
+   appended under the content hash [hash ()] computes and replaces
+   it.  Either way the key's quarantine mark is cleared: the fresh
+   record re-verified it. *)
+let insert t ~hash key r =
+  (match Hashtbl.find_opt t.table key with
+  | Some (_, r0) when same r0 r -> ()
+  | _ ->
+    let hash = hash () in
+    append_line t (record_line hash key r);
+    (match r with
+    | V _ -> t.appended <- t.appended + 1
+    | F _ -> t.f_appended <- t.f_appended + 1);
+    Hashtbl.replace t.table key (hash, r));
   if Hashtbl.mem t.quarantined_keys key then begin
     Hashtbl.remove t.quarantined_keys key;
     t.healed <- t.healed + 1;
@@ -480,90 +498,24 @@ let heal t key =
   end
 
 let add t ~mu tm e =
-  let hash = key_hash ~mu tm in
   let key = key_string ~mu tm in
-  Mutex.protect t.lock (fun () ->
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt t.table hash) in
-      let quarantined = Hashtbl.mem t.quarantined_keys key in
-      match List.assoc_opt key bucket with
-      | Some _ when not quarantined -> () (* verdicts are deterministic *)
-      | Some e0 when e0 = e ->
-        (* Re-verified: the fresh verdict matches the record that
-           survived next to the corrupt one; just clear the mark. *)
-        heal t key
-      | _ ->
-        append_record t hash key e;
-        Hashtbl.replace t.table hash ((key, e) :: List.remove_assoc key bucket);
-        heal t key)
-
-let find_family t tm =
-  let hash = family_hash tm in
-  let key = family_key_string tm in
-  Mutex.protect t.lock (fun () ->
-      if Hashtbl.mem t.quarantined_keys key then None
-      else
-        match Option.bind (Hashtbl.find_opt t.families hash) (List.assoc_opt key) with
-        | Some fam -> Some fam
-        | None -> (
-          match snap_record t 'f' hash key with
-          | Some (Fam (_, _, fam)) ->
-            t.snap_hits <- t.snap_hits + 1;
-            Obs.Metrics.incr m_snap_hits;
-            let bucket =
-              Option.value ~default:[] (Hashtbl.find_opt t.families hash)
-            in
-            Hashtbl.replace t.families hash ((key, fam) :: bucket);
-            Some fam
-          | Some (Verdict _) | None -> None))
+  Mutex.protect t.lock (fun () -> insert t ~hash:(fun () -> key_hash ~mu tm) key (V e))
 
 let add_family t tm fam =
-  let hash = family_hash tm in
   let key = family_key_string tm in
-  Mutex.protect t.lock (fun () ->
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt t.families hash) in
-      let quarantined = Hashtbl.mem t.quarantined_keys key in
-      let same f0 = Family.to_string f0 = Family.to_string fam in
-      match List.assoc_opt key bucket with
-      | Some _ when not quarantined -> () (* families are deterministic *)
-      | Some f0 when same f0 -> heal t key
-      | _ ->
-        append_line t (family_line hash key fam);
-        t.f_appended <- t.f_appended + 1;
-        Hashtbl.replace t.families hash ((key, fam) :: List.remove_assoc key bucket);
-        heal t key)
+  Mutex.protect t.lock (fun () -> insert t ~hash:(fun () -> family_hash tm) key (F fam))
 
-(* Apply one raw journal record line shipped from another store
-   (the [ship] op): validate it exactly as replay would, then apply
-   with last-wins semantics and append it to this store's own journal
-   so the follower is self-contained.  Idempotent — a re-shipped
-   record whose entry is already current appends nothing, which makes
-   the shipper's resume-from-watermark safe.  Append faults
+(* Apply one raw journal record line shipped from another store (the
+   [ship] op): validate it exactly as replay would, then insert it, so
+   the follower's journal is self-contained.  Idempotent — a
+   re-shipped record equal to the current one appends nothing, which
+   makes the shipper's resume-from-watermark safe.  Append faults
    ([store.write]/[store.fsync]) propagate as usual. *)
 let ingest_line t line =
   match parse_record line with
   | exception Failure msg -> Error msg
   | exception _ -> Error "unparsable record"
-  | Verdict (hash, key, e) ->
-    Mutex.protect t.lock (fun () ->
-        let bucket = Option.value ~default:[] (Hashtbl.find_opt t.table hash) in
-        (match List.assoc_opt key bucket with
-        | Some e0 when e0 = e -> ()
-        | _ ->
-          append_record t hash key e;
-          Hashtbl.replace t.table hash ((key, e) :: List.remove_assoc key bucket));
-        heal t key;
-        Ok ())
-  | Fam (hash, key, fam) ->
-    Mutex.protect t.lock (fun () ->
-        let bucket = Option.value ~default:[] (Hashtbl.find_opt t.families hash) in
-        (match List.assoc_opt key bucket with
-        | Some f0 when Family.to_string f0 = Family.to_string fam -> ()
-        | _ ->
-          append_line t (family_line hash key fam);
-          t.f_appended <- t.f_appended + 1;
-          Hashtbl.replace t.families hash ((key, fam) :: List.remove_assoc key bucket));
-        heal t key;
-        Ok ())
+  | hash, key, r -> Mutex.protect t.lock (fun () -> insert t ~hash:(fun () -> hash) key r; Ok ())
 
 (* Everything the store can currently serve, as (kind, hash, key,
    canonical line) records: the snapshot's records (swept once),
@@ -577,22 +529,11 @@ let all_records t =
   | Some sr ->
     Snapshot.iter_lines sr (fun line ->
         match parse_record line with
-        | Verdict (hash, key, _) -> Hashtbl.replace acc key ('v', hash, key, line)
-        | Fam (hash, key, _) -> Hashtbl.replace acc key ('f', hash, key, line)
+        | hash, key, r -> Hashtbl.replace acc key (tag r, hash, key, line)
         | exception _ -> ()));
   Hashtbl.iter
-    (fun hash bucket ->
-      List.iter
-        (fun (key, e) -> Hashtbl.replace acc key ('v', hash, key, record_line hash key e))
-        bucket)
+    (fun key (hash, r) -> Hashtbl.replace acc key (tag r, hash, key, record_line hash key r))
     t.table;
-  Hashtbl.iter
-    (fun hash bucket ->
-      List.iter
-        (fun (key, fam) ->
-          Hashtbl.replace acc key ('f', hash, key, family_line hash key fam))
-        bucket)
-    t.families;
   Hashtbl.iter (fun key () -> Hashtbl.remove acc key) t.quarantined_keys;
   Hashtbl.fold (fun _ r rs -> r :: rs) acc []
 
@@ -661,8 +602,11 @@ let close t =
 
 let stats t =
   Mutex.protect t.lock (fun () ->
-      let entries = Hashtbl.fold (fun _ b acc -> acc + List.length b) t.table 0 in
-      let families = Hashtbl.fold (fun _ b acc -> acc + List.length b) t.families 0 in
+      let entries, families =
+        Hashtbl.fold
+          (fun _ (_, r) (v, f) -> match r with V _ -> (v + 1, f) | F _ -> (v, f + 1))
+          t.table (0, 0)
+      in
       {
         entries;
         hits = t.hits;

@@ -1,11 +1,19 @@
-(** Persistent content-addressed store of {!Analysis.check} verdicts.
+(** Persistent store of {!Analysis.check} verdicts and family
+    verdicts.
 
     The store is the server's warm cache across restarts: an
-    append-only on-disk journal, one record per exact verdict, keyed
-    by the same Intmat content hash the in-memory
-    {!Engine.Cache} tables use (the k×n mapping matrix with [mu]
-    stacked as an extra row).  At {!open_} the journal is replayed
-    into a hash table; every {!add} appends one record.
+    append-only on-disk journal of two record kinds, a [v] verdict for
+    one instance [(T, mu)] (keyed by {!key_string}) and an [f] family
+    verdict for one mapping matrix [T] (keyed by
+    {!family_key_string}).  The two key namespaces are disjoint, and a
+    record keyed outside its kind's namespace is refused, so one kind
+    never answers the other.  Each line also carries the record's
+    32-bit content hash ({!key_hash}, {!family_hash}), the address a
+    {!Snapshot} indexes it under.  At {!open_} the journal is replayed
+    into one table keyed by the canonical key string and sized from
+    the replayed record count; {!find} and {!find_family} share one
+    lookup, and {!add}, {!add_family} and {!ingest_line} share one
+    insert, which appends a record unless memory holds an equal one.
 
     Durability and recovery:
 
@@ -65,41 +73,40 @@ val open_ : ?fsync_every:int -> ?snapshot:string -> string -> t
     @raise Sys_error when the path is not readable/writable. *)
 
 val find : t -> mu:int array -> Intmat.t -> entry option
-(** Look up the verdict for [(t, mu)].  Bumps the
+(** Look up the verdict for [(t, mu)]: memory first, then the
+    snapshot, whose hit is promoted into memory.  Bumps the
     [server.store.hits] / [server.store.misses] metrics.  A key whose
     journal record was quarantined misses unconditionally until
     {!add} re-verifies it. *)
 
 val add : t -> mu:int array -> Intmat.t -> entry -> unit
-(** Record a verdict and append it to the journal.  A key already
-    present is a no-op (verdicts are deterministic, so the entry can
-    only be identical) — unless the key is quarantined, in which case
-    the fresh entry re-verifies it: a match just clears the mark, a
-    mismatch appends a superseding record.
+(** Record a verdict.  An entry equal to the one memory holds appends
+    nothing (verdicts are deterministic); any other is appended to the
+    journal and replaces it.  Either way a quarantine mark on the key
+    is cleared (the [healed] counter): the fresh entry re-verified it.
     @raise Fault.Injected when an armed plan fires [store.write]; the
     torn bytes are rolled back and the entry is not recorded — the
     caller may retry or degrade. *)
 
 val find_family : t -> Intmat.t -> Family.t option
 (** Look up the family verdict journaled for the mapping matrix alone
-    ([f] records, one per distinct [T]); does not touch the hit/miss
-    counters, which are reserved for per-instance verdicts.  A
-    quarantined key misses until {!add_family} re-verifies it. *)
+    ([f] records, one per distinct [T]), as {!find} does; does not
+    touch the hit/miss counters, which are reserved for per-instance
+    verdicts. *)
 
 val add_family : t -> Intmat.t -> Family.t -> unit
-(** Record a family verdict ([f] record).  Deduplication, quarantine
-    healing and fault injection behave exactly as in {!add}; counted
-    in [f_appended], never in [appended]. *)
+(** Record a family verdict ([f] record), as {!add} does; counted in
+    [f_appended], never in [appended]. *)
 
 val ingest_line : t -> string -> (unit, string) result
 (** Apply one raw journal record line shipped from another store (the
     [ship] op of journal replication, docs/CLUSTER.md): the line is
-    validated exactly as replay would — frame shape, CRC, payload —
-    then applied last-wins and appended to this store's own journal,
-    so a follower's journal is self-contained.  Idempotent: a
-    re-shipped record whose entry is already current appends nothing,
-    which makes resume-from-watermark safe.  [Error] on a malformed
-    line (nothing applied).
+    validated exactly as replay would — frame shape, CRC, key
+    namespace, payload — then inserted as {!add} does, so a follower's
+    journal is self-contained.  Idempotent: a re-shipped record whose
+    entry is already current appends nothing, which makes
+    resume-from-watermark safe.  [Error] on a malformed line (nothing
+    applied).
     @raise Fault.Injected as {!add} (the record is then not applied —
     the shipper re-ships it). *)
 
@@ -151,25 +158,26 @@ type stats = {
 val stats : t -> stats
 
 val key_hash : mu:int array -> Intmat.t -> int
-(** The 32-bit content hash a query is journaled (and singleflighted,
-    see {!Singleflight}) under: {!Engine.Cache.key_hash} of the
-    mapping matrix with [mu] stacked as an extra row, masked to 32
-    bits. *)
+(** The 32-bit content hash a verdict record is journaled and
+    snapshot-indexed under: {!Engine.Cache.key_hash} of the mapping
+    matrix with [mu] stacked as an extra row, masked to 32 bits.
+    Computed only to read the snapshot or to append. *)
 
 val key_string : mu:int array -> Intmat.t -> string
-(** The canonical key rendering that disambiguates colliding hashes
-    ([mu=...;t=...;...]) — byte-identical across processes. *)
+(** The canonical verdict key ([mu=...;t=...;...]) the table is keyed
+    by — byte-identical across processes. *)
 
 val family_hash : Intmat.t -> int
-(** The 32-bit content hash family records are journaled under —
-    {!Engine.Cache.key_hash} of the mapping matrix alone — also the
-    singleflight group key, so every instance of a family coalesces
-    behind one symbolic analysis. *)
+(** The 32-bit content hash family records are journaled and
+    snapshot-indexed under — {!Engine.Cache.key_hash} of the mapping
+    matrix alone — also the key the cluster ring places a query by, so
+    every instance of a family lands on one shard. *)
 
 val family_key_string : Intmat.t -> string
-(** Canonical family key ([t=...]); disjoint by construction from the
-    [mu=...] verdict keys, so the two kinds share the quarantine
-    namespace safely. *)
+(** The canonical family key ([t=...]), disjoint by construction from
+    the [mu=...] verdict keys; also the daemon's {!Singleflight} group
+    key, so every instance of a family coalesces behind one symbolic
+    analysis. *)
 
 val entry_of_verdict : Analysis.verdict -> entry
 (** Project the storable fields ([timing] is not persisted: it is

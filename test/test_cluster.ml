@@ -681,7 +681,7 @@ let test_router_hedging () =
     (fun (inst : Check.Instance.t) ->
       let find s =
         match Store.find s ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat with
-        | Some e -> Json.to_string (Protocol.json_of_wire (Protocol.wire_of_entry e))
+        | Some e -> Json.to_string (Protocol.json_of_wire e)
         | None -> Alcotest.fail "hedged instance missing from a journal"
       in
       let on_primary = find sp and on_follower = find sf in

@@ -1411,9 +1411,102 @@ let test_live_drain_answers_exactly () =
   | None -> Alcotest.fail "no reply");
   let st = Store.open_ store_path in
   Alcotest.(check bool) "record survives the drain" true
-    (Store.find st ~mu:mu2 t2 = Some (Protocol.entry_of_wire expected));
+    (Store.find st ~mu:mu2 t2 = Some expected);
   Store.close st;
   Sys.remove store_path
+
+(* Verdicts and families share one table, kept apart by their key
+   namespaces: a CRC-valid [v] line keyed [t=...] or [f] line keyed
+   [mu=...] is refused by [ingest_line], quarantined by replay, and
+   answers neither lookup, while a journal mixing both kinds replays
+   to the same counts as ever. *)
+let test_store_kind_boundary () =
+  let line tag hash key payload =
+    let body = Printf.sprintf "%08x %s %s" hash key payload in
+    Printf.sprintf "%c %s %08x" tag body (Fault.fnv1a body)
+  in
+  let payload (e : Store.entry) =
+    Printf.sprintf "free=%d;rank=%d;by=%s;wit=%s" (Bool.to_int e.Store.conflict_free)
+      (Bool.to_int e.Store.full_rank) e.Store.decided_by
+      (match e.Store.witness with
+      | None -> "-"
+      | Some w -> String.concat "," (List.map string_of_int w))
+  in
+  let verdict_line ~mu t e = line 'v' (Store.key_hash ~mu t) (Store.key_string ~mu t) (payload e) in
+  (* An instance no well-formed record below covers. *)
+  let mu3 = [| 5; 5; 5 |] and t3 = Intmat.of_ints [ [ 1; 2; 3 ]; [ 0; 1; 4 ] ] in
+  let v_as_family =
+    line 'v' (Store.family_hash t3) (Store.family_key_string t3)
+      (payload (Store.entry_of_verdict (Analysis.check ~mu:mu3 t3)))
+  and f_as_verdict =
+    line 'f' (Store.key_hash ~mu:mu3 t3) (Store.key_string ~mu:mu3 t3)
+      (Family.to_string (Family.build t3))
+  in
+  let absent s where =
+    Alcotest.(check bool) (where ^ ": no verdict") true (Store.find s ~mu:mu3 t3 = None);
+    Alcotest.(check bool) (where ^ ": no family") true (Store.find_family s t3 = None)
+  in
+  let e1 = Store.entry_of_verdict (Analysis.check ~mu:mu1 t1) in
+  let e2 = Store.entry_of_verdict (Analysis.check ~mu:mu2 t2) in
+  let e3 = Store.entry_of_verdict (Analysis.check ~mu:[| 9; 9; 9 |] t1) in
+  (* Shipped lines: both refused, nothing applied. *)
+  let path = fresh_path ".store" in
+  let s = Store.open_ path in
+  List.iter
+    (fun (name, l) ->
+      Alcotest.(check bool) (name ^ " refused") true (Result.is_error (Store.ingest_line s l)))
+    [ ("v line keyed t=", v_as_family); ("f line keyed mu=", f_as_verdict) ];
+  absent s "after ingest";
+  Alcotest.(check int) "nothing appended" 0 (Store.stats s).Store.appended;
+  Alcotest.(check int) "no family appended" 0 (Store.stats s).Store.f_appended;
+  Store.close s;
+  Sys.remove path;
+  (* A journal holding them between well-formed records: both
+     quarantined, the records around them loaded. *)
+  let path = fresh_path ".store" in
+  let s = Store.open_ path in
+  Store.add s ~mu:mu1 t1 e1;
+  Store.add_family s t1 (Family.build t1);
+  Store.close s;
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        [ v_as_family; f_as_verdict; verdict_line ~mu:mu2 t2 e2 ]);
+  let s = Store.open_ path in
+  let st = Store.stats s in
+  Alcotest.(check int) "both quarantined" 2 st.Store.quarantined;
+  Alcotest.(check (pair int int)) "surrounding records load" (2, 1)
+    (st.Store.loaded, st.Store.f_loaded);
+  Alcotest.(check bool) "verdict before" true (Store.find s ~mu:mu1 t1 = Some e1);
+  Alcotest.(check bool) "verdict after" true (Store.find s ~mu:mu2 t2 = Some e2);
+  Alcotest.(check bool) "family before" true (Store.find_family s t1 <> None);
+  absent s "after replay";
+  Store.close s;
+  List.iter Sys.remove [ path; path ^ ".quarantine" ];
+  (* Both kinds interleaved, one key superseded by a shipped record:
+     last wins, and each kind counts its distinct keys. *)
+  let path = fresh_path ".store" in
+  let s = Store.open_ path in
+  Store.add s ~mu:mu1 t1 e1;
+  Store.add_family s t1 (Family.build t1);
+  Store.add s ~mu:mu2 t2 e2;
+  Store.add_family s t2 (Family.build t2);
+  Store.add s ~mu:[| 9; 9; 9 |] t1 e3;
+  let superseding =
+    { Store.conflict_free = false; full_rank = true; decided_by = "shipped";
+      witness = Some [ 1; 2; 3 ] }
+  in
+  Alcotest.(check bool) "superseding record applied" true
+    (Store.ingest_line s (verdict_line ~mu:mu1 t1 superseding) = Ok ());
+  Store.close s;
+  let s = Store.open_ path in
+  let st = Store.stats s in
+  Alcotest.(check (pair int int)) "entries, families" (3, 2) (st.Store.entries, st.Store.families);
+  Alcotest.(check (pair int int)) "loaded, f_loaded" (3, 2) (st.Store.loaded, st.Store.f_loaded);
+  Alcotest.(check bool) "last record wins" true
+    (Store.find s ~mu:mu1 t1 = Some superseding);
+  Store.close s;
+  Sys.remove path
 
 let suite =
   [
@@ -1456,4 +1549,5 @@ let suite =
     Alcotest.test_case "gray chaos determinism" `Quick test_gray_chaos_determinism;
     Alcotest.test_case "live simulate bounded" `Quick test_live_simulate_bounded;
     Alcotest.test_case "live drain answers exactly" `Quick test_live_drain_answers_exactly;
+    Alcotest.test_case "store kind boundary" `Quick test_store_kind_boundary;
   ]
