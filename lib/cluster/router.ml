@@ -1,27 +1,27 @@
 (* The cluster router (contract in router.mli, docs/CLUSTER.md).
 
-   Two threads.  The event loop owns every socket — listener, clients,
-   pooled upstream connections — on the daemon's connection code
-   ({!Server.Conn}), and with them all per-request state: the pending
-   tables, the hedge queues, the latency rings, the hedge token
-   bucket.  The monitor runs beside it because probes, journal pumps
-   and promotion catch-up block.  They share the fields marked "under
-   [t.lock]" below, and nobody holds the lock across a blocking call;
-   the monitor's breaker state ({!Health}) is single-writer and read
-   lock-free.
+   Two threads.  The event loop, a {!Server.Reactor}, owns every
+   socket — listener, clients, pooled upstream connections — and with
+   them all per-request state: the pending tables, the hedge queues,
+   the latency rings, the hedge token bucket.  The monitor runs beside
+   it because probes, journal pumps and promotion catch-up block.
+   They share the fields marked "under [t.lock]" below, and nobody
+   holds the lock across a blocking call; the monitor's breaker state
+   ({!Health}) is single-writer and read lock-free.
 
    Every in-flight request is one [reqstate] shared by however many
    upstream copies exist: [r_done] is the first-wins latch and
    [r_outstanding] counts copies still parked, so a lost connection
    errors the client only when the last copy dies.  Hedgeable analyze
    requests queue per shard in send order, so the oldest one's due
-   time is the loop's poll timeout.
+   time is the reactor's timer.
 
    [route.forward] (class [cluster]) is consulted once per forwarded
    request, on the loop thread; hedge re-issues never consult it. *)
 
 module Conn = Server.Conn
 module Protocol = Server.Protocol
+module Reactor = Server.Reactor
 module Wire = Server.Wire
 
 type shard_spec = {
@@ -83,7 +83,6 @@ and uconn = {
   u_shard : shard;
   u_epoch : int;  (* the shard's epoch when it was opened *)
   u_pending : (int, pending) Hashtbl.t;
-  mutable u_connecting : bool;  (* TCP connect still in progress *)
   mutable u_hello : bool;  (* the v2 hello ack has not arrived *)
 }
 
@@ -118,17 +117,13 @@ type t = {
   cfg : config;
   ring : Ring.t;
   shards : shard array;
-  listen_fd : Unix.file_descr;
-  bound_port : int option;
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
+  reactor : Reactor.t;
   stopping : bool Atomic.t;
   lock : Mutex.t;
   (* Under [lock]. *)
   mutable accepted : int;
   mutable promotions : int;
   (* Loop thread only. *)
-  mutable clients : Conn.t list;
   mutable next_rid : int;
   mutable rr : int;  (* round-robin cursor for the stateless ops *)
   mutable h_tokens : float;  (* hedge token bucket *)
@@ -159,9 +154,7 @@ let resolve addr =
 let create (cfg : config) =
   if cfg.shards = [] then invalid_arg "Router.create: no shards";
   if cfg.pool_size < 1 then invalid_arg "Router.create: pool_size must be >= 1";
-  let listen_fd = Conn.bind cfg.listen in
-  let pipe_r, pipe_w = Unix.pipe () in
-  Unix.set_nonblock pipe_r;
+  let reactor = Reactor.create ~listen:cfg.listen () in
   let shards =
     Array.of_list
       (List.mapi
@@ -201,15 +194,11 @@ let create (cfg : config) =
     cfg;
     ring = Ring.make ~vnodes:cfg.vnodes (Array.length shards);
     shards;
-    listen_fd;
-    bound_port = Conn.bound_port listen_fd;
-    pipe_r;
-    pipe_w;
+    reactor;
     stopping = Atomic.make false;
     lock = Mutex.create ();
     accepted = 0;
     promotions = 0;
-    clients = [];
     next_rid = 1;
     rr = 0;
     h_tokens = float_of_int (max 0 cfg.hedge_budget);
@@ -217,16 +206,8 @@ let create (cfg : config) =
   }
 
 let ring t = t.ring
-let port t = t.bound_port
-
-(* ------------------------------ wakeup ----------------------------- *)
-
-(* The self-pipe carries ['d'], a drain request (the async-signal-safe
-   {!wake}), and ['w'], which only makes the loop re-read shared state:
-   promotion sends it so the loop fails the promoted shard's old
-   connections. *)
-let wake t = try ignore (Unix.write t.pipe_w (Bytes.of_string "d") 0 1) with Unix.Unix_error _ -> ()
-let wake_loop t = try ignore (Unix.write t.pipe_w (Bytes.of_string "w") 0 1) with Unix.Unix_error _ -> ()
+let port t = Reactor.port t.reactor
+let wake t = Reactor.wake t.reactor
 let initiate_drain t = if not (Atomic.exchange t.stopping true) then wake t
 
 (* ------------------------------ replies ---------------------------- *)
@@ -293,83 +274,6 @@ let fail_stale t shard epoch =
   List.iter fail shard.pool;
   List.iter fail shard.f_pool
 
-(* A nonblocking connect: a Unix socket connects or fails at once, TCP
-   completes when the socket turns writable.  On v2 the hello goes out
-   first and requests follow it without waiting for the ack. *)
-let open_uconn t shard ~follower ~epoch sa =
-  match
-    let fd = Unix.socket (Unix.domain_of_sockaddr sa) SOCK_STREAM 0 in
-    Unix.set_nonblock fd;
-    match Unix.connect fd sa with
-    | () -> (fd, false)
-    | exception Unix.Unix_error (EINPROGRESS, _, _) -> (fd, true)
-    | exception e ->
-      Unix.close fd;
-      raise e
-  with
-  | exception Unix.Unix_error _ -> None
-  | fd, connecting ->
-    let uc =
-      {
-        u = Conn.create fd;
-        u_shard = shard;
-        u_epoch = epoch;
-        u_pending = Hashtbl.create 16;
-        u_connecting = connecting;
-        u_hello = t.cfg.shard_transport = Wire.V2;
-      }
-    in
-    if uc.u_hello then Conn.upgrade uc.u Wire.V2;
-    Mutex.protect t.lock (fun () ->
-        if follower then shard.f_pool <- uc :: shard.f_pool
-        else shard.pool <- uc :: shard.pool);
-    Some uc
-
-(* The follower pool serves hedges and breaker diverts; both pools
-   share the pending tables and the failure path. *)
-let get_conn t shard ~follower =
-  let sa, epoch =
-    Mutex.protect t.lock (fun () ->
-        ( (if follower then shard.follower_sa
-           else if shard.alive then shard.target_sa
-           else None),
-          shard.epoch ))
-  in
-  fail_stale t shard epoch;
-  match sa with
-  | None -> None
-  | Some sa ->
-    let live = if follower then shard.f_pool else shard.pool in
-    let cursor = if follower then shard.f_next else shard.next_conn in
-    if follower then shard.f_next <- cursor + 1 else shard.next_conn <- cursor + 1;
-    let n = List.length live in
-    if n >= t.cfg.pool_size then Some (List.nth live (cursor mod n))
-    else open_uconn t shard ~follower ~epoch sa
-
-(* [deadline_override], when given, replaces the request's stamped
-   deadline with the remaining budget: a hedge never tells the follower
-   it has the full original allowance.  An analyze goes through
-   {!Conn.analyze_request}, as an ['A'] frame on v2 when the frame can
-   carry it. *)
-let send_upstream ?deadline_override uc ~rid (req : Protocol.request) =
-  let dl orig = match deadline_override with Some _ -> deadline_override | None -> orig in
-  let id = Json.Int rid in
-  ignore
-    (Conn.send uc.u (fun version ->
-         match req with
-         | Protocol.Analyze { mu; tmat; deadline_ms } ->
-           Conn.analyze_request ~id:rid ?deadline_ms:(dl deadline_ms) ~mu tmat version
-         | Protocol.Search { algorithm; mu; s; pareto; array_dim; deadline_ms } ->
-           Conn.doc
-             (Protocol.search ~id ?deadline_ms:(dl deadline_ms) ?s ~pareto ~array_dim
-                ~algorithm ~mu ())
-             version
-         | Protocol.Simulate { algorithm; mu; s; pi } ->
-           Conn.doc (Protocol.simulate ~id ?s ~algorithm ~mu ~pi ()) version
-         | Protocol.Replay { instance } -> Conn.doc (Protocol.replay ~id instance) version
-         | Protocol.Ship _ | Protocol.Ping | Protocol.Stats | Protocol.Drain | Protocol.Hello _ ->
-           invalid_arg "Router.send_upstream: inline op"))
-
 (* First reply wins; a losing copy is dropped here or when its
    connection dies. *)
 let complete t uc rid encode =
@@ -416,17 +320,74 @@ let rec pull_replies t uc =
       | Error _ -> fail_uconn t uc)
     | Wire.Frame (Wire.Bin_analyze _) | Wire.Corrupt _ -> fail_uconn t uc
 
-let service_upstream t uc chunk ~(ev : Server.Poll.event) =
-  if uc.u_connecting then begin
-    match Unix.getsockopt_error (Conn.fd uc.u) with
-    | None -> uc.u_connecting <- false
-    | Some _ -> fail_uconn t uc
-  end
-  else if ev.ready_read || ev.ready_error then
-    match Conn.read uc.u chunk with
-    | `Blocked -> ()
-    | `Eof -> fail_uconn t uc
-    | `Data -> pull_replies t uc
+(* A TCP connect completes in the reactor, which watches it for
+   writability.  On v2 the hello goes out first and requests follow it
+   without waiting for the ack. *)
+let open_uconn t shard ~follower ~epoch sa =
+  Option.map
+    (fun (u, connecting) ->
+      let uc =
+        {
+          u;
+          u_shard = shard;
+          u_epoch = epoch;
+          u_pending = Hashtbl.create 16;
+          u_hello = t.cfg.shard_transport = Wire.V2;
+        }
+      in
+      if uc.u_hello then Conn.upgrade u Wire.V2;
+      Reactor.add t.reactor ~connecting u
+        { Reactor.on_read = (fun () -> pull_replies t uc); on_hangup = (fun () -> fail_uconn t uc) };
+      Mutex.protect t.lock (fun () ->
+          if follower then shard.f_pool <- uc :: shard.f_pool
+          else shard.pool <- uc :: shard.pool);
+      uc)
+    (Conn.dial sa)
+
+(* The follower pool serves hedges and breaker diverts; both pools
+   share the pending tables and the failure path. *)
+let get_conn t shard ~follower =
+  let sa, epoch =
+    Mutex.protect t.lock (fun () ->
+        ( (if follower then shard.follower_sa
+           else if shard.alive then shard.target_sa
+           else None),
+          shard.epoch ))
+  in
+  fail_stale t shard epoch;
+  match sa with
+  | None -> None
+  | Some sa ->
+    let live = if follower then shard.f_pool else shard.pool in
+    let cursor = if follower then shard.f_next else shard.next_conn in
+    if follower then shard.f_next <- cursor + 1 else shard.next_conn <- cursor + 1;
+    let n = List.length live in
+    if n >= t.cfg.pool_size then Some (List.nth live (cursor mod n))
+    else open_uconn t shard ~follower ~epoch sa
+
+(* [deadline_override], when given, replaces the request's stamped
+   deadline with the remaining budget: a hedge never tells the follower
+   it has the full original allowance.  An analyze goes through
+   {!Conn.analyze_request}, as an ['A'] frame on v2 when the frame can
+   carry it. *)
+let send_upstream ?deadline_override uc ~rid (req : Protocol.request) =
+  let dl orig = match deadline_override with Some _ -> deadline_override | None -> orig in
+  let id = Json.Int rid in
+  ignore
+    (Conn.send uc.u (fun version ->
+         match req with
+         | Protocol.Analyze { mu; tmat; deadline_ms } ->
+           Conn.analyze_request ~id:rid ?deadline_ms:(dl deadline_ms) ~mu tmat version
+         | Protocol.Search { algorithm; mu; s; pareto; array_dim; deadline_ms } ->
+           Conn.doc
+             (Protocol.search ~id ?deadline_ms:(dl deadline_ms) ?s ~pareto ~array_dim
+                ~algorithm ~mu ())
+             version
+         | Protocol.Simulate { algorithm; mu; s; pi } ->
+           Conn.doc (Protocol.simulate ~id ?s ~algorithm ~mu ~pi ()) version
+         | Protocol.Replay { instance } -> Conn.doc (Protocol.replay ~id instance) version
+         | Protocol.Ship _ | Protocol.Ping | Protocol.Stats | Protocol.Drain | Protocol.Hello _ ->
+           invalid_arg "Router.send_upstream: inline op"))
 
 (* ----------------------------- forwarding -------------------------- *)
 
@@ -587,9 +548,9 @@ let promote_shard t idx =
   in
   if already then Mutex.protect t.lock (fun () -> shard.alive)
   else begin
-    (* The loop fails the shard's old connections on this wake-up, so
+    (* The loop fails the shard's old connections on this nudge, so
        their parked requests complete with a retriable [overloaded]. *)
-    wake_loop t;
+    Reactor.nudge t.reactor;
     match shard.spec.follower with
     | None -> false (* no replica: the shard stays down *)
     | Some follower ->
@@ -733,105 +694,31 @@ let handle_request t c ~bin (env : Protocol.envelope) =
     | None ->
       reply_doc c (Protocol.error_reply ~id ~code:"overloaded" ~detail:"no live shards"))
 
-let close_client t c =
-  Conn.close c;
-  t.clients <- List.filter (fun x -> x != c) t.clients
-
-let service_client t c chunk =
-  match Conn.read c chunk with
-  | `Blocked -> ()
-  | `Eof -> close_client t c
-  | `Data -> Conn.pull c ~reject:(reply_doc c) (handle_request t c)
+let accept t c =
+  Mutex.protect t.lock (fun () -> t.accepted <- t.accepted + 1);
+  Some
+    {
+      Reactor.on_read = (fun () -> Conn.pull c ~reject:(reply_doc c) (handle_request t c));
+      on_hangup = ignore;
+    }
 
 (* ------------------------------- run ------------------------------- *)
 
-type watched = Wakeup | Listener | Client of Conn.t | Upstream of uconn
-
-let read_only = { Server.Poll.want_read = true; want_write = false }
-
-(* Flush what the sockets take, then say what to wait for.  A client
-   whose input turned corrupt goes once its last reply is out. *)
-let watch_list t =
-  let clients =
-    List.filter_map
-      (fun c ->
-        let pending = Conn.flush c in
-        if Conn.closing c && not pending then (close_client t c; None)
-        else
-          Some
-            ( Client c,
-              Conn.fd c,
-              { Server.Poll.want_read = not (Conn.closing c); want_write = pending } ))
-      t.clients
-  in
-  let upstream uc =
-    ( Upstream uc,
-      Conn.fd uc.u,
-      if uc.u_connecting then { Server.Poll.want_read = false; want_write = true }
-      else { Server.Poll.want_read = true; want_write = Conn.flush uc.u } )
-  in
-  ((Wakeup, t.pipe_r, read_only) :: (Listener, t.listen_fd, read_only) :: clients)
-  @ List.concat_map (fun s -> List.map upstream (s.pool @ s.f_pool)) (Array.to_list t.shards)
-
+(* A drain request IS a drain (signal handlers may only write the
+   self-pipe), and every wake-up fails the connections a promotion
+   left behind.  The drain: stop listening, hang up on clients after
+   one last flush, stop the monitor, dismantle the upstream pools,
+   push the final journal tail. *)
 let run t =
   let monitor_thread = Thread.create monitor t in
-  let chunk = Bytes.create 65536 in
-  let pipe_buf = Bytes.create 64 in
-  let service (w, _, _) (ev : Server.Poll.event) =
-    match w with
-    | Wakeup -> (
-      match Unix.read t.pipe_r pipe_buf 0 (Bytes.length pipe_buf) with
-      | n ->
-        (* A ['d'] IS a drain request: signal handlers may only write
-           the pipe (same contract as the daemon's loop). *)
-        if Bytes.contains (Bytes.sub pipe_buf 0 n) 'd' then Atomic.set t.stopping true;
-        Array.iter
-          (fun s -> fail_stale t s (Mutex.protect t.lock (fun () -> s.epoch)))
-          t.shards
-      | exception Unix.Unix_error _ -> ())
-    | Listener ->
-      Conn.accept_burst t.listen_fd (fun fd ->
-          t.clients <- Conn.create fd :: t.clients;
-          Mutex.protect t.lock (fun () -> t.accepted <- t.accepted + 1))
-    | Client c ->
-      if (not (Conn.closed c)) && (ev.ready_read || ev.ready_error) then
-        if Conn.closing c then (if ev.ready_error then close_client t c)
-        else service_client t c chunk
-    | Upstream uc -> if not (Conn.closed uc.u) then service_upstream t uc chunk ~ev
-  in
-  (* [Poll.wait] reports ready descriptors in input order, so each
-     event pairs with its entry by walking both lists once; a
-     connection closed earlier in the same round is skipped above. *)
-  let rec dispatch watched events =
-    match (watched, events) with
-    | [], _ | _, [] -> ()
-    | ((_, fd, _) as w) :: ws, (efd, ev) :: es ->
-      if fd = efd then begin
-        service w ev;
-        dispatch ws es
-      end
-      else dispatch ws events
-  in
-  while not (Atomic.get t.stopping) do
-    let now = Unix.gettimeofday () in
-    let due = if hedging_active t then hedge_tick t now else infinity in
-    let watched = watch_list t in
-    let timeout_ms =
-      if due = infinity then -1 else max 0 (int_of_float (Float.ceil ((due -. now) *. 1000.)))
-    in
-    dispatch watched
-      (Server.Poll.wait (List.map (fun (_, fd, i) -> (fd, i)) watched) ~timeout_ms)
-  done;
-  (* Drain: stop listening, hang up on clients after one last flush,
-     stop the monitor, dismantle the upstream pools, push the final
-     journal tail. *)
-  Conn.close_listener t.cfg.listen t.listen_fd;
-  List.iter
-    (fun c ->
-      ignore (Conn.flush c);
-      Conn.close c)
-    t.clients;
-  t.clients <- [];
+  Reactor.run t.reactor ~accept:(accept t)
+    ~wake:(fun ~drain ->
+      if drain then Atomic.set t.stopping true;
+      Array.iter (fun s -> fail_stale t s (Mutex.protect t.lock (fun () -> s.epoch))) t.shards)
+    (fun () ->
+      if Atomic.get t.stopping then None
+      else Some (if hedging_active t then hedge_tick t (Unix.gettimeofday ()) else infinity));
+  Reactor.hang_up t.reactor;
   Thread.join monitor_thread;
   Array.iter
     (fun shard ->
@@ -843,5 +730,4 @@ let run t =
         Shipper.close sh
       | None -> ())
     t.shards;
-  (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-  try Unix.close t.pipe_w with Unix.Unix_error _ -> ()
+  Reactor.close t.reactor

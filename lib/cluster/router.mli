@@ -1,20 +1,23 @@
 (** The cluster router: one process that presents N daemon shards as a
     single mapping-query service (docs/CLUSTER.md).
 
-    One {!Server.Poll} event loop owns every socket — the listener,
-    the clients and a pool of pipelined upstream connections per shard
-    — on the connection plumbing the daemon uses ({!Server.Conn}), so
-    downstream it speaks the daemon's versioned wire protocol and
-    every existing client works against a router unchanged.  Each
-    forwarded request is restamped with a router-unique integer id,
-    matched back by that id, and re-encoded with the client's id: a
+    The router runs on the daemon's event loop, one {!Server.Reactor}
+    that owns every socket — the listener, the clients and a pool of
+    pipelined upstream connections per shard — on the connection
+    plumbing the daemon uses ({!Server.Conn}), so downstream it speaks
+    the daemon's versioned wire protocol and every existing client
+    works against a router unchanged.  The router keeps only its
+    handlers and its drain policy.  Each forwarded request is
+    restamped with a router-unique integer id, matched back by that
+    id, and re-encoded with the client's id: a
     shard's ['V'] verdict goes back as a ['V'] frame when the client
     asked with an ['A'] frame (as the equivalent JSON reply
     otherwise), a shard's JSON reply goes back restamped.  An
     [analyze] whose values do not fit an ['A'] frame's fixed fields
     travels upstream as its JSON document.  The loop never waits on a
-    peer; upstream connects and their v2 [hello] are loop steps like
-    any read.
+    peer: the reactor watches an upstream connect for writability
+    until it completes, and its v2 [hello] is a loop step like any
+    read.
 
     Placement: [analyze] routes by the {e matrix-only}
     {!Server.Store.family_hash} through the consistent-hash {!Ring},
@@ -42,7 +45,7 @@
     any [analyze] still unanswered after the hedge delay ([Fixed_ms],
     or [Adaptive]: twice the shard's observed p99) on the shard's
     follower with the {e remaining} deadline restamped; the oldest
-    pending hedge is the loop's poll timeout.  The first reply wins
+    pending hedge is the reactor's timer.  The first reply wins
     and the loser is dropped — byte-safe because verdicts are
     deterministic.  Hedging is guarded by a token bucket of
     [hedge_budget] tokens (refilling one budget per second) so a
@@ -106,13 +109,14 @@ val create : config -> t
     @raise Failure / [Unix.Unix_error] when the socket is unusable. *)
 
 val run : t -> unit
-(** The blocking event loop; returns once a drain has completed
-    (clients hung up, upstream pools dismantled, final journal tail
-    shipped). *)
+(** The blocking event loop; returns once a drain has completed.  The
+    drain policy: stop listening, flush every client once and hang
+    up, join the monitor, fail the upstream connections, and ship the
+    final journal tail to each unpromoted shard's follower. *)
 
 val initiate_drain : t -> unit
 val wake : t -> unit
-(** Async-signal-safe drain trigger (one self-pipe write). *)
+(** Async-signal-safe drain trigger ({!Server.Reactor.wake}). *)
 
 val port : t -> int option
 (** The bound TCP port ([None] for Unix sockets). *)
@@ -125,7 +129,7 @@ val promote_shard : t -> int -> bool
     with retriable [overloaded]), catch the follower up from the
     primary's journal, then redirect.  Returns whether the shard is
     serving afterwards ([false] without a follower).  Idempotent.  The
-    loop fails the old connections when this call wakes it.  The
+    loop fails the old connections when this call nudges it.  The
     monitor thread uses the same path; the chaos harness calls it
     directly so the kill → promote transition lands at a deterministic
     point in its request stream.

@@ -299,7 +299,9 @@ let expected_verdict inst = Json.to_string (Protocol.json_of_wire (expected_wire
 
 (* One load connection; [inflight] counts its entries in the table of
    requests awaiting a reply. *)
-type lconn = { c : conn; mutable inflight : int; mutable alive : bool }
+type lconn = { c : conn; mutable inflight : int }
+
+let live l = not (Conn.closed l.c.conn)
 
 let load_any addrs cfg =
   if addrs = [] then invalid_arg "Client.load: at least one address";
@@ -342,8 +344,7 @@ let load_any addrs cfg =
   (* A dead connection fails what it has in flight; its unsent share
      stays with [next] for the connections still alive. *)
   let fail l =
-    if l.alive then begin
-      l.alive <- false;
+    if live l then begin
       close l.c;
       Hashtbl.filter_map_inplace
         (fun _ ((owner, _) as v) -> if owner == l then (incr errors; None) else Some v)
@@ -351,7 +352,7 @@ let load_any addrs cfg =
     end
   in
   let fill l =
-    while l.alive && l.inflight < cfg.pipeline && !next < cfg.requests do
+    while live l && l.inflight < cfg.pipeline && !next < cfg.requests do
       let i = !next and inst = instances.(!next mod cfg.distinct) in
       incr next;
       Hashtbl.replace outstanding i (l, Unix.gettimeofday ());
@@ -377,7 +378,7 @@ let load_any addrs cfg =
     | _ -> fail l
   in
   let rec pull l =
-    if l.alive then
+    if live l then
       match Wire.next (Conn.decoder l.c.conn) with
       | Wire.Need_more -> ()
       | Wire.Frame (Wire.Bin_verdict { id; verdict; _ }) ->
@@ -391,23 +392,15 @@ let load_any addrs cfg =
         | _ -> fail l)
       | Wire.Frame (Wire.Bin_analyze _) | Wire.Corrupt _ -> fail l
   in
-  let service events l =
-    match List.assoc_opt (Conn.fd l.c.conn) events with
-    | Some (ev : Poll.event) when l.alive && (ev.ready_read || ev.ready_error) -> (
-      match Conn.read l.c.conn l.c.chunk with
-      | `Blocked -> ()
-      | `Eof -> fail l
-      | `Data -> pull l)
-    | _ -> ()
-  in
-  let rec drive conns =
-    List.iter fill conns;
-    if Hashtbl.length outstanding > 0 then begin
-      let live = List.filter (fun l -> l.alive) conns in
-      let want l = (Conn.fd l.c.conn, { Poll.want_read = true; want_write = Conn.flush l.c.conn }) in
-      List.iter (service (Poll.wait (List.map want live) ~timeout_ms:(-1))) live;
-      drive conns
-    end
+  let drive conns =
+    let r = Reactor.create () in
+    List.iter
+      (fun l -> Reactor.add r l.c.conn { Reactor.on_read = (fun () -> pull l); on_hangup = (fun () -> fail l) })
+      conns;
+    Reactor.run r (fun () ->
+        List.iter fill conns;
+        if Hashtbl.length outstanding > 0 then Some infinity else None);
+    Reactor.close r
   in
   let t0 = Unix.gettimeofday () in
   (* Every connection opens, round-robin over the addresses, before the
@@ -416,7 +409,7 @@ let load_any addrs cfg =
   (match
      for w = 0 to cfg.concurrency - 1 do
        let c = connect ~transport:cfg.transport addrs.(w mod Array.length addrs) in
-       opened := { c; inflight = 0; alive = true } :: !opened
+       opened := { c; inflight = 0 } :: !opened
      done
    with
   | () -> drive (List.rev !opened)

@@ -3,8 +3,10 @@
     the serve bench section and the CI smoke job.
 
     It runs on the servers' own connection code: a connection is a
-    {!Conn.t}, every wait is a {!Poll.wait}, and analyze requests go
-    out through {!Conn.analyze_request}, the router's encoder.
+    {!Conn.t}, the load generator drives its connections on the
+    servers' event loop ({!Reactor}), a single blocking request waits
+    in one {!Poll.wait}, and analyze requests go out through
+    {!Conn.analyze_request}, the router's encoder.
 
     Every connection starts on the v1 JSON-lines dialect; passing
     [~transport:Wire.V2] sends the [hello] negotiation frame first and
@@ -89,13 +91,14 @@ val close_session : session -> unit
     [load] replays a deterministic {!Check.Gen.ith} instance stream as
     [analyze] requests over [concurrency] connections, cycling over
     [distinct] instances — so a second pass hits the server's warm
-    store.  One thread drives every connection: all open before the
-    first request (a refused connect or [hello] fails every request),
-    each keeps up to [pipeline] requests in flight, one {!Poll.wait}
-    covers them all, and replies match back by id in one table (warm
-    replies may overtake cold ones).  A dead connection fails what it
-    has in flight; its unsent share goes to the live ones.  On
-    {!Wire.V2} the requests go out as binary ['A'] frames.  With
+    store.  One {!Reactor} drives every connection: all open before
+    the first request (a refused connect or [hello] fails every
+    request), each keeps up to [pipeline] requests in flight, and
+    replies match back by id in one table (warm replies may overtake
+    cold ones).  A dead connection fails what it has in flight; its
+    unsent share goes to the live ones.  The drive stops when nothing
+    is outstanding.  On {!Wire.V2} the requests go out as binary ['A']
+    frames.  With
     [verify] every verdict must equal a direct local
     {!Analysis.check} — a ['V'] frame's {!Protocol.verdict_wire}
     record field by field, a JSON [verdict] object byte for byte —

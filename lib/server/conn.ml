@@ -131,6 +131,20 @@ let create fd =
     closing = false;
   }
 
+let dial sa =
+  match
+    let fd = Unix.socket (Unix.domain_of_sockaddr sa) SOCK_STREAM 0 in
+    Unix.set_nonblock fd;
+    match Unix.connect fd sa with
+    | () -> (fd, false)
+    | exception Unix.Unix_error (EINPROGRESS, _, _) -> (fd, true)
+    | exception e ->
+      Unix.close fd;
+      raise e
+  with
+  | exception Unix.Unix_error _ -> None
+  | fd, connecting -> Some (create fd, connecting)
+
 let fd c = c.fd
 let decoder c = c.dec
 let closed c = c.dead

@@ -1,12 +1,13 @@
-(** The connection code of every peer of the wire protocol: the two
-    event loops that serve it, the daemon's ({!Daemon}) and the
-    cluster router's, and the client side, the router's upstream pool
-    and {!Client}: the listener bind with the stale-socket policy,
-    accept, one {!Wire.decoder} and one reusable output buffer per
-    connection, nonblocking read, flush and teardown, decoding a frame
-    into a request with its error reply, the [hello] switch on both
-    sides, and the analyze request and reply encoders.  What a request
-    does stays with the caller, and so do fault sites: the daemon
+(** The connection code of every peer of the wire protocol: the event
+    loop that serves it ({!Reactor}, under the daemon and the cluster
+    router), and the client side, the router's upstream pool and
+    {!Client}: the listener bind with the stale-socket policy, accept,
+    the nonblocking connect, one {!Wire.decoder} and one reusable
+    output buffer per connection, nonblocking read, flush and
+    teardown, decoding a frame into a request with its error reply,
+    the [hello] switch on both sides, and the analyze request and
+    reply encoders.  What a request does stays with the caller, and
+    so do fault sites: the daemon
     consults its [conn.*] sites around these calls, the router and
     the client none.
 
@@ -49,6 +50,12 @@ type t
 val create : Unix.file_descr -> t
 (** Wrap a connected nonblocking descriptor; input and output start
     on the v1 dialect. *)
+
+val dial : Unix.sockaddr -> (t * bool) option
+(** A nonblocking connect: the connection and whether the connect is
+    still in progress (TCP completes when the socket turns writable,
+    a Unix socket connects or fails at once), or [None] when it fails
+    at once. *)
 
 val fd : t -> Unix.file_descr
 

@@ -55,11 +55,7 @@ type t = {
   mutable batcher : job Batcher.t option;
   draining : bool Atomic.t;
   aborting : bool Atomic.t;
-  workers_done : bool Atomic.t;
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
-  listen_fd : Unix.file_descr;
-  bound_port : int option;
+  reactor : Reactor.t;
   sflight : waiter Singleflight.t;
   next_id : int Atomic.t;
   (* Per-server counts (the [Obs.Metrics] counters are process-wide,
@@ -86,15 +82,7 @@ let m_deadline_exceeded = Obs.Metrics.counter "server.deadline_exceeded"
 let g_queue_depth = Obs.Metrics.gauge "server.queue_depth"
 let h_request_ms = Obs.Metrics.histogram "server.request_ms"
 
-(* ------------------------------- wakeup ------------------------------ *)
-
-(* The self-pipe carries two byte values: ['d'] asks for a drain (the
-   public, async-signal-safe {!wake}), ['w'] merely interrupts the
-   poll so the loop re-reads shared state — workers send it after
-   queueing output for a descriptor the loop is not yet watching for
-   writability. *)
-let wake t = try ignore (Unix.write t.pipe_w (Bytes.of_string "d") 0 1) with _ -> ()
-let wake_loop t = try ignore (Unix.write t.pipe_w (Bytes.of_string "w") 0 1) with _ -> ()
+let wake t = Reactor.wake t.reactor
 
 (* Already-running and already-queued requests run to their exact
    answers; only new work is refused. *)
@@ -107,12 +95,12 @@ let initiate_drain t =
 (* ------------------------------ replies ----------------------------- *)
 
 (* Append one encoded message to the connection's output stream.  With
-   [defer] the bytes are only queued — the event loop batches one
-   flush per readiness event, so a pipelined burst of replies costs
-   one [write] instead of one per reply.  Workers flush eagerly and
-   wake the loop if the socket would block. *)
+   [defer] the bytes are only queued — the reactor flushes once per
+   read burst, so a pipelined burst of replies costs one [write]
+   instead of one per reply.  Workers flush eagerly and nudge the loop
+   if the socket would block. *)
 let send t conn ?(defer = false) make =
-  if Conn.send ~flush:(not defer) conn make && not defer then wake_loop t
+  if Conn.send ~flush:(not defer) conn make && not defer then Reactor.nudge t.reactor
 
 (* Every reply write consults the [conn.write] fault site first, as
    before the event-loop rewrite: a fired fault swallows the reply
@@ -204,8 +192,9 @@ let serve_job t job =
   Obs.Metrics.observe h_request_ms latency_ms
 
 (* SIGKILL-grade shutdown: refuse new work, discard everything still
-   queued and (in the loop) slam connections without flushing queued
-   replies; a batch already running finishes into closed connections.
+   queued and (once the loop stops) slam connections without flushing
+   queued replies; a batch already running finishes into closed
+   connections.
    Unlike [initiate_drain] nothing graceful happens — this is how the
    cluster chaos harness models a hard kill of an in-process shard
    (docs/CLUSTER.md). *)
@@ -213,7 +202,7 @@ let abort t =
   if not (Atomic.exchange t.aborting true) then begin
     Atomic.set t.draining true;
     List.iter (fun _ -> Limiter.release t.limiter ~latency_ms:0.) (Admission.abort t.queue);
-    wake_loop t
+    Reactor.nudge t.reactor
   end
 
 let handle_batch t batch =
@@ -471,13 +460,12 @@ let create cfg =
       (fun p -> Store.open_ ~fsync_every:cfg.fsync_every ?snapshot:cfg.snapshot_path p)
       cfg.store_path
   in
-  let listen_fd =
-    try Conn.bind cfg.listen
+  let reactor =
+    try Reactor.create ~listen:cfg.listen ()
     with e ->
       Option.iter Store.close store_;
       raise e
   in
-  let pipe_r, pipe_w = Unix.pipe () in
   let t =
     {
       cfg;
@@ -490,11 +478,7 @@ let create cfg =
       batcher = None;
       draining = Atomic.make false;
       aborting = Atomic.make false;
-      workers_done = Atomic.make false;
-      pipe_r;
-      pipe_w;
-      listen_fd;
-      bound_port = Conn.bound_port listen_fd;
+      reactor;
       sflight = Singleflight.create ();
       next_id = Atomic.make 0;
       n_accepted = Atomic.make 0;
@@ -513,157 +497,79 @@ let create cfg =
          ~compatible ~handle:(handle_batch t));
   t
 
-let port t = t.bound_port
+let port t = Reactor.port t.reactor
 
 (* -------------------------------- run ------------------------------- *)
 
-let teardown fdmap conn =
-  Hashtbl.remove fdmap (Conn.fd conn);
-  Conn.close conn
-
-(* Flush whatever the socket takes; a connection that stopped reading
-   after a corrupt stream goes once its last reply is out. *)
-let service_write fdmap conn =
-  if (not (Conn.flush conn)) && Conn.closing conn then teardown fdmap conn
-
-let service_read t fdmap conn chunk =
-  match Conn.read conn chunk with
-  | `Blocked -> ()
-  | `Eof -> teardown fdmap conn
-  | `Data ->
-    (* Both connection-fault sites are consulted here, after a
-       successful read, so the decisions are ordered with the peer's
-       request stream — the peer sending these bytes proves it has
-       consumed every earlier reply, so tearing down now can never
-       race a reply still in flight.  [conn.read] models a transport
-       reset while reading a request; [conn.drop] a hang-up between
-       requests.  Either way the just-read bytes are discarded with
-       the connection; the peer re-issues on a fresh one.
-       [conn.slow] first: a gray failure stalls the whole event loop
-       for the plan's delay — the slow-shard scenario the hedging and
-       breaker machinery exists for — without failing anything
-       (ambient, never logged per event). *)
-    Fault.stall "conn.slow";
-    if Fault.should_fail "conn.read" then teardown fdmap conn
-    else if Fault.should_fail "conn.drop" then teardown fdmap conn
-    else begin
-      Conn.pull conn
-        ~reject:(send_doc t conn ~defer:true)
-        (fun ~bin env -> handle_envelope t conn ~bin env);
-      (* One flush for the whole burst of inline replies. *)
-      service_write fdmap conn
-    end
-
-let accept fdmap fd =
-  (* An injected [daemon.accept] fault closes the freshly accepted
-     connection before it is ever serviced — the peer sees an
-     immediate EOF and reconnects. *)
-  if Fault.should_fail "daemon.accept" then (try Unix.close fd with Unix.Unix_error _ -> ())
+(* Every fault site of a connection is consulted on the loop thread,
+   so the decisions stay ordered with the request stream: [daemon.accept]
+   on each accepted connection, and [conn.slow], [conn.read] and
+   [conn.drop] on each chunk read, after the read — the peer sending
+   these bytes proves it has consumed every earlier reply, so tearing
+   down now can never race a reply still in flight.  [conn.read]
+   models a transport reset while reading a request, [conn.drop] a
+   hang-up between requests; either way the just-read bytes are
+   discarded with the connection and the peer re-issues on a fresh
+   one.  [conn.slow] first: a gray failure stalls the whole loop for
+   the plan's delay — the slow-shard scenario the hedging and breaker
+   machinery exists for — without failing anything (ambient, never
+   logged per event).  An injected [daemon.accept] fault closes the
+   fresh connection before it is ever serviced; the peer sees an
+   immediate EOF and reconnects. *)
+let accept t conn =
+  if Fault.should_fail "daemon.accept" then None
   else begin
     Obs.Metrics.incr m_conns;
-    Hashtbl.replace fdmap fd (Conn.create fd)
+    let on_read () =
+      Fault.stall "conn.slow";
+      if Fault.should_fail "conn.read" || Fault.should_fail "conn.drop" then Conn.close conn
+      else
+        Conn.pull conn
+          ~reject:(send_doc t conn ~defer:true)
+          (fun ~bin env -> handle_envelope t conn ~bin env)
+    in
+    Some { Reactor.on_read; on_hangup = ignore }
   end
 
+(* The drain policy.  On the first round that sees a drain, stop
+   accepting at once; a joiner thread turns the batcher join into a
+   nudge, so replies queued by the last workers still flush through
+   the reactor.  Once the workers are done the flush gets 5 s — a peer
+   that never reads its replies must not wedge the shutdown — checked
+   every 50 ms, since the writes before a wait may finish output the
+   check saw pending and leave nothing to wake it.  An abort stops the
+   loop at once. *)
 let run t =
-  let chunk = Bytes.create 65536 in
-  let pipe_buf = Bytes.create 256 in
-  Unix.set_nonblock t.pipe_r;
-  let fdmap : (Unix.file_descr, Conn.t) Hashtbl.t = Hashtbl.create 64 in
-  let conns () = Hashtbl.fold (fun _ c acc -> c :: acc) fdmap [] in
-  let drain_seen = ref false in
-  let flush_deadline = ref infinity in
-  let service_pipe () =
-    match Unix.read t.pipe_r pipe_buf 0 (Bytes.length pipe_buf) with
-    | 0 -> ()
-    | n -> if Bytes.contains (Bytes.sub pipe_buf 0 n) 'd' then initiate_drain t
-    | exception Unix.Unix_error _ -> ()
-  in
-  let abort_seen = ref false in
-  let rec loop () =
-    if Atomic.get t.aborting && not !abort_seen then begin
-      abort_seen := true;
-      if not !drain_seen then Conn.close_listener t.cfg.listen t.listen_fd;
-      drain_seen := true;
-      (* Slam every connection: queued replies are dropped unflushed,
-         exactly as a killed process would drop them.  Workers still
-         finishing a batch send into closed connections, which is a
-         no-op. *)
-      List.iter (teardown fdmap) (conns ());
-      Atomic.set t.workers_done true;
-      flush_deadline := neg_infinity
-    end;
-    let draining = Atomic.get t.draining in
-    if draining && not !drain_seen then begin
-      drain_seen := true;
-      (* Stop accepting at once; a joiner thread turns the batcher
-         join into a loop wake-up so replies queued by the last
-         workers still flush through the poll loop below. *)
-      Conn.close_listener t.cfg.listen t.listen_fd;
-      ignore
-        (Thread.create
-           (fun () ->
-             Option.iter Batcher.join t.batcher;
-             Atomic.set t.workers_done true;
-             wake_loop t)
-           ())
-    end;
-    (* Tear down connections that finished flushing after a corrupt
-       stream; collect the ones still alive. *)
-    List.iter
-      (fun c -> if Conn.closing c && not (Conn.pending c) then teardown fdmap c)
-      (conns ());
-    let live = conns () in
-    let workers_done = Atomic.get t.workers_done in
-    if workers_done && !flush_deadline = infinity then
-      (* The drain flush gets 5 s: a peer that never reads its replies
-         must not wedge the shutdown. *)
-      flush_deadline := Unix.gettimeofday () +. 5.0;
-    let all_flushed = List.for_all (fun c -> not (Conn.pending c)) live in
-    if !drain_seen && workers_done
-       && (all_flushed || Unix.gettimeofday () > !flush_deadline)
-    then ()
-    else begin
-      let interests =
-        (if !drain_seen then []
-         else [ (t.listen_fd, { Poll.want_read = true; want_write = false }) ])
-        @ [ (t.pipe_r, { Poll.want_read = true; want_write = false }) ]
-        @ List.filter_map
-            (fun c ->
-              let want_write = Conn.pending c in
-              let want_read = not (Conn.closing c) in
-              if want_read || want_write then
-                Some (Conn.fd c, { Poll.want_read; want_write })
-              else None)
-            live
-      in
-      let timeout_ms = if !drain_seen then 50 else -1 in
-      let events = Poll.wait interests ~timeout_ms in
-      List.iter
-        (fun (fd, (ev : Poll.event)) ->
-          if fd = t.pipe_r then (if ev.Poll.ready_read then service_pipe ())
-          else if (not !drain_seen) && fd = t.listen_fd then begin
-            if ev.Poll.ready_read then Conn.accept_burst t.listen_fd (accept fdmap)
-          end
-          else
-            match Hashtbl.find_opt fdmap fd with
-            | None -> ()
-            | Some conn ->
-              if ev.Poll.ready_write then service_write fdmap conn;
-              if (not (Conn.closed conn)) && (ev.Poll.ready_read || ev.Poll.ready_error) then
-                if Conn.closing conn then (if ev.Poll.ready_error then teardown fdmap conn)
-                else service_read t fdmap conn chunk)
-        events;
-      loop ()
-    end
-  in
-  loop ();
+  let drain_seen = ref false and flush_by = ref infinity in
+  let workers_done = Atomic.make false in
+  Reactor.run t.reactor ~accept:(accept t)
+    ~wake:(fun ~drain -> if drain then initiate_drain t)
+    (fun () ->
+      if Atomic.get t.aborting then None
+      else begin
+        if Atomic.get t.draining && not !drain_seen then begin
+          drain_seen := true;
+          Reactor.close_listener t.reactor;
+          ignore
+            (Thread.create
+               (fun () ->
+                 Option.iter Batcher.join t.batcher;
+                 Atomic.set workers_done true;
+                 Reactor.nudge t.reactor)
+               ())
+        end;
+        if not (Atomic.get workers_done) then Some infinity
+        else begin
+          let now = Unix.gettimeofday () in
+          if !flush_by = infinity then flush_by := now +. 5.0;
+          if now > !flush_by || not (Reactor.pending t.reactor) then None
+          else Some (Float.min !flush_by (now +. 0.05))
+        end
+      end);
+  (* [initiate_drain] here only covers a [run] that never saw a drain.
+     Workers are done: every accepted request got its reply bytes
+     queued, and the loop flushed them (or timed out on a peer that
+     stopped reading) — unless an abort dropped them. *)
   initiate_drain t;
-  (* The drain path above already closed the listener and unlinked the
-     socket; [initiate_drain] here only covers a [run] that never saw
-     traffic.  Workers are done: every accepted request got its reply
-     bytes queued, and the loop flushed them (or timed out on a peer
-     that stopped reading). *)
-  List.iter Conn.close (conns ());
-  Option.iter Store.close t.store_;
-  (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-  try Unix.close t.pipe_w with Unix.Unix_error _ -> ()
+  Reactor.close t.reactor;
+  Option.iter Store.close t.store_

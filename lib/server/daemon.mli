@@ -1,27 +1,28 @@
-(** The mapping-query daemon: a poll-based event loop, admission
-    control and graceful drain, wired around {!Wire}, {!Singleflight},
-    {!Admission}, {!Batcher}, {!Handlers} and {!Store}.
+(** The mapping-query daemon: request handlers, admission control and
+    graceful drain on one {!Reactor}, wired around {!Wire},
+    {!Singleflight}, {!Admission}, {!Batcher}, {!Handlers} and
+    {!Store}.
 
-    I/O architecture: one event-loop thread owns every socket, on the
-    connection code it shares with the cluster router ({!Conn}).  It
-    polls ({!Poll}) the listener, a self-pipe and all connections;
-    accepts until the listener would block; reads nonblocking chunks
-    into each connection's {!Wire.decoder}; and answers inline
-    everything that needs no pool dispatch — [ping], [stats], [drain],
-    [hello], [ship], and the {e warm fast path}: an [analyze] whose verdict is
-    already in the {!Store} is encoded straight from the loop, no
-    queue, no batcher.  Cold [analyze] requests are coalesced in a
-    {!Singleflight} table keyed on the mapping matrix's
-    {!Store.family_key_string}: the first request for a matrix is
-    admitted as the group's leader, every request for the same matrix
-    arriving while it is in flight joins as a follower, and the
-    finishing worker computes without reading the store again (the
-    loop's miss already decided that), journals the family verdict,
-    and fans one verdict per distinct [mu] — and one store append
-    each — out to all of them.  Replies append to a reusable
-    per-connection output buffer and flush opportunistically, so
-    pipelined bursts cost one [write] per readiness event rather than
-    one per reply.
+    I/O architecture: the daemon keeps only its handlers and its drain
+    policy; its {!Reactor} owns every socket — the listener, a
+    self-pipe and all connections — and the poll round over them, on
+    the connection code the router and the client share ({!Conn}).
+    The read handler answers inline everything that needs no pool
+    dispatch — [ping], [stats], [drain], [hello], [ship], and the
+    {e warm fast path}: an [analyze] whose verdict is already in the
+    {!Store} is encoded straight from the loop, no queue, no batcher.
+    Cold [analyze] requests are coalesced in a {!Singleflight} table
+    keyed on the mapping matrix's {!Store.family_key_string}: the
+    first request for a matrix is admitted as the group's leader,
+    every request for the same matrix arriving while it is in flight
+    joins as a follower, and the finishing worker computes without
+    reading the store again (the loop's miss already decided that),
+    journals the family verdict, and fans one verdict per distinct
+    [mu] — and one store append each — out to all of them.  Replies
+    append to a reusable per-connection output buffer; the reactor
+    flushes it once per read burst, so a pipelined burst costs one
+    [write] rather than one per reply, and workers flush their own
+    replies and nudge the loop when a socket would block.
 
     Transports: every connection starts on the v1 JSON-lines dialect;
     a [hello] request ({!Protocol.Hello}) switches it to the v2 binary
@@ -32,11 +33,12 @@
     Life cycle: {!create} binds the socket and replays the store,
     {!run} blocks in the event loop until a drain completes, and
     {!initiate_drain} (idempotent, thread-safe) starts the shutdown
-    sequence: close the admission queue, stop accepting, let the
-    workers finish the already-accepted requests (accepted work is
-    answered exactly, and a computed [analyze] verdict is journaled as
-    at any other time), flush the remaining output, then shut the
-    connections down and flush the store.
+    sequence — the daemon's drain policy: close the admission queue,
+    stop accepting, let the workers finish the already-accepted
+    requests (accepted work is answered exactly, and a computed
+    [analyze] verdict is journaled as at any other time), flush the
+    remaining output for up to 5 s, then close the connections and
+    the store.
     Signal handlers must call only {!wake} (a self-pipe write); the
     loop turns the wake-up into [initiate_drain] from a normal
     context.
@@ -45,7 +47,8 @@
     a dead socket file but never a live listener or a non-socket.
 
     Fault injection (armed {!Fault.Plan}, docs/RESILIENCE.md): the
-    loop consults [daemon.accept] (close the fresh connection),
+    accept handler consults [daemon.accept] (close the fresh
+    connection) on each accepted connection, the read handler
     [conn.read] (transport reset while reading a request) and
     [conn.drop] (hang-up between requests) on every arriving chunk,
     and every reply write consults [conn.write] (swallow the reply and
@@ -53,11 +56,11 @@
     client as a dropped connection, never as a corrupt reply; because
     the consults run on the single loop thread (or, for [conn.write],
     at the reply's position in the output stream), they stay ordered
-    with the request stream and a seeded plan replays identically —
-    the event-loop rewrite did not change this contract.  The gray
-    [conn.slow] site is consulted at the same loop-ordered point but
-    is {e ambient}: a fired consult stalls the loop by the plan's
-    delay and is never logged per event ({!Fault.stall}).
+    with the request stream and a seeded plan replays identically.
+    The gray [conn.slow] site is consulted at the same loop-ordered
+    point, first, but is {e ambient}: a fired consult stalls the loop
+    by the plan's delay and is never logged per event
+    ({!Fault.stall}).
 
     Deadlines: an [analyze] / [search] / [simulate] / [replay] whose
     [deadline_ms] is already [<= 0] on arrival (the router stamps the
@@ -122,8 +125,9 @@ val initiate_drain : t -> unit
 
 val abort : t -> unit
 (** SIGKILL-grade shutdown for in-process chaos: refuse new work,
-    {e discard} queued requests and queued reply bytes, and slam every connection without the graceful flush
-    {!initiate_drain} performs.  Peers see EOF; acked writes survive
+    {e discard} queued requests, stop the loop at once and close every
+    connection with its queued reply bytes unsent, without the
+    graceful flush {!initiate_drain} performs.  Peers see EOF; acked writes survive
     only as far as the store's [fsync_every] contract already put them
     on disk.  Idempotent and thread-safe. *)
 

@@ -77,8 +77,47 @@ let schedules_fields ~s schedules best =
     ("best_by_buffers", Json.option json_of_buffer_minimal best);
   ]
 
+(* The largest search request: a scan that finds nothing walks every Pi
+   up to Procedure 5.1's default objective bound. *)
+let max_search_candidates = 1 lsl 23
+
+(* The number of Pi with Sigma |pi_i| * mu_i up to that bound, or
+   [max_search_candidates + 1] for any larger count: a DP over the
+   components, memoized on the objective left, with the last component
+   solved as in [Procedure51.walk].  Each magnitude a level tries adds
+   at least one Pi, so no level tries more than the cap.  A single
+   mu_i at the cap gives more Pi than that along its own axis, since
+   the bound is at least mu_i (mu_i + 1); it is answered before the
+   bound, whose products could overflow, is formed. *)
+let search_candidates mu =
+  let cap = max_search_candidates + 1 in
+  let n = Array.length mu in
+  let memo = Hashtbl.create 64 in
+  let rec count i left =
+    if i = n - 1 then min cap ((2 * (left / mu.(i))) + 1)
+    else
+      match Hashtbl.find_opt memo (i, left) with
+      | Some c -> c
+      | None ->
+        let rec go mag acc =
+          if acc >= cap || mag * mu.(i) > left then acc
+          else
+            let signs = if mag = 0 then 1 else 2 in
+            go (mag + 1) (min cap (acc + (signs * count (i + 1) (left - (mag * mu.(i))))))
+        in
+        let c = go 0 0 in
+        Hashtbl.add memo (i, left) c;
+        c
+  in
+  if n = 0 then 1
+  else if Array.exists (fun m -> m >= cap) mu then cap
+  else count 0 (Procedure51.default_max_objective mu)
+
 let search ~pool ~algorithm ~mu ~s:s_opt ~pareto ~array_dim =
   let alg, default_s = builtin_algorithm algorithm mu in
+  if search_candidates (Index_set.bounds alg.Algorithm.index_set) > max_search_candidates then
+    badf "search: more than %d schedule candidates up to the default objective bound"
+      max_search_candidates;
   let base =
     [ ("algorithm", Json.Str algorithm); ("mu", Json.Int mu) ]
   in

@@ -67,12 +67,23 @@ val fields_of_analyze : Protocol.verdict_wire * string -> (string * Json.t) list
 val analyze : store:Store.t option -> mu:int array -> Intmat.t -> (string * Json.t) list
 (** [fields_of_analyze (analyze_wire ...)]. *)
 
+val max_search_candidates : int
+(** 2^23: the most schedule candidates a [search] request may walk. *)
+
+val search_candidates : int array -> int
+(** [search_candidates mu]: the number of [Pi] with
+    [Sigma |pi_i| * mu_i] at most {!Procedure51.default_max_objective}
+    [mu], the candidates a [search] over an index set with bounds [mu]
+    walks when it finds nothing; [max_search_candidates + 1] for any
+    larger count. *)
+
 val execute :
   pool:Engine.Pool.t -> store:Store.t option -> Protocol.request -> (string * Json.t) list
 (** Dispatch one queued request: [analyze], [search], [simulate] or
-    [replay].  A [simulate] of more than 2^18 index points, or whose
-    [Pi] or a row of [S] spans more than 2^20 over the index set, is a
-    bad request.
+    [replay].  A [search] with more than {!max_search_candidates}
+    candidates, a [simulate] of more than 2^18 index points, or one
+    whose [Pi] or a row of [S] spans more than 2^20 over the index set,
+    is a bad request.  The CLI runs the same searches unbounded.
     @raise Bad_request as above.
     @raise Invalid_argument on [Ping]/[Stats]/[Drain], which the
     connection loop answers inline. *)

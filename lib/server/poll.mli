@@ -1,4 +1,4 @@
-(** Readiness notification for the daemon's event loop: [poll(2)]
+(** Readiness notification for the event loop ({!Reactor}): [poll(2)]
     through a small C stub, with a pure-OCaml {!Unix.select} fallback.
 
     The backend is chosen once at startup: [SHANGFORTES_POLL=select]

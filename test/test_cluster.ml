@@ -694,6 +694,57 @@ let test_router_hedging () =
   rm pj;
   rm fj
 
+let test_router_drain_contract () =
+  (* The router's drain: a client's [drain] is acked before the
+     hang-up, and EOF follows the ack.  With a 60 s health interval
+     the monitor never pumps, so a record the primary journaled
+     reaches the follower only through the final journal push on the
+     way out of [Router.run]. *)
+  let pj = fresh_path ".store" and fj = fresh_path ".store" in
+  let primary = boot_daemon pj in
+  let follower = boot_daemon fj in
+  let _, _, psock = primary and _, _, fsock = follower in
+  let specs =
+    [ { Router.primary = `Unix psock; follower = Some (`Unix fsock); journal = Some pj } ]
+  in
+  let _, th, rsock = boot_router ~health_interval_ms:60_000 specs in
+  let conn = Client.connect (`Unix rsock) in
+  let reply = Client.request conn (Protocol.analyze ~id:(Json.Int 1) ~mu:mu1 t1) in
+  Alcotest.(check bool) "computed and journaled" true
+    (Json.member "store" reply = Some (Json.Str "miss"));
+  Client.close conn;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  Unix.connect fd (Unix.ADDR_UNIX rsock);
+  let drain = "{\"id\":2,\"op\":\"drain\"}\n" in
+  ignore (Unix.write_substring fd drain 0 (String.length drain));
+  let buf = Bytes.create 4096 in
+  let rec read_all acc =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> acc
+    | n -> read_all (acc ^ Bytes.sub_string buf 0 n)
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> acc
+  in
+  let received = read_all "" in
+  Unix.close fd;
+  (match String.split_on_char '\n' received with
+  | [ ack; "" ] -> (
+    match Json.parse ack with
+    | Ok ack ->
+      Alcotest.(check bool) "drain acked" true (Protocol.reply_ok ack);
+      Alcotest.(check bool) "ack echoes the id" true (Json.member "id" ack = Some (Json.Int 2))
+    | Error msg -> Alcotest.fail ("unparsable drain ack: " ^ msg))
+  | _ -> Alcotest.failf "expected the ack alone before EOF, got %S" received);
+  Thread.join th;
+  stop_daemon primary;
+  stop_daemon follower;
+  let fs = Store.open_ fj in
+  Alcotest.(check bool) "journaled record shipped on drain" true
+    (Store.find fs ~mu:mu1 t1 = Some (Store.entry_of_verdict (Analysis.check ~mu:mu1 t1)));
+  Store.close fs;
+  rm pj;
+  rm fj
+
 (* ------------------------------- chaos ------------------------------ *)
 
 let fleet_chaos ?(hard_kill = false) ?(fsync_every = 4) transport =
@@ -787,6 +838,7 @@ let suite =
     Alcotest.test_case "router failover" `Quick test_router_failover;
     Alcotest.test_case "health breaker" `Quick test_health_breaker;
     Alcotest.test_case "router hedging" `Quick test_router_hedging;
+    Alcotest.test_case "router drain contract" `Quick test_router_drain_contract;
     Alcotest.test_case "chaos fleet determinism" `Quick test_chaos_fleet_determinism;
     Alcotest.test_case "chaos fleet hard kill" `Quick test_chaos_fleet_hard_kill;
     Alcotest.test_case "chaos report keys" `Quick test_chaos_report_keys;

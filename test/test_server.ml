@@ -420,6 +420,63 @@ let test_live_simulate_bounded () =
   Client.close conn;
   shutdown server
 
+(* The candidate counts behind the search bound: matmul at mu 60 and
+   bit-level matmul at mu 5 stay under 2^23, bit-level matmul at mu 6
+   and matmul at mu 200 go past it, and a mu past the cap alone is
+   refused before its objective bound is formed. *)
+let test_search_candidates () =
+  let count name mu =
+    let alg, _ = Server.Handlers.builtin_algorithm name mu in
+    Server.Handlers.search_candidates (Index_set.bounds alg.Algorithm.index_set)
+  in
+  let over = Server.Handlers.max_search_candidates + 1 in
+  Alcotest.(check int) "matmul mu 8" 27_775 (count "matmul" 8);
+  Alcotest.(check int) "matmul mu 60" 8_238_783 (count "matmul" 60);
+  Alcotest.(check int) "bitmm mu 5" 7_095_093 (count "bitmm" 5);
+  Alcotest.(check int) "bitmm mu 6" over (count "bitmm" 6);
+  Alcotest.(check int) "matmul mu 200" over (count "matmul" 200);
+  Alcotest.(check int) "one wide axis" over (Server.Handlers.search_candidates [| 1; 1 lsl 40 |])
+
+let test_live_search_bounded () =
+  (* matmul at mu 200 has 293,070,463 candidates: the daemon refuses
+     the search at once and keeps serving. *)
+  let server = boot () in
+  let _, _, sock = server in
+  let conn = Client.connect (`Unix sock) in
+  let search mu = Client.request conn (Protocol.search ~id:(Json.Int mu) ~algorithm:"matmul" ~mu ()) in
+  let t0 = Unix.gettimeofday () in
+  let reply = search 200 in
+  Alcotest.(check (option string)) "oversized search is bad_request" (Some "bad_request")
+    (Protocol.error_code reply);
+  Alcotest.(check bool) "refused at once" true (Unix.gettimeofday () -. t0 < 1.);
+  let reply = Client.request conn (Protocol.ping ~id:(Json.Int 2) ()) in
+  Alcotest.(check bool) "still serving" true (Protocol.reply_ok reply);
+  Alcotest.(check bool) "a small search still runs" true (Protocol.reply_ok (search 4));
+  Client.close conn;
+  shutdown server
+
+let test_reactor_spans () =
+  (* A traced daemon through one ping and one analyze: the reactor
+     opens a span for each of its phases, and the cold analyze still
+     runs under its own [server.request]. *)
+  Obs.Trace.enable ();
+  let names =
+    Fun.protect ~finally:Obs.Trace.disable (fun () ->
+        let server = boot () in
+        let _, _, sock = server in
+        let conn = Client.connect (`Unix sock) in
+        Alcotest.(check bool) "ping ok" true
+          (Protocol.reply_ok (Client.request conn (Protocol.ping ~id:(Json.Int 1) ())));
+        Alcotest.(check bool) "analyze ok" true
+          (Protocol.reply_ok (Client.request conn (Protocol.analyze ~id:(Json.Int 2) ~mu:mu1 t1)));
+        Client.close conn;
+        shutdown server;
+        List.map (fun sp -> sp.Obs.Trace.name) (Obs.Trace.spans ()))
+  in
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " opened") true (List.mem name names))
+    [ "reactor.wait"; "reactor.read"; "reactor.dispatch"; "reactor.flush"; "server.request" ]
+
 let test_live_drain_rejects () =
   let server = boot () in
   let d, _, sock = server in
@@ -1548,6 +1605,9 @@ let suite =
     Alcotest.test_case "retry token bucket" `Quick test_retry_token_bucket;
     Alcotest.test_case "gray chaos determinism" `Quick test_gray_chaos_determinism;
     Alcotest.test_case "live simulate bounded" `Quick test_live_simulate_bounded;
+    Alcotest.test_case "search candidates counted" `Quick test_search_candidates;
+    Alcotest.test_case "live search bounded" `Quick test_live_search_bounded;
+    Alcotest.test_case "reactor spans" `Quick test_reactor_spans;
     Alcotest.test_case "live drain answers exactly" `Quick test_live_drain_answers_exactly;
     Alcotest.test_case "store kind boundary" `Quick test_store_kind_boundary;
   ]

@@ -557,9 +557,14 @@ let test_exec_report_digest () =
 let test_plan_memory_linear () =
   let alg = Matmul.algorithm ~mu:2 in
   let tm = Tmap.make ~s:Matmul.paper_s ~pi:(iv [ 1_000_000; 1; 1 ]) in
+  (* [Gc.allocated_bytes] counts minor-heap words only when a minor
+     collection runs, so one on each side of the call makes every
+     window count exactly the words allocated inside it. *)
   let allocated f =
+    Gc.minor ();
     let before = Gc.allocated_bytes () in
     let r = f () in
+    Gc.minor ();
     (r, Gc.allocated_bytes () -. before)
   in
   let plan, plan_bytes = allocated (fun () -> Kernel.compile alg tm) in
