@@ -1189,24 +1189,12 @@ let serve_cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Pool domains per batch (default: runtime choice).")
-  in
-  let inflight_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "max-inflight" ] ~docv:"N" ~doc:"Concurrent batches in flight (worker threads).")
-  in
-  let queue_cap_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Admission queue capacity; requests beyond it are shed with an \
-                $(i,overloaded) reply.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "batch" ] ~docv:"N" ~doc:"Largest batch fanned across the pool.")
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Pool width (default: runtime choice).  The daemon runs $(docv) - 1 worker \
+             domains, each serving one queued request at a time: at least one, and at \
+             least two once it has admitted a $(i,search), $(i,simulate) or \
+             $(i,replay); a $(i,search) fans out across $(docv) domains.")
   in
   let store_path_arg =
     Arg.(
@@ -1228,18 +1216,8 @@ let serve_cmd =
             "Hash-indexed store snapshot ($(b,compact) writes it): the store \
              warm-starts from it and serves memory misses out of its index \
              (docs/CLUSTER.md).")
-  in  let admission_target_arg =
-    Arg.(
-      value & opt float 250.
-      & info [ "admission-target-ms" ] ~docv:"MS"
-          ~doc:
-            "Admission-to-completion latency target of the adaptive (AIMD) \
-             concurrency limiter; sustained completions above it shrink the \
-             admission limit (docs/SERVER.md).")
   in
-
-  let run socket port jobs max_inflight queue batch store_path fsync_every snapshot_path
-      max_transport admission_target_ms fmt obs =
+  let run socket port jobs store_path fsync_every snapshot_path max_transport fmt obs =
     obs_begin obs;
     let listen =
       match port with
@@ -1250,14 +1228,10 @@ let serve_cmd =
       {
         (Server.Daemon.default_config listen) with
         Server.Daemon.jobs;
-        max_inflight;
-        queue_capacity = queue;
-        batch_max = batch;
         store_path;
         snapshot_path;
         fsync_every;
         max_transport;
-        admission_target_ms;
       }
     in
     let t = Server.Daemon.create cfg in
@@ -1293,13 +1267,12 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the mapping-query daemon: a batching, backpressured service speaking the \
+         "Run the mapping-query daemon: a backpressured service speaking the \
           versioned wire protocol (JSON lines and negotiated binary framing) with a \
           persistent verdict store (protocol in docs/SERVER.md)")
     Term.(
-      const run $ socket_arg $ port_arg $ jobs_arg $ inflight_arg $ queue_cap_arg
-      $ batch_arg $ store_path_arg $ fsync_arg $ snapshot_arg $ serve_transport_arg
-      $ admission_target_arg $ format_arg $ obs_term)
+      const run $ socket_arg $ port_arg $ jobs_arg $ store_path_arg $ fsync_arg
+      $ snapshot_arg $ serve_transport_arg $ format_arg $ obs_term)
 
 (* ------------------------------ compact ---------------------------- *)
 

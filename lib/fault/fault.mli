@@ -19,7 +19,7 @@
       ([daemon.accept]), reads treated as peer resets ([conn.read]),
       replies dropped with the connection ([conn.write]), and
       connections dropped after a served request ([conn.drop]);
-    - [worker] — batcher worker-thread death ([batcher.worker]);
+    - [worker] — daemon worker-domain death ([batcher.worker]);
     - [cluster] — serving-tier faults, consulted only by the sharded
       tier (lib/cluster): whole-shard death mid-load ([shard.kill],
       consulted by the cluster chaos driver) and forwarding failures
@@ -32,8 +32,8 @@
     - [latency] — gray failures: seeded {e delays}, not errors.  A
       fired consult stalls the caller by the plan's [delay_ms] instead
       of failing it: the event-loop read path ([conn.slow]), the
-      store's fsync interval ([store.fsync_stall]) and the batcher's
-      per-batch pop ([worker.stall]).  Consults go through
+      store's fsync interval ([store.fsync_stall]) and each daemon
+      worker's pop of a request ([worker.stall]).  Consults go through
       {!delay_ms} / {!stall}, which are {e ambient} — pure decision,
       never logged per event, never charged against [max_faults] — so
       same-seed fault logs stay byte-identical even when hedged
@@ -154,4 +154,4 @@ val stall : string -> unit
     the calling thread (no-op when nothing fires).  This is what the
     instrumented sites call: [conn.slow] on the event loop after a
     received chunk, [store.fsync_stall] when the fsync interval is
-    due, [worker.stall] once per popped batch. *)
+    due, [worker.stall] once per popped request. *)

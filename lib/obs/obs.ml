@@ -20,8 +20,8 @@ module Trace = struct
   let completed_len = ref 0
 
   (* Per-thread stack of open span ids, innermost first.  Keyed by
-     thread id, not domain: the daemon's event-loop thread, batcher
-     workers and the main thread all live in the main domain, and a
+     thread id, not domain: the event-loop threads of an in-process
+     fleet and the main thread all live in the main domain, and a
      shared per-domain stack would interleave their span trees. *)
   let stacks : (int, int list ref) Hashtbl.t = Hashtbl.create 64
   let stacks_lock = Mutex.create ()

@@ -11,9 +11,10 @@
       screening paths of [Analysis] and [Procedure51] stay
       instrumented permanently;
     - {e thread-safety}: span stacks are per {e thread} (not per
-      domain — the daemon runs its event loop and batcher workers as
-      sibling threads of one domain, and a shared stack would
-      interleave their span trees), the collector and every metric are
+      domain — an in-process fleet runs each daemon's and the
+      router's event loop as sibling threads of one domain, and a
+      shared stack would interleave their span trees), the collector
+      and every metric are
       safe to touch from any domain, and [Engine.Pool] re-parents
       worker spans under the span that was open at the [map] call;
     - {e machine-readable output}: {!Export} renders the same data as

@@ -1,27 +1,24 @@
-(** Admission control: the bounded request queue between connection
-    threads and the batcher workers.
+(** Admission control: the request queue between the event loop and
+    the worker domains.
 
-    Producers never block — {!try_push} on a full queue returns
-    [false] and the caller sheds the request with an [overloaded]
-    reply.  Consumers block in {!pop_batch} until work or {!close};
-    a batch is the longest prefix of queued items (up to [max]) that
-    is pairwise [compatible] with the first, so compatible analysis
-    requests fan out across one {!Engine.Pool.map} call.
+    The queue has no capacity of its own: the daemon's {!Limiter}
+    already bounds queued plus running requests.  Producers never
+    block — {!try_push} on a closed queue returns [false] and the
+    caller refuses the request.  Consumers block in {!pop} until work
+    or {!close}, and take one request at a time.
 
-    All operations are thread-safe. *)
+    All operations are safe from any thread or domain. *)
 
 type 'a t
 
-val create : capacity:int -> 'a t
-(** @raise Invalid_argument when [capacity < 1]. *)
+val create : unit -> 'a t
 
 val try_push : 'a t -> 'a -> bool
-(** Enqueue, or return [false] when the queue is full or closed. *)
+(** Enqueue, or return [false] when the queue is closed. *)
 
-val pop_batch : 'a t -> max:int -> compatible:('a -> 'a -> bool) -> 'a list option
-(** Block until the queue is non-empty, then dequeue the longest
-    prefix (at most [max] items) whose members are all [compatible]
-    with the first.  [None] once the queue is closed and drained. *)
+val pop : 'a t -> 'a option
+(** Block until the queue is non-empty, then dequeue its head.  [None]
+    once the queue is closed and drained. *)
 
 val close : 'a t -> unit
 (** Reject further pushes and wake all blocked consumers; already

@@ -1,92 +1,94 @@
 type 'a t = {
   queue : 'a Admission.t;
-  batch_max : int;
-  compatible : 'a -> 'a -> bool;
-  handle : 'a list -> unit;
+  handle : 'a -> unit;
   lock : Mutex.t;
-  mutable threads : Thread.t list;
-  mutable deaths : int;
+  mutable started : int;
+  mutable domains : unit Domain.t list;
+  deaths : int Atomic.t;
 }
 
 let m_errors = Obs.Metrics.counter "server.worker_errors"
 let m_deaths = Obs.Metrics.counter "server.worker_deaths"
 
+let create ~queue ~handle =
+  {
+    queue;
+    handle;
+    lock = Mutex.create ();
+    started = 0;
+    domains = [];
+    deaths = Atomic.make 0;
+  }
+
+(* Spawns under the lock, so [join] always sees the full domain list.
+   [false] when the runtime refuses another domain (its domain limit). *)
+let spawn t f =
+  Mutex.protect t.lock (fun () ->
+      match Domain.spawn f with
+      | d ->
+        t.domains <- d :: t.domains;
+        true
+      | exception _ -> false)
+
+let serve t x =
+  try t.handle x
+  with exn ->
+    Obs.Metrics.incr m_errors;
+    ignore
+      (Obs.Warn.once "server.worker_error"
+         (Printf.sprintf "server worker: uncaught %s" (Printexc.to_string exn)))
+
 (* A worker consults the [batcher.worker] kill site once per *popped
-   batch* — never per wake-up or per blocked wait, which would make
-   the consult count (and so the seeded fault log) depend on thread
-   scheduling and on when the plan is disarmed.  One batch, one
-   consult: the stream of decisions is ordered with the request
-   stream.  When the site fires, the worker dies with the batch in
-   hand; its replacement (spawned under the pool lock, so [join]
-   always sees the full thread list) handles that batch *first*, so
-   an accepted request is never lost to supervision. *)
+   request* — never per wake-up or per blocked wait, which would make
+   the consult count (and so the seeded fault log) depend on
+   scheduling and on when the plan is disarmed.  The stream of
+   decisions is ordered with the request stream.  When the site fires,
+   the worker dies with the request in hand; its replacement domain
+   serves that request *first*, so an accepted request is never lost
+   to supervision.  A worker whose replacement cannot be spawned
+   serves the request itself. *)
 let rec worker ?carry t () =
-  let handle_batch batch =
-    try t.handle batch
-    with exn ->
-      Obs.Metrics.incr m_errors;
-      ignore
-        (Obs.Warn.once "server.worker_error"
-           (Printf.sprintf "server worker: uncaught %s" (Printexc.to_string exn)))
-  in
-  Option.iter handle_batch carry;
-  match Admission.pop_batch t.queue ~max:t.batch_max ~compatible:t.compatible with
+  Option.iter (serve t) carry;
+  match Admission.pop t.queue with
   | None -> ()
-  | Some batch ->
-    (* The gray [worker.stall] site shares the once-per-popped-batch
-       cadence: a fired consult stalls this worker (and its whole
-       batch) by the plan's delay — a GC-pause / saturated-worker
-       brownout.  Ambient: applied, never logged. *)
+  | Some x ->
+    (* The gray [worker.stall] site shares the once-per-popped-request
+       cadence: a fired consult stalls this worker by the plan's delay
+       — a GC-pause / saturated-worker brownout.  Ambient: applied,
+       never logged. *)
     Fault.stall "worker.stall";
-    if Fault.should_fail "batcher.worker" then begin
+    if Fault.should_fail "batcher.worker" && spawn t (worker ~carry:x t) then begin
       Obs.Metrics.incr m_deaths;
-      Mutex.lock t.lock;
-      t.deaths <- t.deaths + 1;
-      t.threads <- Thread.create (worker ~carry:batch t) () :: t.threads;
-      Mutex.unlock t.lock;
+      Atomic.incr t.deaths;
       ignore
         (Obs.Warn.once "server.worker_death"
            "server worker: killed by fault plan, respawned")
     end
     else begin
-      handle_batch batch;
+      serve t x;
       worker t ()
     end
 
-let start ~queue ~workers ~batch_max ~compatible ~handle =
-  if workers < 1 then invalid_arg "Batcher.start: workers must be >= 1";
-  if batch_max < 1 then invalid_arg "Batcher.start: batch_max must be >= 1";
-  let t =
-    {
-      queue;
-      batch_max;
-      compatible;
-      handle;
-      lock = Mutex.create ();
-      threads = [];
-      deaths = 0;
-    }
-  in
-  t.threads <- List.init workers (fun _ -> Thread.create (worker t) ());
-  t
+let start t n =
+  while t.started < n && spawn t (worker t) do
+    t.started <- t.started + 1
+  done;
+  t.started > 0
 
-(* The thread list grows while we join (respawns), so keep popping
+(* The domain list grows while we join (respawns), so keep popping
    until it is empty rather than iterating a snapshot. *)
-let join t =
-  let rec drain () =
-    Mutex.lock t.lock;
-    match t.threads with
-    | [] -> Mutex.unlock t.lock
-    | th :: rest ->
-      t.threads <- rest;
-      Mutex.unlock t.lock;
-      Thread.join th;
-      drain ()
-  in
-  drain ()
+let rec join t =
+  match
+    Mutex.protect t.lock (fun () ->
+        match t.domains with
+        | [] -> None
+        | d :: rest ->
+          t.domains <- rest;
+          Some d)
+  with
+  | None -> ()
+  | Some d ->
+    Domain.join d;
+    join t
 
-let deaths t =
-  Mutex.lock t.lock;
-  let d = t.deaths in
-  Mutex.unlock t.lock;
-  d
+let deaths t = Atomic.get t.deaths

@@ -1,33 +1,36 @@
-(** The worker pool draining the admission queue.
+(** The worker domains draining the admission queue.
 
-    [start] spawns [workers] threads, each looping
-    {!Admission.pop_batch} → [handle]; a worker exits when the queue
-    is closed and drained.  [handle] receives whole batches so it can
-    fan one batch across a shared {!Engine.Pool}.  Exceptions escaping
-    [handle] are caught, counted on [server.worker_errors] and logged
-    once — a poisoned request must not kill its worker.
+    Each worker is an OCaml domain that loops {!Admission.pop} →
+    [handle], one request at a time, and exits when the queue is
+    closed and drained; the event loop's domain never runs [handle].
+    {!create} spawns nothing: {!start} spawns workers as the caller
+    admits requests.  Exceptions escaping [handle] are caught, counted
+    on [server.worker_errors] and logged once — a poisoned request
+    must not kill its worker.
 
     Supervision: with an armed {!Fault.Plan}, the [batcher.worker]
-    site is consulted exactly once per {e popped batch} — never per
+    site is consulted exactly once per {e popped request} — never per
     wake-up or blocked wait, so the consult sequence is ordered with
     the request stream and a seeded plan replays identically.  A fired
-    fault kills the worker with the batch in hand; the replacement it
-    spawns (counted by the [server.worker_deaths] metric and
-    {!deaths}) handles that batch first, so no accepted request is
+    fault kills the worker with the request in hand; the replacement
+    domain it spawns (counted by the [server.worker_deaths] metric and
+    {!deaths}) serves that request first, so no accepted request is
     ever lost to a worker death. *)
 
 type 'a t
 
-val start :
-  queue:'a Admission.t ->
-  workers:int ->
-  batch_max:int ->
-  compatible:('a -> 'a -> bool) ->
-  handle:('a list -> unit) ->
-  'a t
+val create : queue:'a Admission.t -> handle:('a -> unit) -> 'a t
+
+val start : 'a t -> int -> bool
+(** [start t n] spawns workers until [n] have started (nothing when
+    [n] already have) and returns whether any worker runs.  At the
+    runtime's domain limit fewer start, and while the runtime refuses
+    every one it returns [false]: the caller must not queue work that
+    no worker would pop.  Called from one thread (the daemon's event
+    loop). *)
 
 val join : 'a t -> unit
-(** Wait for every worker — including respawned ones — to exit
+(** Wait for every worker domain — including respawned ones — to exit
     (callers {!Admission.close} the queue first). *)
 
 val deaths : 'a t -> int

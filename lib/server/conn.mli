@@ -12,10 +12,10 @@
     the client none.
 
     A connection is read, polled and closed by one thread.
-    Output may be appended from any thread (the daemon's batcher
-    workers do): the output buffer, the dialect and the closed flag
-    sit under one per-connection lock, so every message is encoded in
-    the dialect current at its position in the stream. *)
+    Output may be appended from any thread or domain (the daemon's
+    worker domains do): the output buffer, the dialect and the closed
+    flag sit under one per-connection lock, so every message is
+    encoded in the dialect current at its position in the stream. *)
 
 (** {1 Listener} *)
 

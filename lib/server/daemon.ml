@@ -3,28 +3,20 @@ type listen = Conn.listen = Unix_sock of string | Tcp of int
 type config = {
   listen : listen;
   jobs : int option;
-  max_inflight : int;
-  queue_capacity : int;
-  batch_max : int;
   store_path : string option;
   snapshot_path : string option;
   fsync_every : int;
   max_transport : Wire.version;
-  admission_target_ms : float;
 }
 
 let default_config listen =
   {
     listen;
     jobs = None;
-    max_inflight = 2;
-    queue_capacity = 256;
-    batch_max = 32;
     store_path = None;
     snapshot_path = None;
     fsync_every = 32;
     max_transport = Wire.V2;
-    admission_target_ms = 250.;
   }
 
 (* Waiters carry their own (mu, T): singleflight groups key on the
@@ -62,8 +54,7 @@ type t = {
      and the tests run several servers in one process). *)
   n_accepted : int Atomic.t;
   n_shed : int Atomic.t;
-  n_batches : int Atomic.t;
-  n_batched : int Atomic.t;
+  n_served : int Atomic.t;
   n_fastpath : int Atomic.t;
   n_family_fastpath : int Atomic.t;
   n_binary : int Atomic.t;
@@ -72,7 +63,6 @@ type t = {
 
 let m_accepted = Obs.Metrics.counter "server.accepted"
 let m_shed = Obs.Metrics.counter "server.shed"
-let m_batches = Obs.Metrics.counter "server.batches"
 let m_batched = Obs.Metrics.counter "server.batched"
 let m_conns = Obs.Metrics.counter "server.connections"
 let m_fastpath = Obs.Metrics.counter "server.fastpath"
@@ -116,19 +106,16 @@ let send_doc t conn ?defer json = send_reply t conn ?defer (Conn.doc json)
 let send_analyze t w ?defer result =
   send_reply t w.w_conn ?defer (Conn.analyze_reply ~id:w.w_id ~bin:w.w_bin result)
 
-(* ------------------------------ batches ----------------------------- *)
+(* ------------------------------ workers ----------------------------- *)
 
-let compatible a b =
-  match (a.env.Protocol.req, b.env.Protocol.req) with
-  | Protocol.Analyze _, Protocol.Analyze _ -> true
-  | Protocol.Replay _, Protocol.Replay _ -> true
-  | _ -> false
-
+(* Runs on a worker domain, one popped request at a time. *)
 let serve_job t job =
+  Atomic.incr t.n_served;
+  Obs.Metrics.incr m_batched;
+  Obs.Metrics.set_gauge g_queue_depth (float_of_int (Admission.length t.queue));
   let op = Protocol.op_name job.env.Protocol.req in
-  (* A fresh span stack per request: pool workers run in their own
-     domain, so the request subtree is not entangled with the
-     server's own spans. *)
+  (* A fresh span stack per request, rooted on the worker, so the
+     request subtree is not entangled with the server's own spans. *)
   Obs.Trace.with_parent None (fun () ->
       Obs.Trace.with_span "server.request"
         ~args:[ ("op", op); ("rid", string_of_int job.rid) ]
@@ -193,7 +180,7 @@ let serve_job t job =
 
 (* SIGKILL-grade shutdown: refuse new work, discard everything still
    queued and (once the loop stops) slam connections without flushing
-   queued replies; a batch already running finishes into closed
+   queued replies; a request already running finishes into closed
    connections.
    Unlike [initiate_drain] nothing graceful happens — this is how the
    cluster chaos harness models a hard kill of an in-process shard
@@ -204,14 +191,6 @@ let abort t =
     List.iter (fun _ -> Limiter.release t.limiter ~latency_ms:0.) (Admission.abort t.queue);
     Reactor.nudge t.reactor
   end
-
-let handle_batch t batch =
-  Atomic.incr t.n_batches;
-  ignore (Atomic.fetch_and_add t.n_batched (List.length batch));
-  Obs.Metrics.incr m_batches;
-  Obs.Metrics.add m_batched (List.length batch);
-  Obs.Metrics.set_gauge g_queue_depth (float_of_int (Admission.length t.queue));
-  ignore (Engine.Pool.map t.pool (fun job -> serve_job t job) batch)
 
 (* ------------------------------- stats ------------------------------ *)
 
@@ -235,8 +214,9 @@ let stats_fields t =
             ("rejected", Json.Int (Limiter.rejected t.limiter));
             ("decreases", Json.Int (Limiter.decreases t.limiter));
           ] );
-      ("batches", Json.Int (Atomic.get t.n_batches));
-      ("batched", Json.Int (Atomic.get t.n_batched));
+      (* Both count requests served by workers, one per pop. *)
+      ("batches", Json.Int (Atomic.get t.n_served));
+      ("batched", Json.Int (Atomic.get t.n_served));
       ("fastpath", Json.Int (Atomic.get t.n_fastpath));
       ( "family",
         Json.Obj [ ("fastpath", Json.Int (Atomic.get t.n_family_fastpath)) ] );
@@ -318,19 +298,37 @@ let refused t conn ~id deadline_ms =
   end
   else false
 
+(* The worker domains to run before [env] is queued: one per pool
+   domain beyond the loop's, and at least two once a request that can
+   run for seconds (a search, simulate or replay) is admitted, so that
+   one cannot hold up every queued cold analyze.  An analyze-only
+   daemon at jobs <= 2 runs one, and saves a second domain's memory. *)
+let workers t env =
+  let n = Engine.Pool.jobs t.pool - 1 in
+  match env.Protocol.req with Protocol.Analyze _ -> max 1 n | _ -> max 2 n
+
 (* The one admission path for queued work.  The AIMD limiter gates
    queued compute only — ping/stats/drain/hello/ship are answered
-   inline and can never shed behind analyze traffic — and the bounded
-   queue comes after it.  [shed] answers a refusal with the
-   [overloaded] detail. *)
-let admit t conn env ~sf ~shed =
+   inline and can never shed behind analyze traffic — and it counts
+   queued plus running requests, so the queue needs no bound of its
+   own.  [refuse] answers a refusal with its error code and detail. *)
+let admit t conn env ~sf ~refuse =
   let shed detail =
     Atomic.incr t.n_shed;
     Obs.Metrics.incr m_shed;
-    shed detail
+    refuse ~code:"overloaded" detail
   in
   if not (Limiter.try_admit t.limiter) then
     shed (Printf.sprintf "admission limit reached (%d inflight)" (Limiter.limit t.limiter))
+  else if
+    not (Option.fold ~none:false ~some:(fun b -> Batcher.start b (workers t env)) t.batcher)
+  then begin
+    (* The runtime refused every worker domain (its domain limit):
+       queue nothing that no worker would pop.  The next admission
+       tries again. *)
+    Limiter.release t.limiter ~latency_ms:0.;
+    shed "no worker domain available"
+  end
   else begin
     let rid = Atomic.fetch_and_add t.next_id 1 in
     let job = { rid; env; jconn = conn; enqueued_at = Unix.gettimeofday (); sf } in
@@ -340,10 +338,11 @@ let admit t conn env ~sf ~shed =
       Obs.Metrics.set_gauge g_queue_depth (float_of_int (Admission.length t.queue))
     end
     else begin
-      (* A full queue is itself an overload signal: release with an
-         over-target latency so the limiter backs off. *)
-      Limiter.release t.limiter ~latency_ms:Float.infinity;
-      shed (Printf.sprintf "queue full (%d requests)" t.cfg.queue_capacity)
+      (* Only a drain or an abort closes the queue, here between
+         [refused] and the push: answer as [refused] would have, and
+         give the slot back without an AIMD backoff. *)
+      Limiter.release t.limiter ~latency_ms:0.;
+      refuse ~code:"draining" "server is draining"
     end
   end
 
@@ -353,7 +352,7 @@ let handle_analyze t conn ~bin ~id ~mu ~tmat ~deadline_ms =
     match Option.bind t.store_ (fun s -> Store.find s ~mu tmat) with
     | Some e ->
       (* Warm fast path: a stored verdict is encoded straight from the
-         event loop — no queue, no batcher, no pool handoff. *)
+         event loop — no queue, no worker handoff. *)
       with_loop_span ~path:"fastpath" (fun () ->
           Atomic.incr t.n_fastpath;
           Obs.Metrics.incr m_fastpath;
@@ -396,13 +395,13 @@ let handle_analyze t conn ~bin ~id ~mu ~tmat ~deadline_ms =
         | `Follower -> Obs.Metrics.incr m_coalesced
         | `Leader ->
           let env = { Protocol.id; req = Protocol.Analyze { mu; tmat; deadline_ms } } in
-          admit t conn env ~sf:(Some key) ~shed:(fun detail ->
-              (* The whole group sheds: followers joined an admission
-                 that never happened. *)
+          admit t conn env ~sf:(Some key) ~refuse:(fun ~code detail ->
+              (* The whole group is refused: followers joined an
+                 admission that never happened. *)
               List.iter
                 (fun w ->
                   send_doc t w.w_conn ~defer:true
-                    (Protocol.error_reply ~id:w.w_id ~code:"overloaded" ~detail))
+                    (Protocol.error_reply ~id:w.w_id ~code ~detail))
                 (Singleflight.complete t.sflight ~key))))
 
 let handle_envelope t conn ~bin (env : Protocol.envelope) =
@@ -447,8 +446,8 @@ let handle_envelope t conn ~bin (env : Protocol.envelope) =
     | Error reply -> send_doc t conn ~defer:true reply)
   | Protocol.Search _ | Protocol.Simulate _ | Protocol.Replay _ ->
     if not (refused t conn ~id (Protocol.deadline_ms env.Protocol.req)) then
-      admit t conn env ~sf:None ~shed:(fun detail ->
-          send_doc t conn ~defer:true (Protocol.error_reply ~id ~code:"overloaded" ~detail))
+      admit t conn env ~sf:None ~refuse:(fun ~code detail ->
+          send_doc t conn ~defer:true (Protocol.error_reply ~id ~code ~detail))
 
 (* ------------------------------ create ------------------------------ *)
 
@@ -471,10 +470,8 @@ let create cfg =
       cfg;
       pool = Engine.Pool.create ?jobs:cfg.jobs ();
       store_;
-      queue = Admission.create ~capacity:cfg.queue_capacity;
-      limiter =
-        Limiter.create ~min_limit:4 ~target_ms:cfg.admission_target_ms
-          ~max_limit:cfg.queue_capacity ();
+      queue = Admission.create ();
+      limiter = Limiter.create ~min_limit:4 ~max_limit:256 ();
       batcher = None;
       draining = Atomic.make false;
       aborting = Atomic.make false;
@@ -483,18 +480,14 @@ let create cfg =
       next_id = Atomic.make 0;
       n_accepted = Atomic.make 0;
       n_shed = Atomic.make 0;
-      n_batches = Atomic.make 0;
-      n_batched = Atomic.make 0;
+      n_served = Atomic.make 0;
       n_fastpath = Atomic.make 0;
       n_family_fastpath = Atomic.make 0;
       n_binary = Atomic.make 0;
       n_deadline_exceeded = Atomic.make 0;
     }
   in
-  t.batcher <-
-    Some
-      (Batcher.start ~queue:t.queue ~workers:cfg.max_inflight ~batch_max:cfg.batch_max
-         ~compatible ~handle:(handle_batch t));
+  t.batcher <- Some (Batcher.create ~queue:t.queue ~handle:(serve_job t));
   t
 
 let port t = Reactor.port t.reactor
@@ -532,7 +525,7 @@ let accept t conn =
   end
 
 (* The drain policy.  On the first round that sees a drain, stop
-   accepting at once; a joiner thread turns the batcher join into a
+   accepting at once; a joiner thread turns the workers' join into a
    nudge, so replies queued by the last workers still flush through
    the reactor.  Once the workers are done the flush gets 5 s — a peer
    that never reads its replies must not wedge the shutdown — checked

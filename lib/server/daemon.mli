@@ -1,7 +1,7 @@
 (** The mapping-query daemon: request handlers, admission control and
     graceful drain on one {!Reactor}, wired around {!Wire},
-    {!Singleflight}, {!Admission}, {!Batcher}, {!Handlers} and
-    {!Store}.
+    {!Singleflight}, {!Admission}, the worker domains of {!Batcher},
+    {!Handlers} and {!Store}.
 
     I/O architecture: the daemon keeps only its handlers and its drain
     policy; its {!Reactor} owns every socket — the listener, a
@@ -10,7 +10,9 @@
     The read handler answers inline everything that needs no pool
     dispatch — [ping], [stats], [drain], [hello], [ship], and the
     {e warm fast path}: an [analyze] whose verdict is already in the
-    {!Store} is encoded straight from the loop, no queue, no batcher.
+    {!Store} is encoded straight from the loop, no queue, no worker.
+    Everything else is queued and served by a worker domain, one
+    request at a time, so the loop's domain never computes a verdict.
     Cold [analyze] requests are coalesced in a {!Singleflight} table
     keyed on the mapping matrix's {!Store.family_key_string}: the
     first request for a matrix is admitted as the group's leader,
@@ -69,11 +71,12 @@
     counted by [server.deadline_exceeded] and the [stats] field.
 
     Admission: queued compute work passes an AIMD adaptive concurrency
-    limiter ({!Limiter}, bounds [[4, queue_capacity]],
-    exported as the [admission.limit] gauge) before the bounded queue;
-    inline operations — [ping], [stats], [drain], [hello], [ship] and
-    both fastpaths — are never gated, so control traffic cannot shed
-    behind analyze load.  Loop-inline replies run under their own span
+    limiter ({!Limiter}, bounds [[4, 256]], target 250 ms, exported as
+    the [admission.limit] gauge) before the queue; the limiter counts
+    queued plus running requests, so the queue has no bound of its
+    own.  Inline operations — [ping], [stats], [drain], [hello],
+    [ship] and both fastpaths — are never gated, so control traffic
+    cannot shed behind analyze load.  Loop-inline replies run under their own span
     root, so per-request trace trees are accurate for fastpath work
     too (per-thread span stacks in {!Obs.Trace}). *)
 
@@ -83,10 +86,13 @@ type listen = Conn.listen =
 
 type config = {
   listen : listen;
-  jobs : int option;       (** Pool domains ([None]: runtime default). *)
-  max_inflight : int;      (** Batcher worker threads. *)
-  queue_capacity : int;    (** Admission queue bound; beyond it requests shed. *)
-  batch_max : int;         (** Largest batch fanned across the pool. *)
+  jobs : int option;
+      (** Pool width ([None]: the runtime's recommended domain count).
+          The daemon starts worker domains as it admits requests:
+          [max 1 (jobs - 1)] for [analyze] traffic, and at least two
+          once it has admitted a [search], [simulate] or [replay], so
+          one long request leaves a worker for cold [analyze] work; a
+          [search] fans out on the pool. *)
   store_path : string option;
   snapshot_path : string option;
       (** Snapshot the store warm-starts from (and that [compact]
@@ -98,22 +104,17 @@ type config = {
       (** Newest dialect [hello] may negotiate: {!Wire.V1} pins the
           server to JSON lines, {!Wire.V2} (the default) also offers
           the binary framing. *)
-  admission_target_ms : float;
-      (** Admission-to-completion latency above which the AIMD
-          limiter backs off. *)
 }
 
 val default_config : listen -> config
-(** [jobs = None], [max_inflight = 2], [queue_capacity = 256],
-    [batch_max = 32], no store, no snapshot, [fsync_every = 32],
-    [max_transport = V2], [admission_target_ms = 250.].  The
-    adaptive admission limit ({!Limiter}) ranges over
-    [[4, queue_capacity]]. *)
+(** [jobs = None], no store, no snapshot, [fsync_every = 32],
+    [max_transport = V2]. *)
 
 type t
 
 val create : config -> t
-(** Bind the socket, open and replay the store, start the workers.
+(** Bind the socket and open and replay the store; the worker domains
+    start with the first admitted request.
     @raise Failure / [Unix.Unix_error] when the socket or store path
     is unusable. *)
 
@@ -142,12 +143,12 @@ val port : t -> int option
 val store : t -> Store.t option
 
 val worker_deaths : t -> int
-(** Batcher workers killed (and respawned) by an armed fault plan —
+(** Worker domains killed (and respawned) by an armed fault plan —
     see {!Batcher.deaths}. *)
 
 val stats_fields : t -> (string * Json.t) list
 (** The payload of a [stats] reply: queue depth, accepted / shed /
-    batched / fastpath / worker-death counts, singleflight group and
-    coalescing counts, the transport policy with the number of
-    binary-negotiated connections, the draining flag and store
-    statistics. *)
+    served ([batches] and [batched]) / fastpath / worker-death
+    counts, singleflight group and coalescing counts, the transport
+    policy with the number of binary-negotiated connections, the
+    draining flag and store statistics. *)

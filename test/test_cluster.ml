@@ -16,12 +16,19 @@ module Health = Cluster.Health
 module Wire = Server.Wire
 module Chaos = Cluster.Chaos
 
+(* A path no file holds yet: a run that failed before its cleanup
+   leaves its files behind, and a later process may get the same pid. *)
 let fresh_path =
   let counter = ref 0 in
-  fun suffix ->
+  let rec next suffix =
     incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sf-cluster-%d-%d%s" (Unix.getpid ()) !counter suffix)
+    let path =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "sf-cluster-%d-%d%s" (Unix.getpid ()) !counter suffix)
+    in
+    if Sys.file_exists path then next suffix else path
+  in
+  next
 
 let rm path = try Sys.remove path with Sys_error _ -> ()
 

@@ -11,12 +11,19 @@ module Client = Server.Client
 module Conn = Server.Conn
 module Wire = Server.Wire
 
+(* A path no file holds yet: a run that failed before its cleanup
+   leaves its files behind, and a later process may get the same pid. *)
 let fresh_path =
   let counter = ref 0 in
-  fun suffix ->
+  let rec next suffix =
     incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sf-test-%d-%d%s" (Unix.getpid ()) !counter suffix)
+    let path =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "sf-test-%d-%d%s" (Unix.getpid ()) !counter suffix)
+    in
+    if Sys.file_exists path then next suffix else path
+  in
+  next
 
 let mu1 = [| 4; 4; 4 |]
 let t1 = Intmat.of_ints [ [ 1; 1; -1 ]; [ 1; 4; 1 ] ]
@@ -186,33 +193,18 @@ let test_store_opens_persisted () =
 (* ----------------------------- admission ---------------------------- *)
 
 let test_admission_shedding () =
-  let q = Admission.create ~capacity:2 in
+  let q = Admission.create () in
   Alcotest.(check bool) "push 1" true (Admission.try_push q 1);
   Alcotest.(check bool) "push 2" true (Admission.try_push q 2);
-  Alcotest.(check bool) "push 3 shed" false (Admission.try_push q 3);
   Alcotest.(check int) "depth" 2 (Admission.length q);
   Admission.close q;
   Alcotest.(check bool) "push after close shed" false (Admission.try_push q 4);
   (* Queued items still drain after close... *)
-  Alcotest.(check (option (list int))) "drain" (Some [ 1; 2 ])
-    (Admission.pop_batch q ~max:8 ~compatible:(fun _ _ -> true));
+  let first = Admission.pop q in
+  let second = Admission.pop q in
+  Alcotest.(check (list (option int))) "drain" [ Some 1; Some 2 ] [ first; second ];
   (* ...then consumers get the end-of-queue signal. *)
-  Alcotest.(check (option (list int))) "closed" None
-    (Admission.pop_batch q ~max:8 ~compatible:(fun _ _ -> true))
-
-let test_admission_batching () =
-  let q = Admission.create ~capacity:16 in
-  List.iter (fun x -> ignore (Admission.try_push q x)) [ 2; 4; 6; 7; 8 ];
-  let even a b = a mod 2 = b mod 2 in
-  (* The batch is the compatible prefix, cut at the first mismatch. *)
-  Alcotest.(check (option (list int))) "even prefix" (Some [ 2; 4; 6 ])
-    (Admission.pop_batch q ~max:8 ~compatible:even);
-  Alcotest.(check (option (list int))) "odd singleton" (Some [ 7 ])
-    (Admission.pop_batch q ~max:8 ~compatible:even);
-  (* [max] bounds the batch even when everything is compatible. *)
-  List.iter (fun x -> ignore (Admission.try_push q x)) [ 10; 12 ];
-  Alcotest.(check (option (list int))) "max cut" (Some [ 8; 10 ])
-    (Admission.pop_batch q ~max:2 ~compatible:even)
+  Alcotest.(check (option int)) "closed" None (Admission.pop q)
 
 (* ----------------------------- protocol ----------------------------- *)
 
@@ -477,6 +469,43 @@ let test_reactor_spans () =
     (fun name -> Alcotest.(check bool) (name ^ " opened") true (List.mem name names))
     [ "reactor.wait"; "reactor.read"; "reactor.dispatch"; "reactor.flush"; "server.request" ]
 
+let test_cold_work_off_loop () =
+  (* A traced daemon with a store computes a cold analyze on a worker
+     domain and answers its repeat from the store on the event loop's
+     domain. *)
+  Obs.Trace.enable ();
+  let spans =
+    Fun.protect ~finally:Obs.Trace.disable (fun () ->
+        let store_path = fresh_path ".store" in
+        let server = boot ~store_path () in
+        let _, _, sock = server in
+        let conn = Client.connect (`Unix sock) in
+        List.iter
+          (fun (id, status) ->
+            let reply = Client.request conn (Protocol.analyze ~id:(Json.Int id) ~mu:mu1 t1) in
+            Alcotest.(check (option string)) ("store " ^ status) (Some status)
+              (match Json.member "store" reply with Some (Json.Str s) -> Some s | _ -> None))
+          [ (1, "miss"); (2, "hit") ];
+        Client.close conn;
+        shutdown server;
+        Sys.remove store_path;
+        Obs.Trace.spans ())
+  in
+  let domain_of what pick =
+    match
+      List.find_opt
+        (fun sp -> sp.Obs.Trace.name = "server.request" && pick sp.Obs.Trace.args)
+        spans
+    with
+    | Some sp -> sp.Obs.Trace.domain
+    | None -> Alcotest.failf "no server.request span %s" what
+  in
+  let cold = domain_of "with a rid" (List.mem_assoc "rid") in
+  let loop = domain_of "on the fastpath" (fun a -> List.assoc_opt "path" a = Some "fastpath") in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold work on domain %d, off the loop's domain %d" cold loop)
+    true (cold <> loop)
+
 let test_live_drain_rejects () =
   let server = boot () in
   let d, _, sock = server in
@@ -571,7 +600,7 @@ let test_admission_drain_race () =
   let round ~jobs ~per_pusher =
     let pushers = 2 in
     let total = pushers * per_pusher in
-    let q = Admission.create ~capacity:64 in
+    let q = Admission.create () in
     let accepted = Array.make total false in
     let executed = Array.make total 0 in
     let exec_lock = Mutex.create () in
@@ -580,11 +609,11 @@ let test_admission_drain_race () =
           Thread.create
             (fun () ->
               let rec loop () =
-                match Admission.pop_batch q ~max:4 ~compatible:(fun _ _ -> true) with
+                match Admission.pop q with
                 | None -> ()
-                | Some items ->
+                | Some i ->
                   Mutex.lock exec_lock;
-                  List.iter (fun i -> executed.(i) <- executed.(i) + 1) items;
+                  executed.(i) <- executed.(i) + 1;
                   Mutex.unlock exec_lock;
                   Thread.yield ();
                   loop ()
@@ -1082,8 +1111,8 @@ let test_live_hello_negotiation () =
   Thread.join th
 
 let test_singleflight_coalescing () =
-  (* N identical cold analyzes arriving while the only worker is
-     pinned on a slow search: exactly one analysis dispatch, one store
+  (* N identical cold analyzes arriving while every worker is pinned
+     on a slow search: exactly one analysis dispatch, one store
      append, and N acks with byte-identical verdicts. *)
   let round jobs =
     let sock = fresh_path ".sock" in
@@ -1091,22 +1120,25 @@ let test_singleflight_coalescing () =
     let cfg =
       { (Daemon.default_config (Daemon.Unix_sock sock)) with
         jobs = Some jobs;
-        max_inflight = 1;
-        batch_max = 1;
         store_path = Some store_path }
     in
     let d = Daemon.create cfg in
     let th = Thread.create Daemon.run d in
     let inst = Check.Gen.ith ~seed:33 ~size:4 0 in
-    let n = 8 in
+    let n = 8 and workers = max 2 (jobs - 1) in
     let fd = raw_connect sock in
-    (* One write: the slow job, the identical burst right behind it.
-       The loop thread parks all N in one singleflight group long
-       before the worker reaches the leader. *)
+    (* One write: one slow search per worker (matmul mu 20 Pareto,
+       tens of ms each; the first search starts them all), the
+       identical burst right behind them.  The loop parks all N in one
+       singleflight group long before a worker is free to reach the
+       leader. *)
     let burst = Buffer.create 1024 in
-    Buffer.add_string burst
-      (Json.to_string (Protocol.search ~id:(Json.Int 0) ~pareto:true ~algorithm:"matmul" ~mu:4 ()));
-    Buffer.add_char burst '\n';
+    for k = 1 to workers do
+      Buffer.add_string burst
+        (Json.to_string
+           (Protocol.search ~id:(Json.Int (-k)) ~pareto:true ~algorithm:"matmul" ~mu:20 ()));
+      Buffer.add_char burst '\n'
+    done;
     for i = 1 to n do
       Buffer.add_string burst
         (Json.to_string
@@ -1116,7 +1148,7 @@ let test_singleflight_coalescing () =
     done;
     raw_send fd (Buffer.contents burst);
     let replies = Hashtbl.create 16 in
-    for _ = 0 to n do
+    for _ = 1 to n + workers do
       let reply = parse_reply (raw_read_line fd) in
       match Protocol.reply_id reply with
       | Json.Int i -> Hashtbl.replace replies i reply
@@ -1174,6 +1206,32 @@ let test_singleflight_coalescing () =
     Sys.remove store_path
   in
   List.iter round [ 1; 4 ]
+
+let test_long_search_leaves_a_worker () =
+  (* Even at jobs 1, admitting a search starts a second worker: a cold
+     analyze queued right behind a long search (matmul mu 40 Pareto, a
+     few hundred ms) is answered while the search still runs. *)
+  let sock = fresh_path ".sock" in
+  let d = Daemon.create { (Daemon.default_config (Daemon.Unix_sock sock)) with jobs = Some 1 } in
+  let th = Thread.create Daemon.run d in
+  let fd = raw_connect sock in
+  raw_send fd
+    (String.concat "\n"
+       [
+         Json.to_string (Protocol.search ~id:(Json.Int 0) ~pareto:true ~algorithm:"matmul" ~mu:40 ());
+         Json.to_string (Protocol.analyze ~id:(Json.Int 1) ~mu:mu1 t1);
+         "";
+       ]);
+  let order =
+    List.init 2 (fun _ ->
+        let reply = parse_reply (raw_read_line fd) in
+        Alcotest.(check bool) "reply ok" true (Protocol.reply_ok reply);
+        match Protocol.reply_id reply with Json.Int i -> i | _ -> Alcotest.fail "reply id")
+  in
+  Alcotest.(check (list int)) "analyze answered before the search" [ 1; 0 ] order;
+  Unix.close fd;
+  Daemon.initiate_drain d;
+  Thread.join th
 
 let test_live_transport_matrix () =
   let store_path = fresh_path ".store" in
@@ -1574,7 +1632,6 @@ let suite =
     Alcotest.test_case "store hashes pinned" `Quick test_store_hashes_pinned;
     Alcotest.test_case "store opens persisted" `Quick test_store_opens_persisted;
     Alcotest.test_case "admission shedding" `Quick test_admission_shedding;
-    Alcotest.test_case "admission batching" `Quick test_admission_batching;
     Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
     Alcotest.test_case "protocol id echo" `Quick test_protocol_id_echo;
@@ -1608,6 +1665,8 @@ let suite =
     Alcotest.test_case "search candidates counted" `Quick test_search_candidates;
     Alcotest.test_case "live search bounded" `Quick test_live_search_bounded;
     Alcotest.test_case "reactor spans" `Quick test_reactor_spans;
+    Alcotest.test_case "cold work leaves the loop domain" `Quick test_cold_work_off_loop;
+    Alcotest.test_case "long search leaves a worker" `Quick test_long_search_leaves_a_worker;
     Alcotest.test_case "live drain answers exactly" `Quick test_live_drain_answers_exactly;
     Alcotest.test_case "store kind boundary" `Quick test_store_kind_boundary;
   ]
