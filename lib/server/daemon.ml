@@ -71,6 +71,7 @@ let m_coalesced = Obs.Metrics.counter "server.singleflight.coalesced"
 let m_deadline_exceeded = Obs.Metrics.counter "server.deadline_exceeded"
 let g_queue_depth = Obs.Metrics.gauge "server.queue_depth"
 let h_request_ms = Obs.Metrics.histogram "server.request_ms"
+let h_queue_wait_ms = Obs.Metrics.histogram "server.queue_wait_ms"
 
 let wake t = Reactor.wake t.reactor
 
@@ -110,6 +111,7 @@ let send_analyze t w ?defer result =
 
 (* Runs on a worker domain, one popped request at a time. *)
 let serve_job t job =
+  Obs.Metrics.observe h_queue_wait_ms (1000. *. (Unix.gettimeofday () -. job.enqueued_at));
   Atomic.incr t.n_served;
   Obs.Metrics.incr m_batched;
   Obs.Metrics.set_gauge g_queue_depth (float_of_int (Admission.length t.queue));

@@ -19,7 +19,7 @@
     one, so a wavefront wider than one block is split into blocks of
     adjacent PEs fanned across {!Engine.Pool} domains; narrower levels
     run inline (the paper's linear arrays are at most 67 points wide
-    at mu=64, against 15-30 ns per point and under a microsecond per
+    at mu=64, against 6-25 ns per point and under a microsecond per
     pool map on a 2-vCPU Xeon VM).  {!run} executes the semantics'
     lowered form ({!Algorithm.semantics}[.lowered]), one call per level
     or block, or else a default lowering of its [boundary] and
@@ -98,7 +98,10 @@ type 'v result = {
 }
 
 val run : ?pool:Engine.Pool.t -> plan -> 'v Algorithm.semantics -> 'v result
-(** Execute the plan: allocate the lowered form's storage, then sweep.
+(** Execute the plan: take the lowered form's storage, then sweep.
+    That storage may be recycled ([Scenario]'s semantics keep free
+    lists of it), so its contents are unspecified until the sweep
+    writes them; [elapsed_s] starts after it is taken.
     [pool] defaults to a fresh [Engine.Pool.create ()]; pass an
     explicit pool to pin [jobs].  Deterministic: the returned values
     do not depend on the pool size or the block parameter, and equal

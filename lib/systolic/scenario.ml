@@ -135,6 +135,77 @@ let instantiate spec =
 
 (* ------------------------ generic semantics ------------------------ *)
 
+(* Run storage.  A lowered run takes its stream arrays from a free list
+   per element type, so a run reuses memory that is already mapped
+   instead of faulting in fresh pages: at mu = 64 that first touch was
+   the largest single cost of a matmul run.  An array goes back on the
+   list only from its [Gc.finalise] callback, once the GC has proved
+   that no result's [lookup] can reach it.  Contents are unspecified:
+   a sweep writes every position before any consumer reads it
+   (Algorithm.sweep).
+
+   Each list is one immutable value swapped by compare-and-set, not a
+   mutex-guarded one: a finaliser runs at an allocation point of the
+   domain that registered it, which may be inside that domain's own
+   critical section. *)
+
+let storage_cap_bytes = 16 lsl 20
+let storage_fresh = Obs.Metrics.counter "exec.storage.fresh"
+let storage_recycled = Obs.Metrics.counter "exec.storage.recycled"
+
+type 'a free_list = {
+  free : ('a list * int) Atomic.t;  (* most recently returned first, and their bytes *)
+  length : 'a -> int;
+  elt_bytes : int;
+  create : int -> 'a;
+}
+
+(* The most recently returned arrays that fit under the cap stay. *)
+let rec give_back fl a =
+  let ((arrays, _) as cur) = Atomic.get fl.free in
+  let kept, bytes =
+    List.fold_left
+      (fun (kept, bytes) b ->
+        let size = fl.length b * fl.elt_bytes in
+        if bytes + size <= storage_cap_bytes then (b :: kept, bytes + size) else (kept, bytes))
+      ([], 0) (a :: arrays)
+  in
+  if not (Atomic.compare_and_set fl.free cur (List.rev kept, bytes)) then give_back fl a
+
+let handed_out fl counter a =
+  Obs.Metrics.incr counter;
+  Gc.finalise (give_back fl) a;
+  a
+
+let rec take fl card =
+  let ((arrays, bytes) as cur) = Atomic.get fl.free in
+  match List.find_opt (fun a -> fl.length a = card) arrays with
+  | None -> handed_out fl storage_fresh (fl.create card)
+  | Some a ->
+    let rest = (List.filter (( != ) a) arrays, bytes - (card * fl.elt_bytes)) in
+    if Atomic.compare_and_set fl.free cur rest then handed_out fl storage_recycled a
+    else take fl card
+
+let int_storage =
+  {
+    free = Atomic.make ([], 0);
+    length = Array.length;
+    elt_bytes = Sys.word_size / 8;
+    create = (fun n -> Array.make n 0);
+  }
+
+(* A fresh float array is filled, as an int array must be, so that its
+   pages are touched before [Kernel.run] starts the clock. *)
+let float_storage =
+  {
+    free = Atomic.make ([], 0);
+    length = Float.Array.length;
+    elt_bytes = 8;
+    create = (fun n -> Float.Array.make n 0.);
+  }
+
+let storage_retained_bytes () = (snd (Atomic.get int_storage.free), snd (Atomic.get float_storage.free))
+
 (* Matmul over an arbitrary dtype: the same three streams as
    [Matmul.semantics] (B along d1, A along d2, the running sum along
    d3), inputs drawn as small ints so every dtype represents them
@@ -151,7 +222,8 @@ type 'v streams = { va : 'v; vb : 'v; vc : 'v }
    Int32 arithmetic would have computed. *)
 
 let matmul_int_sweep ~box a b card =
-  let sa = Array.make card 0 and sb = Array.make card 0 and sc = Array.make card 0 in
+  let sa = take int_storage card and sb = take int_storage card in
+  let sc = take int_storage card in
   let range ~coords ~preds lo hi =
     for p = lo to hi - 1 do
       let q = 3 * p in
@@ -169,8 +241,8 @@ let matmul_int_sweep ~box a b card =
 let matmul_float_sweep a b =
   let a = Array.map (Array.map float_of_int) a and b = Array.map (Array.map float_of_int) b in
   fun card ->
-    let sa = Float.Array.make card 0. and sb = Float.Array.make card 0. in
-    let sc = Float.Array.make card 0. in
+    let sa = take float_storage card and sb = take float_storage card in
+    let sc = take float_storage card in
     let range ~coords ~preds lo hi =
       for p = lo to hi - 1 do
         let q = 3 * p in
@@ -243,7 +315,7 @@ let[@inline] tc_int_operand s preds q i j0 j1 j2 =
   if x >= 0 then s.(x) else tc_input j0 j1 j2 i
 
 let tc_int_sweep ~box card =
-  let s = Array.make card 0 and c = tc_coefficients in
+  let s = take int_storage card and c = tc_coefficients in
   let range ~coords ~preds lo hi =
     for p = lo to hi - 1 do
       let r = 3 * p and q = 5 * p in
@@ -265,7 +337,7 @@ let[@inline] tc_float_operand s preds q i j0 j1 j2 =
 (* Float_type's sum starts from 0. and adds each product in dependence
    order; the same order here keeps the results bit-identical. *)
 let tc_float_sweep card =
-  let s = Float.Array.make card 0. in
+  let s = take float_storage card in
   let c = Float.Array.map_from_array float_of_int tc_coefficients in
   let range ~coords ~preds lo hi =
     for p = lo to hi - 1 do

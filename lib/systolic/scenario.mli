@@ -130,6 +130,29 @@ val tc_semantics : (module TYPE with type t = 'a) -> 'a Algorithm.semantics
     streams: deterministic per point, sensitive to any misrouted
     operand, bounded for float thanks to [TYPE.damp]. *)
 
+(** {1 Run storage}
+
+    The lowered forms of {!matmul_semantics} and {!tc_semantics} take
+    their stream arrays from a free list per element type ([int], which
+    [int32] shares, and [float]) instead of allocating them per run.
+    Each array handed out is registered with [Gc.finalise] and goes
+    back on its list only after the GC has found it unreachable, so a
+    live result's [lookup] is never clobbered.  A recycled array's
+    contents are unspecified; a sweep writes every position before it
+    reads it.  Counters [exec.storage.fresh] and
+    [exec.storage.recycled] count the arrays handed out newly allocated
+    and taken from a list (docs/SCHEMA.md). *)
+
+val storage_cap_bytes : int
+(** The most bytes each free list keeps, 16 MiB: seven of the
+    274,625-element streams of a mu = 64 cell, against the four per
+    element type that one round of perfbench's exec-large frees.  A
+    returned array that does not fit evicts the least recently
+    returned ones. *)
+
+val storage_retained_bytes : unit -> int * int
+(** The bytes the [int] and the [float] free lists hold now. *)
+
 (** {1 Running} *)
 
 type cell = {

@@ -66,8 +66,11 @@ type 'v semantics = {
   pp_value : Format.formatter -> 'v -> unit;
   lowered : (int -> 'v sweep) option;
   (** The same arithmetic as [boundary] and [compute], written as a
-      loop over flat storage: [f card] allocates a run's storage for
-      [card] positions and returns its {!sweep}.  The compiled
+      loop over flat storage: [f card] takes a run's storage for
+      [card] positions and returns its {!sweep}.  The storage may be
+      recycled from an earlier run whose result is unreachable, so its
+      contents are unspecified: [range] writes every position before
+      any later position reads it.  The compiled
       executor runs this form when present and a one-point-at-a-time
       lowering of [boundary]/[compute] otherwise; the reference
       evaluators below never use it.

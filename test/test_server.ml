@@ -788,6 +788,33 @@ module Poll = Server.Poll
 let feed_all dec s = Wire.feed dec (Bytes.of_string s) 0 (String.length s)
 let gen_inst i = Check.Gen.ith ~seed:77 ~size:4 i
 
+(* [server.queue_wait_ms] is observed once per queued request, when a
+   worker pops it; a reply answered on the event loop (ping) adds
+   none. *)
+let test_queue_wait_observed () =
+  let observed () =
+    match List.assoc_opt "server.queue_wait_ms" (Obs.Metrics.snapshot ()).Obs.Metrics.histograms with
+    | Some h -> h.Obs.Metrics.count
+    | None -> 0
+  in
+  let before = observed () in
+  let server = boot () in
+  let d, _, sock = server in
+  let conn = Client.connect (`Unix sock) in
+  let n = 5 in
+  for i = 0 to n - 1 do
+    ignore (analyze_via conn (gen_inst i))
+  done;
+  Alcotest.(check bool) "ping answered" true
+    (Protocol.reply_ok (Client.request conn (Protocol.ping ~id:(Json.Int 1) ())));
+  Client.close conn;
+  shutdown server;
+  let accepted =
+    match List.assoc_opt "accepted" (Daemon.stats_fields d) with Some (Json.Int n) -> n | _ -> -1
+  in
+  Alcotest.(check int) "every analyze queued" n accepted;
+  Alcotest.(check int) "one observation per queued request" accepted (observed () - before)
+
 let test_wire_roundtrip () =
   let doc = Json.to_string (Protocol.ping ~id:(Json.Int 3) ()) in
   List.iter
@@ -1648,6 +1675,7 @@ let suite =
     Alcotest.test_case "worker supervision" `Quick test_worker_supervision;
     Alcotest.test_case "chaos determinism" `Quick test_chaos_determinism;
     Alcotest.test_case "stale socket recovery" `Quick test_stale_socket_recovery;
+    Alcotest.test_case "queue wait observed per queued request" `Quick test_queue_wait_observed;
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire decoder fuzz" `Quick test_wire_decoder_fuzz;
     Alcotest.test_case "live oversized frames" `Quick test_live_oversized_frames;

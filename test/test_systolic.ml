@@ -280,12 +280,21 @@ let test_kernel_matches_reference () =
   Alcotest.(check int) "13 PEs as in Figure 3" 13 (Kernel.processors plan);
   Alcotest.(check int) "125 cells" 125 (Kernel.cells plan)
 
+(* [f ()] and the arrays it took from run storage: (fresh, recycled). *)
+let storage_taken f =
+  let count name = Obs.Metrics.value (Obs.Metrics.counter name) in
+  let fresh = count "exec.storage.fresh" and recycled = count "exec.storage.recycled" in
+  let r = f () in
+  (r, (count "exec.storage.fresh" - fresh, count "exec.storage.recycled" - recycled))
+
 let test_kernel_block_invariance () =
   (* Both case studies x every dtype x jobs 1/2 x block 1 (maximal
      fan-out)/default: every run gives the first run's values bit for
      bit, the lowered loop gives those of the default lowering of the
-     same closures, and both agree with the reference evaluator. *)
-  let check (type v) name alg tm (sem : v Algorithm.semantics) =
+     same closures, a run on arrays recycled from a dropped run on
+     other inputs ([scrap]) gives them too, and all agree with the
+     reference evaluator. *)
+  let check (type v) name alg tm (sem : v Algorithm.semantics) ~(scrap : v Algorithm.semantics) =
     Alcotest.(check bool) (name ^ " carries a lowered form") true
       (Option.is_some sem.Algorithm.lowered);
     let closures = { sem with Algorithm.lowered = None } in
@@ -311,7 +320,12 @@ let test_kernel_block_invariance () =
             check_against_reference name alg sem lowered;
             if jobs > 1 && block = Some 1 then
               Alcotest.(check bool) (name ^ ": block=1 actually fanned out") true
-                (lowered.Kernel.parallel_levels > 0))
+                (lowered.Kernel.parallel_levels > 0);
+            ignore (Kernel.run ~pool plan scrap);
+            Gc.full_major ();
+            let recycled, (fresh, _) = storage_taken (fun () -> Kernel.run ~pool plan sem) in
+            Alcotest.(check int) (name ^ ": no fresh array after a collection") 0 fresh;
+            same_values "recycled storage" lowered recycled)
           [ Some 1; None ])
       [ 1; 2 ]
   in
@@ -319,9 +333,73 @@ let test_kernel_block_invariance () =
   let ta, tt = Scenario.instantiate (Scenario.scenario "tc" ~mu:4) in
   List.iter
     (fun (module M : Scenario.TYPE) ->
-      check ("matmul/" ^ M.name) ma mt (Scenario.matmul_semantics (module M) ~mu:4 ~seed:7);
-      check ("tc/" ^ M.name) ta tt (Scenario.tc_semantics (module M)))
+      check ("matmul/" ^ M.name) ma mt
+        (Scenario.matmul_semantics (module M) ~mu:4 ~seed:7)
+        ~scrap:(Scenario.matmul_semantics (module M) ~mu:4 ~seed:8);
+      let tc = Scenario.tc_semantics (module M) in
+      check ("tc/" ^ M.name) ta tt tc ~scrap:tc)
     Scenario.types
+
+(* Run storage is recycled only once the GC has proved it unreachable:
+   a held result stays intact across later runs and collections, and a
+   run on recycled arrays, here arrays that held other values (matmul
+   on other inputs, then tc on matmul's arrays), still computes every
+   cell. *)
+let test_kernel_recycled_storage () =
+  List.iter
+    (fun mu ->
+      let ma, mt = Scenario.instantiate (Scenario.scenario "matmul" ~mu) in
+      let ta, tt = Scenario.instantiate (Scenario.scenario "tc" ~mu) in
+      let mplan = Kernel.compile ma mt and tplan = Kernel.compile ta tt in
+      List.iter
+        (fun (module M : Scenario.TYPE) ->
+          let name what = Printf.sprintf "%s/mu=%d: %s" M.name mu what in
+          let matmul seed = Scenario.matmul_semantics (module M) ~mu ~seed in
+          let tc = Scenario.tc_semantics (module M) in
+          (* A run after a collection takes only recycled arrays; its
+             result is checked, then dropped. *)
+          let after_collection what arrays alg plan sem =
+            Gc.full_major ();
+            let r, taken = storage_taken (fun () -> Kernel.run plan sem) in
+            Alcotest.(check (pair int int)) (name (what ^ " takes recycled arrays")) (0, arrays) taken;
+            check_against_reference (name what) alg sem r
+          in
+          Gc.full_major ();
+          let held = Kernel.run mplan (matmul 1) in
+          check_against_reference (name "dropped run") ma (matmul 2) (Kernel.run mplan (matmul 2));
+          after_collection "matmul on other inputs" 3 ma mplan (matmul 3);
+          after_collection "tc on matmul's arrays" 1 ta tplan tc;
+          check_against_reference (name "held result") ma (matmul 1) held)
+        Scenario.types)
+    [ 4; 5; 6 ]
+
+(* Dropping more arrays than the cap holds leaves the free lists full
+   to the cap and no further: the mu = 63 streams are 2 MiB each.  The
+   first collection returns what earlier tests dropped, so the last
+   one returns only this test's arrays. *)
+let test_storage_cap () =
+  Gc.full_major ();
+  let mu = 63 in
+  let alg, tm = Scenario.instantiate (Scenario.scenario "matmul" ~mu) in
+  let plan = Kernel.compile alg tm in
+  let size = 8 * Kernel.cells plan in
+  let runs = (Scenario.storage_cap_bytes / (3 * size)) + 1 in
+  Alcotest.(check bool) "more arrays than the cap holds" true
+    (3 * runs * size > Scenario.storage_cap_bytes);
+  let hold_then_drop (module M : Scenario.TYPE) =
+    let held = List.init runs (fun seed -> Kernel.run plan (Scenario.matmul_semantics (module M) ~mu ~seed)) in
+    ignore (Sys.opaque_identity held)
+  in
+  List.iter hold_then_drop [ (module Scenario.Int_type : Scenario.TYPE); (module Scenario.Float_type) ];
+  Gc.full_major ();
+  let ints, floats = Scenario.storage_retained_bytes () in
+  List.iter
+    (fun (what, bytes) ->
+      Alcotest.(check bool) (what ^ " retained within the cap") true
+        (bytes <= Scenario.storage_cap_bytes);
+      Alcotest.(check bool) (what ^ " filled with the newest arrays") true
+        (bytes >= Scenario.storage_cap_bytes / size * size))
+    [ ("int", ints); ("float", floats) ]
 
 let test_kernel_rejects_non_causal () =
   let alg = Matmul.algorithm ~mu:2 in
@@ -595,6 +673,8 @@ let suite =
     Alcotest.test_case "linkcheck paper mappings" `Quick test_linkcheck_paper_mappings_clean;
     Alcotest.test_case "kernel matches reference" `Quick test_kernel_matches_reference;
     Alcotest.test_case "kernel block invariance" `Quick test_kernel_block_invariance;
+    Alcotest.test_case "kernel recycled storage" `Quick test_kernel_recycled_storage;
+    Alcotest.test_case "run storage cap" `Quick test_storage_cap;
     Alcotest.test_case "kernel rejects non-causal" `Quick test_kernel_rejects_non_causal;
     Alcotest.test_case "scenario matrix verifies" `Quick test_scenario_matrix_verifies;
     Alcotest.test_case "ulp distance" `Quick test_ulp_distance;
